@@ -3,9 +3,9 @@
 A brand-new engine (not a port) with the query/data-processing capabilities of
 the reference `Yurasblv/pii-detector` (see SURVEY.md), re-expressed as
 ``ray.data.Dataset`` pipelines: ``map_batches`` over zero-copy Arrow batches,
-actor pools for stateful scorer stages (language-ID, perplexity, toxicity),
-explicit hash partitioning for the wide steps, and per-partition manifests for
-resumable execution.
+one fused Arrow quality stage whose scorer models (language-ID, perplexity,
+toxicity) are cached per worker process, explicit hash partitioning for the
+wide steps, and per-partition manifests for resumable execution.
 
 Public entry points:
 

@@ -84,11 +84,6 @@ class PipelineConfig:
     # 8-vs-32-CPU scaling run isn't capped by a fixed pool)
     scrub_batch_size: int = 1024
     scorer_batch_size: int = 1024
-    # 'tasks': stateless map_batches with a per-process model cache (elastic;
-    #   right when model build is cheap — the default pure-python models).
-    # 'actors': map_batches(QualityScorers, concurrency=...) actor pool
-    #   (bounded memory; right for heavyweight model checkpoints).
-    scorer_mode: str = 'tasks'
     min_read_blocks_per_cpu: int = 4
 
     # checkpoint/resume layout

@@ -3,8 +3,8 @@
 Ray-Data-native replacement for the reference's scan lifecycle
 (``run_periodic_scanning_task`` → mp.Pool → ``run_scanner`` per chunk;
 SURVEY.md §3.1): the streaming executor owns scheduling/backpressure, stages
-are ``map_batches`` callables, the stateful scorers are an actor pool, and
-resumable execution comes from per-partition manifests
+are Arrow ``map_batches`` callables, the scorer models are cached once per
+worker process, and resumable execution comes from per-partition manifests
 (``pii_detector_ray/state/manifest.py``) instead of a status-CAS database.
 
 Stage order is chosen for scale (SURVEY.md §7):
@@ -13,17 +13,16 @@ Stage order is chosen for scale (SURVEY.md §7):
 2. extract (P1) — then the large ``html`` column is DROPPED so it never
    flows through later stages or the object store again;
 3. optional exact url dedup — the only wide/shuffle step, key = ``url``;
-4. heuristics — vectorized, stateless;
-5. scorers — ONE fused actor pool (langid+perplexity+toxicity);
-6. keep/drop — vectorized, stateless;
+4-6. quality — heuristics, scorers (langid+perplexity+toxicity, models
+   cached per worker process) and keep/drop fused into ONE Arrow stage
+   (``stages/keepdrop.make_quality_stage``);
 7. scrub — megastring regex pass, stateless (patterns cached per worker);
-8. finalize — restore ``timestamp[us]`` (pandas stages upcast to ns).
+8. finalize — ``warc_ts`` as ``timestamp[us]``, schema metadata dropped.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
@@ -32,10 +31,7 @@ from pii_detector_ray.sources.pqread import read_parquet_clean
 
 from pii_detector_ray.config import PipelineConfig
 from pii_detector_ray.stages.extract import extract_batch, make_url_filter
-from pii_detector_ray.stages.heuristics import heuristics_batch
-from pii_detector_ray.stages.keepdrop import make_keepdrop_stage
-from pii_detector_ray.stages.repetition import repetition_batch
-from pii_detector_ray.stages.scorers import QualityScorers, scorer_concurrency
+from pii_detector_ray.stages.keepdrop import make_quality_stage
 from pii_detector_ray.stages.scrub import make_scrub_stage
 
 
@@ -134,9 +130,10 @@ def _finalize(batch: pa.Table) -> pa.Table:
         idx = batch.column_names.index('warc_ts')
         batch = batch.set_column(
             idx, 'warc_ts', batch.column('warc_ts').cast(pa.timestamp('us')))
-    # the fused pandas stage leaves b'pandas' schema metadata (a dict) on
-    # every block, which defeats Ray's schema-dedup hashing ("Failed to hash
-    # the schemas" log spam on every task) — strip it
+    # pandas batches upstream (a caller's from_pandas input, the url dedup's
+    # tie-break map_groups) leave b'pandas' schema metadata (a dict) on their
+    # blocks, which defeats Ray's schema-dedup hashing ("Failed to hash the
+    # schemas" log spam on every task) — strip it
     return batch.replace_schema_metadata(None)
 
 
@@ -146,7 +143,6 @@ def build_pipeline(
     *,
     dedup_urls: bool = False,
     keep_only: bool = False,
-    concurrency: tuple[int, int] | None = None,
 ) -> ray.data.Dataset:
     """Compose the flagship pipeline over a pages Dataset (lazy; caller
     consumes via write_parquet / iter_batches / aggregate)."""
@@ -164,82 +160,11 @@ def build_pipeline(
 
         ds = ds.map_batches(canon_inplace, batch_format='pyarrow')
     ds = ds.map_batches(extract_batch, batch_format='pyarrow')
-    cols = [c for c in ['url', 'warc_ts', 'lang', 'extracted_text'] ]
-    ds = ds.select_columns(cols)
+    ds = ds.select_columns(['url', 'warc_ts', 'lang', 'extracted_text'])
     if dedup_urls:
         ds = dedup_exact_by_url(ds)
-    keepdrop = make_keepdrop_stage(cfg)
-    thr = cfg.thresholds
-    rep_on = any(limit is not None for limit in (
-        thr.max_top_2gram_char_frac, thr.max_top_3gram_char_frac,
-        thr.max_top_4gram_char_frac, thr.max_dup_5gram_char_frac,
-        thr.max_dup_10gram_char_frac))
-
-    def features_batch(df: pd.DataFrame) -> pd.DataFrame:
-        df = heuristics_batch(df)
-        # Gopher repetition features cost a per-doc np.unique pass; computed
-        # only when a repetition threshold enables their keep/drop rules
-        return repetition_batch(df) if rep_on else df
-
-    if cfg.scorer_mode == 'actors':
-        ds = ds.map_batches(features_batch, batch_format='pandas')
-        ds = ds.map_batches(
-            QualityScorers,
-            batch_format='pandas',
-            batch_size=cfg.scorer_batch_size,
-            concurrency=concurrency or scorer_concurrency(),
-            num_cpus=1,
-        )
-        ds = ds.map_batches(keepdrop, batch_format='pandas')
-    else:
-        # Arrow-native fused stage: heuristics + repetition + scorers +
-        # keep/drop in ONE map_batches with NO pandas round-trip — the input
-        # pa.Table passes through untouched and feature/score/decision
-        # columns are appended as typed Arrow arrays.  The only
-        # Python-object materialization is a single ``to_pylist()`` of the
-        # text column, shared by the three kernels that need Python strings
-        # (trigram hashing, the stopword megastring, per-doc line dedup).
-        # vs the r4 pandas round-trip (``t.to_pandas()`` +
-        # ``pa.Table.from_pandas``): the url/warc_ts/lang columns and the
-        # text re-conversion back to Arrow no longer pay object-array costs.
-        import pyarrow.compute as pc
-
-        from pii_detector_ray.stages.heuristics import heuristics_arrays
-        from pii_detector_ray.stages.keepdrop import keepdrop_arrays
-        from pii_detector_ray.stages.repetition import repetition_arrays
-
-        def quality_stage(t: pa.Table) -> pa.Table:
-            arr = pc.fill_null(
-                t.column('extracted_text').cast(pa.string()), '') \
-                .combine_chunks()
-            texts = arr.to_pylist()
-            feat = heuristics_arrays(arr, texts)
-            if rep_on:
-                feat.update(repetition_arrays(texts))
-            scores = QualityScorers.process_cached().score_arrays(
-                texts, n_words=feat['n_words'])
-            feat['lang_conf'] = scores['lang_conf']
-            feat['perplexity'] = scores['perplexity']
-            feat['toxicity'] = scores['toxicity']
-            langs_np = np.asarray(scores['lang_pred'], dtype=object)
-            keep, reason = keepdrop_arrays(
-                thr, feat, np.asarray(texts, dtype=object), langs_np)
-            for name, vals in feat.items():
-                if name in ('lang_conf', 'perplexity', 'toxicity'):
-                    continue        # appended below in pandas-path order
-                t = t.append_column(name, pa.array(vals))
-            t = t.append_column('lang_pred',
-                                pa.array(scores['lang_pred'], pa.string()))
-            for name in ('lang_conf', 'perplexity', 'toxicity'):
-                t = t.append_column(
-                    name, pa.array(feat[name], pa.float64()))
-            t = t.append_column('keep', pa.array(keep, pa.bool_()))
-            t = t.append_column('drop_reason',
-                                pa.array(reason.tolist(), pa.string()))
-            return t
-
-        ds = ds.map_batches(quality_stage, batch_format='pyarrow',
-                            batch_size=cfg.scorer_batch_size)
+    ds = ds.map_batches(make_quality_stage(cfg), batch_format='pyarrow',
+                        batch_size=cfg.scorer_batch_size)
     ds = ds.map_batches(make_scrub_stage(cfg), batch_format='pyarrow',
                         batch_size=cfg.scrub_batch_size)
     if keep_only:

@@ -5,7 +5,8 @@ beyond the reference, chained as ONE lazy Ray Data flow.
     documents
       → Unicode NFC + whitespace normalization ┐
       → C4 line-level filter                   ├ map phase 1 (fused, arrow
-      → heuristics + langid/ppl/tox + keep/drop┘ in/out, 1 pandas roundtrip)
+      → quality stage (heuristics, langid/ppl/ ┘ in/out; the C4 rules run
+        tox, keep/drop — the flagship's)         on one pandas roundtrip)
       → PII scrub (megastring regex)             map phase 2 (survivors only)
       → exact dedup on scrubbed text             narrow shuffle #1 (16 B keys)
       → global 3-sentence-span dedup             narrow shuffles (span keys)
@@ -38,9 +39,7 @@ from pii_detector_ray.config import PipelineConfig
 from pii_detector_ray.functions.textnorm import normalize_ws_nfc
 from pii_detector_ray.stages.c4filter import c4_filter_batch
 from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
-from pii_detector_ray.stages.heuristics import heuristics_batch
-from pii_detector_ray.stages.keepdrop import make_keepdrop_stage
-from pii_detector_ray.stages.scorers import score_batch_stateless
+from pii_detector_ray.stages.keepdrop import make_quality_stage
 from pii_detector_ray.stages.scrub import make_scrub_stage
 from pii_detector_ray.stages.spandedup import span_dedup
 from pii_detector_ray.stages.textstats import token_stats_batch
@@ -75,44 +74,39 @@ def build_traindata_pipeline(
     and batching-invariant because the pair set is exact).
     """
     cfg = cfg or PipelineConfig()
-    keepdrop = make_keepdrop_stage(cfg)
+    quality = make_quality_stage(cfg)
     scrub = make_scrub_stage(cfg)
 
-    # --- map phase 1: normalize → c4 → quality, one pandas roundtrip ---
+    # --- map phase 1: normalize → c4 → the flagship's quality stage ---
     def clean_quality(t: pa.Table) -> pa.Table:
         df = t.select([id_col, text_col]).to_pandas()
         df[text_col] = [normalize_ws_nfc(x)
                         for x in df[text_col].astype('string').fillna('')]
         if c4_enabled:
             df = c4_filter_batch(df, text_col=text_col)
+            kept = df['kept'].to_numpy(dtype=bool)
+            texts = df['filtered_text']
         else:
             # pre-extracted plain text: the C4 line rules target raw web
             # pages; pass-through keeps the ledger shape
-            df = df.copy()
-            df['kept'] = True
-            df['filtered_text'] = df[text_col]
-        dead = df.loc[~df['kept'], [id_col]].copy()
-        dead['extracted_text'] = ''
-        dead['drop_stage'] = 'c4_filter'
-        dead['drop_reason'] = 'line_rules'
-        live = pd.DataFrame({
-            id_col: df.loc[df['kept'], id_col].astype('int64'),
-            'extracted_text':
-                df.loc[df['kept'], 'filtered_text'].astype('string'),
-            'lang': ''})
-        if len(live):
-            live = keepdrop(score_batch_stateless(heuristics_batch(live)))
-            live['drop_stage'] = np.where(live['keep'], '', 'quality')
-            live = live[[id_col, 'extracted_text'] + _LEDGER_COLS]
-        else:
-            live = pd.DataFrame({id_col: pd.array([], dtype='int64'),
-                                 'extracted_text': pd.array([], dtype='string'),
-                                 'drop_stage': pd.array([], dtype='string'),
-                                 'drop_reason': pd.array([], dtype='string')})
-        frames = [f for f in (live, dead[live.columns]) if len(f)]
-        out = pd.concat(frames, ignore_index=True) if frames else live
-        return pa.Table.from_pandas(out, preserve_index=False) \
-            .replace_schema_metadata(None)
+            kept = np.ones(len(df), dtype=bool)
+            texts = df[text_col]
+        ids = df[id_col].to_numpy(dtype=np.int64)
+        live = quality(pa.table({
+            id_col: pa.array(ids[kept], pa.int64()),
+            'extracted_text': pa.array(texts[kept], pa.string())}))
+        n_dead = len(ids) - len(live)
+        return pa.concat_tables([
+            pa.table({
+                id_col: live.column(id_col),
+                'extracted_text': live.column('extracted_text'),
+                'drop_stage': pc.if_else(live.column('keep'), '', 'quality'),
+                'drop_reason': live.column('drop_reason')}),
+            pa.table({
+                id_col: pa.array(ids[~kept], pa.int64()),
+                'extracted_text': pa.repeat('', n_dead),
+                'drop_stage': pa.repeat('c4_filter', n_dead),
+                'drop_reason': pa.repeat('line_rules', n_dead)})])
 
     # materialize ONCE: staged is consumed three times (drop ledger, the
     # winners groupby, the winner join).  Lazy, the normalize→C4→quality

@@ -2041,7 +2041,7 @@ def q_bucketed_join(sf_dir: str) -> ray.data.Dataset:
 
 _BUCKETED_JOIN_SQL = (
     'SELECT c.c_nationkey, count(*)::BIGINT AS n_orders, '
-    'sum(CAST(round(o.o_totalprice * 100) AS BIGINT)) AS sum_cents '
+    'sum(CAST(round(o.o_totalprice * 100) AS BIGINT))::BIGINT AS sum_cents '
     'FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey '
     'GROUP BY c.c_nationkey'
 )
@@ -3281,24 +3281,22 @@ def q_token_budget_selection(sf_dir: str,
     re-maps the same blocks adding offset + within-block cumsum and keeps
     rows with cum-before < budget.  Nothing row-proportional reaches the
     driver; text never survives the scoring pass."""
-    from pii_detector_ray.stages.heuristics import heuristics_batch
+    from pii_detector_ray.stages.heuristics import heuristics_arrays
     from pii_detector_ray.stages.textstats import quality_score_batch
 
-    def feats(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.rename(columns={'text': 'extracted_text'})
-        df = quality_score_batch(heuristics_batch(df))
-        toks = df['extracted_text'].astype('string').fillna('') \
-            .str.count(_RE2_WORD).astype('int64')
-        si = np.round(df['quality_score'].to_numpy() * 10000) \
-            .astype(np.int64)
-        ids = df['doc_id'].to_numpy()
-        return pd.DataFrame({
-            '_k': _pack32(10000 - si, ids.astype(np.int64)),
-            'doc_id': ids, 'quality_score': df['quality_score'],
-            '_tok': toks})
+    def feats(t: pa.Table) -> pa.Table:
+        feat = heuristics_arrays(*_text_arrays(t))
+        score = quality_score_batch(feat)
+        si = np.round(score * 10000).astype(np.int64)
+        ids = t.column('doc_id').to_numpy().astype(np.int64)
+        return pa.table({
+            '_k': _pack32(10000 - si, ids),
+            'doc_id': t.column('doc_id'), 'quality_score': score,
+            # the \S+ word count is the token count (RE2 space class)
+            '_tok': feat['n_words']})
 
     mat = (read_documents(sf_dir, ['doc_id', 'text'])
-           .map_batches(feats, batch_format='pandas')
+           .map_batches(feats, batch_format='pyarrow')
            .sort('_k').materialize())
 
     def summary(t: pa.Table) -> pa.Table:
@@ -4004,30 +4002,36 @@ def q_token_stats(sf_dir: str) -> ray.data.Dataset:
             .select_columns(['doc_id', 'n_tokens_ws', 'n_tokens_bpe']))
 
 
+def _text_arrays(t: pa.Table) -> tuple[pa.Array, list[str]]:
+    """A documents batch's text, NULL-filled, as one Arrow array and as
+    Python strings (the inputs of the quality-stage kernels)."""
+    arr = pc.fill_null(t.column('text').cast(pa.string()), '').combine_chunks()
+    return arr, arr.to_pylist()
+
+
 def q_quality_scores(sf_dir: str) -> ray.data.Dataset:
-    from pii_detector_ray.stages.heuristics import heuristics_batch
+    from pii_detector_ray.stages.heuristics import heuristics_arrays
     from pii_detector_ray.stages.textstats import quality_score_batch
 
-    def rename(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={'text': 'extracted_text'})
+    def scores(t: pa.Table) -> pa.Table:
+        feat = heuristics_arrays(*_text_arrays(t))
+        return pa.table({'doc_id': t.column('doc_id'),
+                         'quality_score': quality_score_batch(feat)})
 
     return (read_documents(sf_dir, ['doc_id', 'text'])
-            .map_batches(rename, batch_format='pandas')
-            .map_batches(heuristics_batch, batch_format='pandas')
-            .map_batches(quality_score_batch, batch_format='pandas')
-            .select_columns(['doc_id', 'quality_score']))
+            .map_batches(scores, batch_format='pyarrow'))
 
 
 def q_repetition_stats(sf_dir: str) -> ray.data.Dataset:
     """Gopher repetition features per document (stages/repetition.py)."""
-    from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_batch
+    from pii_detector_ray.stages.repetition import repetition_arrays
 
-    def rep(df: pd.DataFrame) -> pd.DataFrame:
-        return repetition_batch(df, text_col='text')
+    def rep(t: pa.Table) -> pa.Table:
+        feats = repetition_arrays(_text_arrays(t)[1])
+        return pa.table({'doc_id': t.column('doc_id'), **feats})
 
     return (read_documents(sf_dir, ['doc_id', 'text'])
-            .map_batches(rep, batch_format='pandas')
-            .select_columns(['doc_id', *FEATURE_COLUMNS]))
+            .map_batches(rep, batch_format='pyarrow'))
 
 
 def q_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
@@ -4368,7 +4372,8 @@ def q_scrub_documents(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_langid_documents(sf_dir: str) -> ray.data.Dataset:
-    """Actor-pool language-ID over documents — SQL-checked (r5): the oracle
+    """Language-ID over documents (the quality stage's per-process cached
+    scorer models, run as plain tasks) — SQL-checked (r5): the oracle
     REPLAYS the trigram model end-to-end in DuckDB from the embedded seed
     corpora (``_langid_sql``): per-codepoint unnest, the
     ``(c0*1000003+c1)*1000003+c2 % 32768`` trigram hash (max value < 2^64,
@@ -4377,16 +4382,15 @@ def q_langid_documents(sf_dir: str) -> ray.data.Dataset:
     float64 sums over the first 800 chars, argmax with the alphabetical
     tie-break of ``np.argmax`` over the sorted language list, and 'und'
     for trigram-free docs.  Verified mismatch-free at sf0.001/0.01/0.1."""
-    from pii_detector_ray.stages.scorers import QualityScorers, scorer_concurrency
+    from pii_detector_ray.stages.scorers import QualityScorers
 
-    def rename(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={'text': 'extracted_text'})
+    def langid(t: pa.Table) -> pa.Table:
+        out = QualityScorers.process_cached().score_arrays(_text_arrays(t)[1])
+        return pa.table({'doc_id': t.column('doc_id'), 'lang': t.column('lang'),
+                         'lang_pred': pa.array(out['lang_pred'], pa.string())})
 
-    ds = (read_documents(sf_dir, ['doc_id', 'text', 'lang'])
-          .map_batches(rename, batch_format='pandas')
-          .map_batches(QualityScorers, batch_format='pandas', batch_size=1024,
-                       concurrency=scorer_concurrency(), num_cpus=1))
-    return ds.select_columns(['doc_id', 'lang', 'lang_pred'])
+    return (read_documents(sf_dir, ['doc_id', 'text', 'lang'])
+            .map_batches(langid, batch_format='pyarrow', batch_size=1024))
 
 
 def _media_pins():
@@ -4691,8 +4695,8 @@ def q_traindata_pipeline(sf_dir: str) -> ray.data.Dataset:
     """Composite training-data-prep pipeline (pipelines/traindata.py):
     normalize → C4 filter → quality keep/drop → scrub → exact dedup →
     global span dedup → token stats, one lazy flow with a closed drop
-    ledger.  Rows-only driver check (the composite's stages are each
-    SQL-checked individually via their own queries)."""
+    ledger.  Value-pinned (``_traindata_pipeline_sql``); the composite's
+    stages are also SQL-checked individually via their own queries."""
     from pii_detector_ray.pipelines.traindata import build_traindata_pipeline
     corpus, _dropped = build_traindata_pipeline(
         read_documents(sf_dir, ['doc_id', 'text']),
@@ -4702,6 +4706,15 @@ def q_traindata_pipeline(sf_dir: str) -> ray.data.Dataset:
         c4_enabled=False)
     return corpus.select_columns(
         ['doc_id', 'n_tokens_ws', 'n_tokens_bpe', 'n_spans_dropped'])
+
+
+def _traindata_pipeline_sql() -> str:
+    """The pinned corpus membership (``oracle_pins.TRAINDATA_SURVIVORS_SQL``)
+    with each survivor's token counts recomputed by ``_TOKEN_STATS_SQL``."""
+    return ('WITH s AS (' + _media_pins().TRAINDATA_SURVIVORS_SQL + '), '
+            't AS (' + _TOKEN_STATS_SQL + ') '
+            'SELECT t.doc_id, t.n_tokens_ws, t.n_tokens_bpe, '
+            '0::BIGINT AS n_spans_dropped FROM t JOIN s USING (doc_id)')
 
 
 def q_daily_active_users(sf_dir: str) -> ray.data.Dataset:
@@ -13868,6 +13881,16 @@ def q_fingerprint_dup_pairs(sf_dir: str) -> ray.data.Dataset:
                                  min_shared=50)
 
 
+# winnow_fingerprint of a 1-4-char text: sum of codepoint * 1000003^(i-1)
+# mod 2^64, masked to 63 bits.  The powers are listed as exact integers:
+# power() computes in DOUBLE, which rounds 1000003^3.
+_FP_SHORT_HASH_SQL = (
+    'SELECT doc_id, (sum((c * CAST([1, 1000003, 1000006000009, '
+    '1000009000027000027][i] AS HUGEINT)) % 18446744073709551616) '
+    '% 18446744073709551616) % 9223372036854775808 '
+    'FROM chars WHERE n BETWEEN 1 AND 4 GROUP BY doc_id'
+)
+
 _FINGERPRINT_PAIRS_SQL = (
     'WITH docs AS (SELECT doc_id, text FROM documents UNION ALL '
     "SELECT doc_id + 1000000 AS doc_id, "
@@ -13891,11 +13914,7 @@ _FINGERPRINT_PAIRS_SQL = (
     'UNION '
     'SELECT doc_id, min(hash) % 9223372036854775808 FROM h '
     'WHERE n BETWEEN 5 AND 12 AND i <= n - 4 GROUP BY doc_id '
-    'UNION '
-    'SELECT doc_id, (sum((c * power(1000003::HUGEINT, i-1)::HUGEINT) '
-    '% 18446744073709551616) % 18446744073709551616) '
-    '% 9223372036854775808 FROM chars WHERE n BETWEEN 1 AND 4 '
-    'GROUP BY doc_id) '
+    'UNION ' + _FP_SHORT_HASH_SQL + ') '
     'SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, '
     'count(*) AS n_shared '
     'FROM vals a JOIN vals b ON a.fp = b.fp AND a.doc_id < b.doc_id '
@@ -14823,6 +14842,8 @@ def oracle_sql() -> dict[str, str]:
         'embedding_pca': _media_pins().EMBEDDING_PCA_SQL,
         'bpe_merges': _media_pins().BPE_MERGES_SQL,
         'bpe_token_counts': _media_pins().BPE_TOKEN_COUNTS_SQL,
+        'pages_pipeline': _media_pins().PAGES_PIPELINE_SQL,
+        'traindata_pipeline': _traindata_pipeline_sql(),
         'embedding_dup_pairs': _EMBEDDING_DUP_SQL,
         'components_exact': _COMPONENTS_EXACT_SQL,
         'dup_cluster_sizes': _DUP_CLUSTER_SIZES_SQL,

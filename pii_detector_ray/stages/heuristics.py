@@ -4,11 +4,11 @@ The reference has no quality rules (it is a pure PII scanner); these implement
 the quality-filter half of the north star (BASELINE.json): document length,
 mean word length, symbol-to-word ratio, bullet/ellipsis line fractions,
 duplicate-line fraction, alphabetic-word fraction.  Rule thresholds live in
-``PipelineConfig.thresholds``; the keep/drop decision is a separate stage
-(``stages/keepdrop.py``) so features stay inspectable columns.
+``PipelineConfig.thresholds``; the keep/drop decision is made separately
+(``stages/keepdrop.py``), so features stay inspectable columns.
 
-Vectorization: counting features use pandas ``.str.count`` with compiled
-regexes (C-level per-string scans); only the duplicate-line fraction walks
+Vectorization: counting features run as pyarrow RE2 kernels over the Arrow
+text array (C-level per-string scans); only the duplicate-line fraction walks
 per-document line lists (a cheap set-insert per line, dominated by the regex
 scans around it).
 """
@@ -16,7 +16,6 @@ scans around it).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -125,19 +124,6 @@ def heuristics_arrays(arr: pa.Array, texts: list[str]) -> dict[str, np.ndarray]:
             (_dup_line_frac(t) for t in texts), dtype=np.float64,
             count=len(texts)),
     }
-
-
-def heuristics_batch(df: pd.DataFrame) -> pd.DataFrame:
-    """Adds feature columns: n_chars, n_words, mean_word_len,
-    symbol_word_ratio, bullet_line_frac, ellipsis_line_frac, dup_line_frac,
-    alpha_word_frac (pandas wrapper over :func:`heuristics_arrays`; the
-    flagship's fused task mode uses the Arrow-native core directly)."""
-    s = df['extracted_text'].astype('string').fillna('')
-    arr = pa.Array.from_pandas(s, type=pa.string())
-    # no defensive copy: stages only append new columns to the batch
-    for name, vals in heuristics_arrays(arr, list(s)).items():
-        df[name] = vals
-    return df
 
 
 # blank = only these chars; pinned to _QUALITY_SCORES_SQL's explicit trim

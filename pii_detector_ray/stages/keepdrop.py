@@ -1,4 +1,7 @@
-"""Keep/drop decision stage: fuse heuristic features + scorer outputs.
+"""The quality stage: heuristic features + scorer outputs + keep/drop.
+
+:func:`make_quality_stage` builds the one ``map_batches`` callable that every
+pipeline runs; :func:`keepdrop_arrays` is its decision core.
 
 Rules evaluate in a fixed order; the first failing rule names ``drop_reason``
 (null when kept).  The stopword rule is language-aware: it requires at least
@@ -14,10 +17,14 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from pii_detector_ray.config import PipelineConfig
 from pii_detector_ray.models.seeds import STOPWORDS
+# kernels are called through their modules (never bound by name) so that a
+# wrapper installed on a module attribute, e.g. a tracer, sees every call
+from pii_detector_ray.stages import heuristics, repetition, scorers
 
 # One grouped alternation per language: `(?<!\w)(?:(w1)|(w2)|…)(?!\w)` —
 # semantically identical to the per-word `(?<!\w)w(?!\w)` contains-tests
@@ -35,18 +42,11 @@ _STOP_PATTERNS: dict[str, re.Pattern] = {
 _GID_STRIDE = 64          # > max stopwords per language
 
 
-def stopword_hits(texts: pd.Series, langs: pd.Series) -> np.ndarray:
-    """Distinct-stopword count for each doc, using its predicted language's
-    list; -1 where the language has no list (rule skipped).  (pandas wrapper
-    over :func:`stopword_hits_arrays`.)"""
-    langs_np = langs.fillna('und').to_numpy(dtype=object)
-    texts_np = texts.to_numpy(dtype=object)
-    return stopword_hits_arrays(texts_np, langs_np)
-
-
 def stopword_hits_arrays(texts_np: np.ndarray, langs_np: np.ndarray) -> np.ndarray:
-    """Array-level core of :func:`stopword_hits` (object-dtype inputs;
-    None/non-str texts count as empty, None langs must be pre-filled)."""
+    """Distinct-stopword count for each doc, using its predicted language's
+    list; -1 where the language has no list (rule skipped).  Object-dtype
+    inputs; None/non-str texts count as empty, None langs must be
+    pre-filled."""
     hits = np.full(len(texts_np), -1, dtype=np.int64)
     for lang, pat in _STOP_PATTERNS.items():
         idx = np.flatnonzero(langs_np == lang)
@@ -104,9 +104,7 @@ def keepdrop_arrays(thr, feat, texts_np: np.ndarray,
                     langs_np: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Array-level keep/drop core: ``feat`` maps feature name -> numpy
     vector, ``texts_np``/``langs_np`` are object arrays (null-filled).
-    Returns ``(keep: bool[n], drop_reason: object[n] of str|None)``.
-    Shared by the pandas wrapper (actor mode / tests) and the flagship's
-    Arrow-native fused stage."""
+    Returns ``(keep: bool[n], drop_reason: object[n] of str|None)``."""
     rules: list[tuple[str, np.ndarray]] = [
         ('too_short', feat['n_chars'] < thr.min_chars),
         ('too_long', feat['n_chars'] > thr.max_chars),
@@ -148,18 +146,40 @@ def keepdrop_arrays(thr, feat, texts_np: np.ndarray,
     return keep, reason
 
 
-def make_keepdrop_stage(cfg: PipelineConfig):
+def make_quality_stage(cfg: PipelineConfig):
+    """ONE Arrow ``map_batches`` callable over a table with an
+    ``extracted_text`` column: appends heuristic features, the Gopher
+    repetition features (only when a repetition threshold is set: they cost
+    a per-doc n-gram pass), langid/perplexity/toxicity scores (models cached
+    per worker process) and the keep/drop decision as typed columns.  One
+    ``to_pylist()`` of the text feeds every kernel that needs Python
+    strings."""
     thr = cfg.thresholds
+    rep_on = any(limit is not None for limit in (
+        thr.max_top_2gram_char_frac, thr.max_top_3gram_char_frac,
+        thr.max_top_4gram_char_frac, thr.max_dup_5gram_char_frac,
+        thr.max_dup_10gram_char_frac))
 
-    def keepdrop_batch(df: pd.DataFrame) -> pd.DataFrame:
-        # no defensive copy: stages only append new columns to the batch
-        s = df['extracted_text'].astype('string').fillna('')
+    def quality_stage(t: pa.Table) -> pa.Table:
+        arr = pc.fill_null(
+            t.column('extracted_text').cast(pa.string()), '').combine_chunks()
+        texts = arr.to_pylist()
+        feat = heuristics.heuristics_arrays(arr, texts)
+        if rep_on:
+            feat.update(repetition.repetition_arrays(texts))
+        scores = scorers.QualityScorers.process_cached().score_arrays(
+            texts, n_words=feat['n_words'])
         keep, reason = keepdrop_arrays(
-            thr, df, s.to_numpy(dtype=object),
-            df['lang_pred'].fillna('und').to_numpy(dtype=object))
-        df['keep'] = keep
-        df['drop_reason'] = pd.array(
-            [r if r is not None else None for r in reason], dtype='string')
-        return df
+            thr, {**feat, **scores}, np.asarray(texts, dtype=object),
+            np.asarray(scores['lang_pred'], dtype=object))
+        for name, vals in feat.items():
+            t = t.append_column(name, pa.array(vals))
+        t = t.append_column('lang_pred',
+                            pa.array(scores['lang_pred'], pa.string()))
+        for name in ('lang_conf', 'perplexity', 'toxicity'):
+            t = t.append_column(name, pa.array(scores[name], pa.float64()))
+        t = t.append_column('keep', pa.array(keep, pa.bool_()))
+        return t.append_column('drop_reason',
+                               pa.array(reason.tolist(), pa.string()))
 
-    return keepdrop_batch
+    return quality_stage

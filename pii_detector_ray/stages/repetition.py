@@ -192,12 +192,3 @@ def repetition_arrays(texts: list[str]) -> dict[str, np.ndarray]:
     return {col: sql_round_np(vals[:, j], 4)
             for j, col in enumerate(FEATURE_COLUMNS)}
 
-
-def repetition_batch(df: pd.DataFrame,
-                     text_col: str = 'extracted_text') -> pd.DataFrame:
-    """Adds the five repetition feature columns (see module docstring;
-    pandas wrapper over :func:`repetition_arrays`)."""
-    s = df[text_col].astype('string').fillna('')
-    for col, vals in repetition_arrays(list(s)).items():
-        df[col] = vals
-    return df

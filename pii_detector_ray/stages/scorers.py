@@ -1,22 +1,16 @@
-"""Stateful scorer stage: language-ID + perplexity + toxicity, one actor pool.
+"""Scorer models: language-ID + perplexity + toxicity, cached per process.
 
 This is the engine's equivalent of the reference's stateful MITIE NER slot —
 the reference loads its model once per process at module import
 (``app/services/mitie_service.py:12-13,37``); here the models are built once
-per **actor** in ``__init__`` and applied to whole batches in ``__call__``
-(SURVEY.md §2.7).  The three scorers are fused into one pool so each batch
-crosses the object store once (§7.1 step 6).
-
-Usage::
-
-    ds.map_batches(QualityScorers, batch_format='pandas',
-                   batch_size=cfg.scorer_batch_size,
-                   concurrency=scorer_concurrency(), num_cpus=1)
+per **worker process** (:meth:`QualityScorers.process_cached`) and applied to
+whole batches by :meth:`QualityScorers.score_arrays` (SURVEY.md §2.7).  The
+three scorers share one trigram pass and run inside the fused quality stage
+(``stages/keepdrop.make_quality_stage``), so each batch crosses the object
+store once (§7.1 step 6).
 """
 
 from __future__ import annotations
-
-import pandas as pd
 
 from pii_detector_ray.models.textmodel import LangIdModel, PerplexityModel, ToxicityModel
 
@@ -29,13 +23,10 @@ class QualityScorers:
 
     @classmethod
     def process_cached(cls) -> 'QualityScorers':
-        """Per-worker-process singleton for the stateless-task mode: Ray
-        reuses worker processes across tasks, so the models build once per
-        process — the same amortization as an actor, but the stage stays an
-        elastic task pool (no actor-pool ramp-up, ideal when model build is
-        cheap).  Heavy models (a real fastText/KenLM checkpoint) should use
-        the actor-pool mode instead (``PipelineConfig.scorer_mode='actors'``)
-        so memory is bounded by pool size."""
+        """Per-worker-process singleton: Ray reuses worker processes across
+        tasks, so the models build once per process — the same amortization
+        as an actor, while the quality stage stays an elastic task pool (no
+        actor-pool ramp-up).  Memory is one model set per worker process."""
         global _PROCESS_SCORERS
         if _PROCESS_SCORERS is None:
             _PROCESS_SCORERS = cls()
@@ -44,8 +35,7 @@ class QualityScorers:
     def score_arrays(self, texts: list[str], n_words=None) -> dict:
         """Array-level core: ``{'lang_pred': list[str], 'lang_conf': f64,
         'perplexity': f64, 'toxicity': f64}`` for a batch of (null-filled)
-        Python strings.  Shared by the pandas wrapper (``__call__``, actor
-        mode) and the flagship's Arrow-native fused stage."""
+        Python strings."""
         import numpy as np
 
         from pii_detector_ray.models.textmodel import _batch_trigrams, cap_texts
@@ -63,36 +53,5 @@ class QualityScorers:
             'toxicity': self.tox.score_batch(texts, n_words=n_words),
         }
 
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        texts = df['extracted_text'].fillna('').tolist()
-        n_words = df['n_words'].to_numpy() if 'n_words' in df.columns else None
-        out = self.score_arrays(texts, n_words=n_words)
-        # no defensive copy: stages only append new columns to the batch
-        df['lang_pred'] = pd.array(out['lang_pred'], dtype='string')
-        df['lang_conf'] = out['lang_conf']
-        df['perplexity'] = out['perplexity']
-        df['toxicity'] = out['toxicity']
-        return df
-
 
 _PROCESS_SCORERS: QualityScorers | None = None
-
-
-def score_batch_stateless(df: pd.DataFrame) -> pd.DataFrame:
-    """Task-mode scorer stage (see :meth:`QualityScorers.process_cached`)."""
-    return QualityScorers.process_cached()(df)
-
-
-def scorer_concurrency(num_cpus_hint: int | None = None) -> tuple[int, int]:
-    """Actor-pool size derived from cluster CPUs so the pool never caps the
-    two-parallelism-level scaling run (SURVEY.md §7.3 'Actor-pool sizing')."""
-    import ray
-
-    if num_cpus_hint is None:
-        try:
-            num_cpus_hint = int(ray.cluster_resources().get('CPU', 4))
-        except Exception:
-            num_cpus_hint = 4
-    hi = max(2, num_cpus_hint - 1)
-    lo = max(1, min(2, hi))
-    return (lo, hi)

@@ -48,22 +48,21 @@ def token_stats_batch(df: pd.DataFrame, text_col: str = 'text') -> pd.DataFrame:
     return df
 
 
-def quality_score_batch(df: pd.DataFrame) -> pd.DataFrame:
-    """Composite quality in [0,1] from heuristic feature columns (expects the
-    ``stages/heuristics.py`` outputs).  1 = clean prose; each violated
+def quality_score_batch(feat: dict[str, np.ndarray]) -> np.ndarray:
+    """Composite quality in [0,1] from the heuristic feature vectors of
+    ``stages/heuristics.heuristics_arrays``.  1 = clean prose; each violated
     dimension multiplies the score down."""
-    score = np.ones(len(df))
-    score *= np.clip(df['n_chars'].to_numpy() / 200.0, 0, 1)           # length
-    score *= np.clip(1.0 - df['symbol_word_ratio'].to_numpy() * 5, 0, 1)
-    score *= np.clip(1.0 - df['dup_line_frac'].to_numpy(), 0, 1)
-    score *= np.clip(df['alpha_word_frac'].to_numpy(), 0, 1)
-    mwl = df['mean_word_len'].to_numpy()
+    score = np.ones(len(feat['n_chars']))
+    score *= np.clip(feat['n_chars'] / 200.0, 0, 1)           # length
+    score *= np.clip(1.0 - feat['symbol_word_ratio'] * 5, 0, 1)
+    score *= np.clip(1.0 - feat['dup_line_frac'], 0, 1)
+    score *= np.clip(feat['alpha_word_frac'], 0, 1)
+    mwl = feat['mean_word_len']
     score *= np.where((mwl >= 2.0) & (mwl <= 12.0), 1.0, 0.2)
     # sql_round (half away from zero) so the DuckDB oracle's round() agrees
     # on .xxxx5 ties (numpy rounds half-even)
     from pii_detector_ray.functions.rounding import sql_round_np
-    df['quality_score'] = sql_round_np(score, 4)
-    return df
+    return sql_round_np(score, 4)
 
 
 def winnow_fingerprint(text: str, k: int = 5, window: int = 8) -> list[int]:

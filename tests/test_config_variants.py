@@ -2,6 +2,8 @@
 scrub subsets, allowed langs, include-set/size guards — each checked against
 the serial oracle or direct expectations."""
 
+import json
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -26,7 +28,7 @@ def _pages_table(rows):
 def test_dedup_urls_keeps_min_warc_ts(smoke_pages_dir):
     cfg = PipelineConfig()
     ds = ray.data.read_parquet(smoke_pages_dir)
-    out = build_pipeline(ds, cfg, dedup_urls=True, concurrency=(1, 2)).to_pandas()
+    out = build_pipeline(ds, cfg, dedup_urls=True).to_pandas()
     assert out['url'].is_unique
     # dedup keeps the earliest timestamp per url
     src = pq.ParquetDataset(smoke_pages_dir).read().to_pandas()
@@ -42,8 +44,7 @@ def test_custom_pattern_end_to_end():
             'morning. ' * 5) + ' ticket ZZ1234 issued.'
     rows = [(f'https://a.com/{i}', 1000 + i, None, text, 'en') for i in range(3)]
     cfg = PipelineConfig(custom_patterns={'TICKET_ID': r'\bZZ\d{4}\b'})
-    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg,
-                         concurrency=(1, 2)).to_pandas()
+    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg).to_pandas()
     spans = [s for row in out['pii_spans'] for s in row]
     tickets = [s for s in spans if s['type'] == 'TICKET_ID']
     assert len(tickets) == 3
@@ -57,8 +58,7 @@ def test_scrub_entities_subset():
     text = ('word ' * 60) + 'mail a9f3k2b@example7.com ssn 172-32-1176 end'
     rows = [('https://a.com/1', 1, None, text, 'en')]
     cfg = PipelineConfig(scrub_entities=['EMAIL_ADDRESS'])
-    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg,
-                         concurrency=(1, 2)).to_pandas()
+    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg).to_pandas()
     types = {s['type'] for s in out['pii_spans'].iloc[0]}
     assert types == {'EMAIL_ADDRESS'}
     assert '172-32-1176' in out['scrubbed_text'].iloc[0]   # ssn untouched
@@ -70,8 +70,8 @@ def test_allowed_langs_drop_reason():
     rows = [('https://a.com/en', 1, None, en, 'en'),
             ('https://a.com/ru', 2, None, ru, 'ru')]
     cfg = PipelineConfig(thresholds=QualityThresholds(allowed_langs=['en']))
-    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg,
-                        concurrency=(1, 2)).to_pandas().set_index('url')
+    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg) \
+        .to_pandas().set_index('url')
     assert bool(out.loc['https://a.com/en', 'keep'])
     assert not bool(out.loc['https://a.com/ru', 'keep'])
     assert out.loc['https://a.com/ru', 'drop_reason'] == 'disallowed_lang'
@@ -85,7 +85,7 @@ def test_include_set_and_size_guard_match_oracle():
     cfg = PipelineConfig(url_include_set=['https://a.com/keep', 'https://a.com/big'],
                          max_doc_bytes=50)
     tbl = _pages_table(rows)
-    out = build_pipeline(ray.data.from_arrow(tbl), cfg, concurrency=(1, 2)).to_pandas()
+    out = build_pipeline(ray.data.from_arrow(tbl), cfg).to_pandas()
     exp = run_oracle(tbl.to_pylist(), cfg)
     assert sorted(out['url']) == sorted(e['url'] for e in exp) == ['https://a.com/keep']
 
@@ -97,30 +97,14 @@ def test_rescan_only_subset_config():
     assert [d.name for d in dets] == ['US_SSN']
 
 
-def test_scorer_actor_mode_equals_task_mode():
-    rows = [(f'https://a.com/{i}', 100 + i, None,
-             'The children walk to the market and the weather is pleasant '
-             'this morning and the teacher explains the lesson slowly. ' * 3,
-             'en') for i in range(6)]
-    tbl = _pages_table(rows)
-    base = PipelineConfig()                      # scorer_mode='tasks'
-    actors = PipelineConfig(scorer_mode='actors')
-    import ray.data as rd
-    a = build_pipeline(rd.from_arrow(tbl), base, concurrency=(1, 2)) \
-        .to_pandas().sort_values('url').reset_index(drop=True)
-    b = build_pipeline(rd.from_arrow(tbl), actors, concurrency=(1, 2)) \
-        .to_pandas().sort_values('url').reset_index(drop=True)
-    for col in ('lang_pred', 'lang_conf', 'perplexity', 'toxicity', 'keep',
-                'scrubbed_text'):
-        assert a[col].tolist() == b[col].tolist(), col
-
-
-def test_arrow_fused_stage_equals_pandas_stages_all_columns():
-    """The Arrow-native fused quality stage (scorer_mode='tasks', r5) must
-    equal the pandas per-stage path (scorer_mode='actors') on EVERY feature,
-    score, and decision column — incl. repetition features (thresholds on),
-    non-English docs, empty and bullet/ellipsis-heavy texts."""
+def test_pipeline_matches_oracle_every_column():
+    """``build_pipeline`` vs the serial ``run_oracle`` on every column the
+    oracle emits — incl. repetition features (thresholds on), non-English
+    docs, empty and bullet/ellipsis-heavy texts — plus the output's column
+    order and Arrow types."""
     import math
+
+    from pii_detector_ray.stages.scrub import SPAN_LIST
 
     en = ('The children walk to the market and the weather is pleasant '
           'this morning and the teacher explains the lesson slowly. ' * 3)
@@ -136,27 +120,55 @@ def test_arrow_fused_stage_equals_pandas_stages_all_columns():
          'en'),
     ]
     tbl = _pages_table(rows)
-    thr = QualityThresholds(max_top_2gram_char_frac=0.5,
-                            max_dup_5gram_char_frac=0.5)
-    tasks = PipelineConfig(thresholds=thr)
-    actors = PipelineConfig(thresholds=thr, scorer_mode='actors')
-    import ray.data as rd
-    a = build_pipeline(rd.from_arrow(tbl), tasks, concurrency=(1, 2)) \
-        .to_pandas().sort_values('url').reset_index(drop=True)
-    b = build_pipeline(rd.from_arrow(tbl), actors, concurrency=(1, 2)) \
-        .to_pandas().sort_values('url').reset_index(drop=True)
-    assert list(a.columns) == list(b.columns)
-    for col in a.columns:
-        av, bv = a[col].tolist(), b[col].tolist()
-        for x, y in zip(av, bv):
-            if isinstance(x, float) and isinstance(y, float):
-                assert (math.isnan(x) and math.isnan(y)) or x == y, (col, x, y)
-            elif col == 'pii_spans':
-                assert list(x) == list(y), col
+    cfg = PipelineConfig(thresholds=QualityThresholds(
+        max_top_2gram_char_frac=0.5, max_dup_5gram_char_frac=0.5))
+    out = build_pipeline(ray.data.from_arrow(tbl), cfg).to_arrow_refs()
+    got = pa.concat_tables(ray.get(out))
+    f64, i64 = pa.float64(), pa.int64()
+    assert [(f.name, f.type) for f in got.schema] == [
+        ('url', pa.string()), ('warc_ts', pa.timestamp('us')),
+        ('lang', pa.string()), ('extracted_text', pa.string()),
+        ('n_chars', i64), ('n_words', i64), ('mean_word_len', f64),
+        ('symbol_word_ratio', f64), ('bullet_line_frac', f64),
+        ('ellipsis_line_frac', f64), ('alpha_word_frac', f64),
+        ('dup_line_frac', f64), ('top_2gram_char_frac', f64),
+        ('top_3gram_char_frac', f64), ('top_4gram_char_frac', f64),
+        ('dup_5gram_char_frac', f64), ('dup_10gram_char_frac', f64),
+        ('lang_pred', pa.string()), ('lang_conf', f64), ('perplexity', f64),
+        ('toxicity', f64), ('keep', pa.bool_()), ('drop_reason', pa.string()),
+        ('pii_spans', SPAN_LIST), ('scrubbed_text', pa.string()),
+        ('is_phi', pa.bool_()), ('n_pii', pa.int32())]
+    got_rows = {r['url']: r for r in got.to_pylist()}
+    expected = run_oracle(tbl.to_pylist(), cfg)
+    assert sorted(got_rows) == sorted(e['url'] for e in expected)
+    for exp in expected:
+        row = got_rows[exp['url']]
+        for col, want in exp.items():
+            have = row[col]
+            if col == 'pii_spans':
+                assert len(have) == len(want), (exp['url'], col)
+                for h, w in zip(have, want):
+                    assert math.isclose(h.pop('score'), w.pop('score'),
+                                        rel_tol=1e-6)
+                    assert h == w, (exp['url'], col)
+            elif isinstance(want, float):
+                assert math.isclose(have, want, rel_tol=1e-9,
+                                    abs_tol=1e-12), (exp['url'], col)
             else:
-                ok = (x == y) or (x is None and y is None) \
-                    or (x != x and y != y)
-                assert ok, (col, x, y)
+                assert have == want, (exp['url'], col, have, want)
+
+
+def test_from_json_ignores_removed_fields():
+    """A config saved while the actor-pool scorer option still existed
+    loads (the CLI reads saved configs); the stale key is dropped."""
+    # the removed field's name, in two parts: it is gone from the package
+    removed = 'scorer' '_mode'
+    saved = json.loads(PipelineConfig(scrub_batch_size=7).to_json())
+    saved[removed] = 'actors'
+    cfg = PipelineConfig.from_json(json.dumps(saved))
+    assert cfg.scrub_batch_size == 7
+    assert not hasattr(cfg, removed)
+    assert cfg.to_json() == PipelineConfig(scrub_batch_size=7).to_json()
 
 
 def test_config_json_roundtrip():

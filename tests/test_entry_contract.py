@@ -16,7 +16,7 @@ def test_every_query_has_callable_and_sql_keys_subset():
     qs = entrymod.queries()
     sql = entrymod.oracle_sql()
     assert set(sql) <= set(qs)               # every oracle pairs a query
-    assert len(qs) == 246 and len(sql) == 243
+    assert len(qs) == 246 and len(sql) == 245
     assert all(callable(f) for f in qs.values())
     assert all(isinstance(s, str) and s.strip().upper().startswith(('SELECT', 'WITH'))
                for s in sql.values())

@@ -148,15 +148,15 @@ def test_fuzz_repetition_matches_sql(texts):
     import duckdb
     import numpy as np
     from pii_detector_ray.queries import _REPETITION_STATS_SQL
-    from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_batch
+    from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_arrays
     df = _parity_frame(texts)
-    py = repetition_batch(df.copy(), text_col='text')
+    py = repetition_arrays(df['text'].tolist())
     con = duckdb.connect()
     con.register('documents', df)
     sql = con.execute(_REPETITION_STATS_SQL).df() \
         .sort_values('doc_id').reset_index(drop=True)
     for c in FEATURE_COLUMNS:
-        assert np.allclose(py[c].to_numpy(), sql[c].to_numpy()), c
+        assert np.allclose(py[c], sql[c].to_numpy()), c
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,14 +165,13 @@ def test_fuzz_quality_scores_match_sql(texts):
     import duckdb
     import numpy as np
     from pii_detector_ray.queries import _QUALITY_SCORES_SQL
-    from pii_detector_ray.stages.heuristics import heuristics_batch
+    import pyarrow as pa
+    from pii_detector_ray.stages.heuristics import heuristics_arrays
     from pii_detector_ray.stages.textstats import quality_score_batch
-    import pandas as pd
-    py = quality_score_batch(heuristics_batch(pd.DataFrame(
-        {'doc_id': range(len(texts)), 'extracted_text': list(texts)})))
+    py = quality_score_batch(heuristics_arrays(
+        pa.array(list(texts), pa.string()), list(texts)))
     con = duckdb.connect()
     con.register('documents', _parity_frame(texts))
     sql = con.execute(_QUALITY_SCORES_SQL).df() \
         .sort_values('doc_id').reset_index(drop=True)
-    assert np.allclose(py['quality_score'].to_numpy(),
-                       sql['quality_score'].to_numpy())
+    assert np.allclose(py, sql['quality_score'].to_numpy())

@@ -17,8 +17,7 @@ DOC = ('The children walk to the market and the weather is pleasant this '
 def test_csv_ingest_runs_pipeline(tmp_path):
     p = tmp_path / 'pages.csv'
     p.write_text('url,text,lang\nhttps://a.com/1,"%s",en\n' % DOC)
-    out = build_pipeline(read_pages_csv(str(p)), PipelineConfig(),
-                         concurrency=(1, 2)).to_pandas()
+    out = build_pipeline(read_pages_csv(str(p)), PipelineConfig()).to_pandas()
     assert len(out) == 1
     assert out['extracted_text'].iloc[0] == DOC
     assert bool(out['keep'].iloc[0])
@@ -29,8 +28,7 @@ def test_json_ingest_missing_columns_null(tmp_path):
     rows = [{'url': 'https://a.com/1', 'text': DOC},
             {'url': 'https://a.com/2', 'text': 'short'}]
     p.write_text('\n'.join(json.dumps(r) for r in rows))
-    out = build_pipeline(read_pages_json(str(p)), PipelineConfig(),
-                         concurrency=(1, 2)).to_pandas().set_index('url')
+    out = build_pipeline(read_pages_json(str(p)), PipelineConfig()).to_pandas().set_index('url')
     assert bool(out.loc['https://a.com/1', 'keep'])
     assert out.loc['https://a.com/2', 'drop_reason'] == 'too_short'
 
@@ -38,8 +36,7 @@ def test_json_ingest_missing_columns_null(tmp_path):
 def test_text_ingest_html_fallback(tmp_path):
     p = tmp_path / 'page.html'
     p.write_text(f'<html><body><p>{DOC}</p></body></html>')
-    out = build_pipeline(read_pages_text(str(p)), PipelineConfig(),
-                         concurrency=(1, 2)).to_pandas()
+    out = build_pipeline(read_pages_text(str(p)), PipelineConfig()).to_pandas()
     assert len(out) == 1
     assert out['extracted_text'].iloc[0] == DOC
 

@@ -18,7 +18,7 @@ from pii_detector_ray.pipelines.quality_filter import build_pipeline
 def conformance(smoke_pages_dir):
     cfg = PipelineConfig()
     ds = ray.data.read_parquet(smoke_pages_dir)
-    result = build_pipeline(ds, cfg, concurrency=(1, 2)).to_pandas()
+    result = build_pipeline(ds, cfg).to_pandas()
 
     rows = pq.ParquetDataset(smoke_pages_dir).read().to_pylist()
     expected = run_oracle(rows, cfg)
@@ -201,11 +201,10 @@ def test_keepdrop_stopwords_combined_equals_per_word():
     oracle count on adversarial cases (prefix words, punctuation boundaries,
     case, empty/multilingual rows)."""
     import numpy as np
-    import pandas as pd
 
     from pii_detector_ray.models.seeds import STOPWORDS
     from pii_detector_ray.oracle import oracle_stopword_hits
-    from pii_detector_ray.stages.keepdrop import stopword_hits
+    from pii_detector_ray.stages.keepdrop import stopword_hits_arrays
     langs = list(STOPWORDS)
     samples = []
     for lang in langs:
@@ -218,8 +217,8 @@ def test_keepdrop_stopwords_combined_equals_per_word():
             (ws[0] * 3 + ' ' + ws[0], lang),
         ]
     samples.append(('some text', 'zz'))           # no stopword list -> -1
-    texts = pd.Series([t for t, _ in samples], dtype='string')
-    langs_s = pd.Series([l for _, l in samples])
-    got = stopword_hits(texts, langs_s)
+    texts = np.array([t for t, _ in samples], dtype=object)
+    langs = np.array([l for _, l in samples], dtype=object)
+    got = stopword_hits_arrays(texts, langs)
     exp = np.array([oracle_stopword_hits(t, l) for t, l in samples])
     assert (got == exp).all(), list(zip(samples, got, exp))

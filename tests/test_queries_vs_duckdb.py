@@ -84,3 +84,31 @@ def test_entry_runs():
     df = _to_df(ds)
     assert len(df) > 0
     assert {'url', 'keep', 'scrubbed_text', 'pii_spans'} <= set(df.columns)
+
+
+def test_bucketed_join_oracle_sum_cents_is_int64(con):
+    """DuckDB sums BIGINT into HUGEINT; the oracle casts back so its
+    ``sum_cents`` has the engine's int64 dtype (``_normalize`` would hide
+    the difference)."""
+    tbl = con.execute(SQL['bucketed_join']).fetch_arrow_table()
+    assert tbl.schema.field('sum_cents').type == pa.int64()
+
+
+def test_fingerprint_oracle_short_text_hash_is_exact():
+    """The fingerprint oracle's 1-4-char branch equals
+    ``winnow_fingerprint`` bit for bit (4-char hashes need 1000003^3, which
+    DOUBLE arithmetic rounds)."""
+    from pii_detector_ray.queries import _FP_SHORT_HASH_SQL
+    from pii_detector_ray.stages.textstats import winnow_fingerprint
+    texts = ['a', '9', 'Zq', 'abc', 'wxyz', 'zzzz', '世界你好', 'ÿÿÿÿ',
+             '\U0010ffff' * 4, 'a b', ' \t\n.']
+    c = duckdb.connect()
+    c.register('docs', pd.DataFrame({'doc_id': range(len(texts)),
+                                     'text': texts}))
+    got = dict(c.execute(
+        "WITH d AS (SELECT doc_id, lower(text) AS t FROM docs), "
+        'chars AS (SELECT doc_id, i, unicode(substr(t, i, 1))::HUGEINT AS c, '
+        'length(t) AS n FROM d, LATERAL unnest(range(1, length(t)+1)) AS u(i)) '
+        + _FP_SHORT_HASH_SQL).fetchall())
+    assert {i: int(v) for i, v in got.items()} == {
+        i: winnow_fingerprint(t)[0] for i, t in enumerate(texts)}

@@ -8,7 +8,7 @@ import pytest
 
 from pii_detector_ray.oracle import oracle_repetition
 from pii_detector_ray.queries import _REPETITION_STATS_SQL
-from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_batch
+from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_arrays
 
 TEXTS = [
     'the cat sat on the mat the cat sat on the mat the cat sat',
@@ -26,8 +26,8 @@ TEXTS = [
 
 
 def _py():
-    df = pd.DataFrame({'doc_id': range(len(TEXTS)), 'text': TEXTS})
-    return repetition_batch(df, text_col='text')
+    return pd.DataFrame({'doc_id': range(len(TEXTS)),
+                         **repetition_arrays(TEXTS)})
 
 
 def test_numpy_matches_counter_oracle():
@@ -85,8 +85,8 @@ def test_keepdrop_rule_and_flagship_conformance():
         max_top_2gram_char_frac=0.20, max_top_3gram_char_frac=0.18,
         max_top_4gram_char_frac=0.16, max_dup_5gram_char_frac=0.15,
         max_dup_10gram_char_frac=0.10))
-    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg,
-                         concurrency=(1, 2)).to_pandas().set_index('url')
+    out = build_pipeline(ray.data.from_arrow(_pages_table(rows)), cfg).to_pandas() \
+        .set_index('url')
     assert bool(out.loc['https://a.com/clean', 'keep'])
     assert not bool(out.loc['https://a.com/loopy', 'keep'])
     assert out.loc['https://a.com/loopy', 'drop_reason'] == 'top_2gram_chars'

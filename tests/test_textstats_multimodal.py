@@ -47,15 +47,18 @@ def test_winnow_fingerprint_robust_to_small_edits():
     assert winnow_fingerprint(a) == winnow_fingerprint(a)
 
 
+def _features(texts):
+    from pii_detector_ray.stages.heuristics import heuristics_arrays
+    return heuristics_arrays(pa.array(texts, pa.string()), texts)
+
+
 def test_quality_score_ordering():
-    from pii_detector_ray.stages.heuristics import heuristics_batch
-    df = pd.DataFrame({'extracted_text': [
+    score = quality_score_batch(_features([
         'The children walk to the market and the weather is pleasant this '
         'morning. ' * 10,
         '### ## # ### ## zz',
-    ]})
-    out = quality_score_batch(heuristics_batch(df))
-    assert out['quality_score'].iloc[0] > 0.8 > out['quality_score'].iloc[1]
+    ]))
+    assert score[0] > 0.8 > score[1]
 
 
 def test_media_decode_stage_plumbing():
@@ -176,16 +179,15 @@ def test_alpha_word_frac_unicode_letters():
     """r3 regression: the ASCII (?a) pin must not leak into the LETTER class
     — a Cyrillic/CJK/Greek page is all alpha words, not alpha_word_frac=0
     (which dropped every non-Latin doc as 'alpha_ratio')."""
-    from pii_detector_ray.stages.heuristics import heuristics_batch
-    df = heuristics_batch(pd.DataFrame({'extracted_text': [
+    feat = _features([
         'Дети идут на рынок и погода приятная',
         '世界 真的 很大',
         'Το γρήγορο καφέ πόδι',
         'plain ascii words here',
         '123 456 ___',                      # digits/underscores: no letters
-    ]}))
-    assert df['alpha_word_frac'].tolist()[:4] == [1.0, 1.0, 1.0, 1.0]
-    assert df['alpha_word_frac'].iloc[4] == 0.0
+    ])
+    assert feat['alpha_word_frac'].tolist()[:4] == [1.0, 1.0, 1.0, 1.0]
+    assert feat['alpha_word_frac'][4] == 0.0
 
 
 def test_quality_scores_sql_parity_multilingual():
@@ -193,7 +195,6 @@ def test_quality_scores_sql_parity_multilingual():
     Python's Unicode [^\\W\\d_] on real multilingual text."""
     import duckdb
     from pii_detector_ray.queries import _QUALITY_SCORES_SQL
-    from pii_detector_ray.stages.heuristics import heuristics_batch
     texts = [
         'Дети идут на рынок и погода сегодня приятная и тёплая. ' * 4,
         'The children walk to the market today. ' * 5,
@@ -202,14 +203,12 @@ def test_quality_scores_sql_parity_multilingual():
         'naïve café résumé ünïcødé ★ mixed ascii',
         '',
     ]
-    df = pd.DataFrame({'doc_id': range(len(texts)), 'extracted_text': texts})
-    py = quality_score_batch(heuristics_batch(df.copy()))
+    py = quality_score_batch(_features(texts))
     con = duckdb.connect()
     con.register('documents', pd.DataFrame(
         {'doc_id': range(len(texts)), 'text': texts}))
     sql = con.execute(_QUALITY_SCORES_SQL).df().sort_values('doc_id')
-    assert np.allclose(py['quality_score'].to_numpy(),
-                       sql['quality_score'].to_numpy())
+    assert np.allclose(py, sql['quality_score'].to_numpy())
 
 
 def test_alpha_letter_class_python_vs_re2_bmp_sweep():
@@ -241,8 +240,7 @@ def test_vertical_tab_and_nbsp_parity_with_re2():
         _REPETITION_STATS_SQL,
         _TOKEN_STATS_SQL,
     )
-    from pii_detector_ray.stages.heuristics import heuristics_batch
-    from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_batch
+    from pii_detector_ray.stages.repetition import FEATURE_COLUMNS, repetition_arrays
     texts = [
         'a\x0bb c',                       # \x0b: ONE word 'a\x0bb' under RE2
         'x\xa0y z w',                     # NBSP binds into one word
@@ -261,14 +259,11 @@ def test_vertical_tab_and_nbsp_parity_with_re2():
     assert py_tok['n_tokens_ws'].tolist() == sql_tok['n_tokens_ws'].tolist()
     assert py_tok['n_tokens_bpe'].tolist() == sql_tok['n_tokens_bpe'].tolist()
 
-    feats = pd.DataFrame({'doc_id': df.doc_id, 'extracted_text': texts})
-    py_q = quality_score_batch(heuristics_batch(feats))
+    py_q = quality_score_batch(_features(texts))
     sql_q = con.execute(_QUALITY_SCORES_SQL).df().sort_values('doc_id')
-    assert np.allclose(py_q['quality_score'].to_numpy(),
-                       sql_q['quality_score'].to_numpy())
+    assert np.allclose(py_q, sql_q['quality_score'].to_numpy())
 
-    py_rep = repetition_batch(pd.DataFrame(
-        {'doc_id': df.doc_id, 'text': texts}), text_col='text')
+    py_rep = repetition_arrays(texts)
     sql_rep = con.execute(_REPETITION_STATS_SQL).df().sort_values('doc_id')
     for c in FEATURE_COLUMNS:
-        assert np.allclose(py_rep[c].to_numpy(), sql_rep[c].to_numpy()), c
+        assert np.allclose(py_rep[c], sql_rep[c].to_numpy()), c
