@@ -36,93 +36,82 @@ from pii_detector_ray.stages.scrub import make_scrub_stage
 
 
 def dedup_exact_by_url(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Exact url dedup: keep the earliest (min ``warc_ts``) row per url;
-    ties broken by text md5 then arbitrary-but-single.
+    """Exact url dedup: keep the earliest (min ``warc_ts``, NULL last) row
+    per url; ties broken by text md5 then arbitrary-but-single.
 
     Ray-native version of the reference's ``(path, etag)``/(path, offset,
     hash) catalog diffs (``base_scan_service.py:643-731``; SURVEY.md §2.2 F7).
 
-    Round-2 strategy (re-measured, reversing the round-1 note): winners are
-    computed over NARROW (url, winner-key) rows — winner key =
-    ``warc_ts|md5(text)`` — with a vectorized ``groupby.aggregate(Min)``,
-    then the payload joins the winner keys once, hash-partitioned.  On the
-    600k bench corpus @32 CPUs this runs **19.6 s vs 48.7 s** (min of 3;
-    16.0 s without the exactness tie-detection below) for the round-1
-    full-row ``groupby('url').map_groups(head(1))`` — the
-    map_groups formulation pays per-group Python on ~588k mostly-singleton
-    groups, which dominates once the payload rides the same shuffle.  This
-    is also the 100 TB shape: documents never shuffle for the aggregation,
-    only for the single co-partitioned join.
+    One shuffle, the bucket idiom of ``stages/dedup.py``: a map appends the
+    winner key ``_wkey`` = ``warc_ts|md5(text)`` and ``_bk`` = crc32(url)
+    masked to ``bucket_count()``, then ``groupby('_bk').map_groups`` sorts
+    each bucket once by ``(url, _wkey)`` and keeps the first row of every
+    url run (a vectorized adjacent-key compare).  Byte-identical full ties
+    are adjacent after that sort, so they collapse to one row in the same
+    pass; the upstream read→filter→extract→md5 chain runs once.  A bucket
+    calls the UDF once, not once per url — per-url Python on mostly
+    singleton groups is what sank the round-1 ``groupby('url')`` version.
 
-    Exactness under full ties: two rows with identical (url, warc_ts,
-    text md5) would BOTH survive the winner join, so winner keys seen more
-    than once (``_n > 1`` — empty on any real crawl) are split out and
-    resolved to one row with a groupby over just those rows.
+    Measured on a 4-vCPU VM with Ray ``num_cpus=4``, against the former
+    plan of two aggregates and three hash joins over narrow winner keys:
+    ``python3 perfbench/run.py --workload dedup_resume --seed N --seconds
+    10``, seeds 1-10, median 122 -> 708 docs/s; ``build_pipeline(...,
+    dedup_urls=True)`` over ``PagesSpec(n_rows=100_000, n_shards=16,
+    dup_url_frac=0.3)``, 98-132 s -> 41-53 s (3 runs each, same output).
     """
     import hashlib
+    import zlib
 
-    from ray.data.aggregate import Count, Min
+    import pyarrow.compute as pc
 
-    from pii_detector_ray.stages.dedup import join_partitions
+    from pii_detector_ray.stages.dedup import bucket_count
 
     # lexicographic winner key: offset keeps negative (pre-1970) timestamps
-    # ordered, and NULL warc_ts sorts LAST ('~' > any digit) — matching the
-    # round-1 sort_values semantics (pandas puts NaT last)
+    # ordered, and NULL warc_ts sorts LAST ('~' > any digit)
     _TS_OFFSET = 1 << 62
+    mask = bucket_count() - 1
+
+    def utf8_slices(col: pa.ChunkedArray) -> tuple[memoryview, np.ndarray]:
+        # NULL-filled string cast to binary is zero-copy; each row is read as
+        # a memoryview SLICE — no per-row Python str materialization
+        arr = pc.cast(pc.fill_null(col, ''), pa.binary()).combine_chunks()
+        bufs = arr.buffers()
+        offs = np.frombuffer(bufs[1], dtype=np.int32,
+                             count=arr.offset + len(arr) + 1)[arr.offset:]
+        return (memoryview(bufs[2]) if bufs[2] is not None
+                else memoryview(b''), offs)
 
     def wkey(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         ts = batch.column('warc_ts').cast(pa.int64()).to_pylist()
-        # md5 straight off the Arrow utf8 buffer: NULL-filled string cast to
-        # binary is zero-copy, and each row hashes a memoryview SLICE — no
-        # per-row Python str materialization or re-encode (VERDICT r4 nit)
-        txt = pc.cast(pc.fill_null(batch.column('extracted_text'), ''),
-                      pa.binary()).combine_chunks()
-        bufs = txt.buffers()
-        offs = np.frombuffer(bufs[1], dtype=np.int32,
-                             count=txt.offset + len(txt) + 1)[txt.offset:]
-        data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b'')
+        data, offs = utf8_slices(batch.column('extracted_text'))
         keys = [('~' if t is None else f'{t + _TS_OFFSET:020d}')
                 + '|' + hashlib.md5(data[offs[i]:offs[i + 1]]).hexdigest()
                 for i, t in enumerate(ts)]
-        return batch.append_column('_wkey', pa.array(keys, pa.string()))
+        # crc32, not the per-process salted hash(): every worker must send a
+        # url to the same bucket
+        data, offs = utf8_slices(batch.column('url'))
+        bk = [zlib.crc32(data[offs[i]:offs[i + 1]]) & mask
+              for i in range(len(offs) - 1)]
+        return batch.append_column('_wkey', pa.array(keys, pa.string())) \
+            .append_column('_bk', pa.array(bk, pa.int64()))
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
+    def pick(t: pa.Table) -> pa.Table:
+        t = t.drop_columns(['_bk'])
+        order = pc.sort_indices(t, sort_keys=[('url', 'ascending'),
+                                              ('_wkey', 'ascending')],
+                                null_placement='at_end')
+        url = t.column('url').take(order)
+        head = np.ones(len(url), bool)
+        if len(url) > 1:
+            a, b = url.slice(1), url.slice(0, len(url) - 1)
+            # a run breaks where the url differs; NULL urls form one run
+            head[1:] = np.asarray(pc.or_(
+                pc.fill_null(pc.not_equal(a, b), False),
+                pc.xor(pc.is_null(a), pc.is_null(b))))
+        return t.take(order.filter(pa.array(head))).drop_columns(['_wkey'])
 
-    # DELIBERATELY LAZY: keyed feeds both the counts aggregate and the
-    # winner join, so the upstream read→filter→extract→md5 chain executes
-    # twice (three times in the rare ties branch; counts/winners themselves
-    # are narrow and materialized, so their downstream reuse is free) — but
-    # materializing keyed instead (payload through the object store as a
-    # hard barrier) measured 40.9 s vs 19.6 s min-of-3 on the 600k corpus
-    # @32 CPUs: the recompute is cheap, parallel and overlapped, while the
-    # materialize serializes the pipeline and spills ~600 MB.
-    keyed = ds.map_batches(wkey, batch_format='pyarrow')
-    nparts = join_partitions()
-    # drop_empty_blocks: both aggregates are narrow join inputs (Ray 2.49
-    # empty-schema-block workaround, see stages/dedup.drop_empty_blocks)
-    counts = drop_empty_blocks(
-        keyed.select_columns(['url', '_wkey'])
-        .groupby(['url', '_wkey']).aggregate(Count(alias_name='_n')))
-    if counts.count() == 0:               # empty input: nothing to dedup
-        return keyed.drop_columns(['_wkey'])
-    winners = drop_empty_blocks(
-        counts.groupby('url').aggregate(Min('_wkey', alias_name='_wkey')))
-    winners_n = winners.join(counts, join_type='inner', num_partitions=nparts,
-                             on=('url', '_wkey'))
-    # filter(expr=) emits schema-less empty blocks too — normalize both
-    # (narrow) sides before they feed joins
-    uniq = drop_empty_blocks(winners_n.filter(expr='_n == 1').drop_columns(['_n']))
-    ties = winners_n.filter(expr='_n > 1').drop_columns(['_n']).materialize()
-
-    main = keyed.join(uniq, join_type='inner', num_partitions=nparts,
-                      on=('url', '_wkey'))
-    if ties.count() == 0:        # the common case: no byte-identical captures
-        return main.drop_columns(['_wkey'])
-    tie_rows = keyed.join(drop_empty_blocks(ties), join_type='inner',
-                          num_partitions=nparts, on=('url', '_wkey')) \
-        .groupby('url').map_groups(lambda g: g.head(1), batch_format='pandas')
-    return main.union(tie_rows).drop_columns(['_wkey'])
+    return ds.map_batches(wkey, batch_format='pyarrow') \
+        .groupby('_bk').map_groups(pick, batch_format='pyarrow')
 
 
 def _finalize(batch: pa.Table) -> pa.Table:
@@ -130,10 +119,10 @@ def _finalize(batch: pa.Table) -> pa.Table:
         idx = batch.column_names.index('warc_ts')
         batch = batch.set_column(
             idx, 'warc_ts', batch.column('warc_ts').cast(pa.timestamp('us')))
-    # pandas batches upstream (a caller's from_pandas input, the url dedup's
-    # tie-break map_groups) leave b'pandas' schema metadata (a dict) on their
-    # blocks, which defeats Ray's schema-dedup hashing ("Failed to hash the
-    # schemas" log spam on every task) — strip it
+    # pandas batches upstream (a caller's from_pandas input) leave b'pandas'
+    # schema metadata (a dict) on their blocks, which defeats Ray's
+    # schema-dedup hashing ("Failed to hash the schemas" log spam on every
+    # task) — strip it
     return batch.replace_schema_metadata(None)
 
 

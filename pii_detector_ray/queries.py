@@ -13944,8 +13944,10 @@ def q_value_time_spearman(sf_dir: str) -> pd.DataFrame:
     ev = _events(sf_dir, ['event_type', 'ts', 'value'])
 
     def prep(t: pa.Table) -> pa.Table:
+        # NULL and NaN values both drop (is_nan of a NULL is NULL, which
+        # filter drops); a NaN key never matches itself in the rank join
         t = t.filter(pc.and_(pc.is_valid(t.column('ts')),
-                             pc.is_valid(t.column('value'))))
+                             pc.invert(pc.is_nan(t.column('value')))))
         # NULL-key sentinel: Ray sort/groupby/join can't order None string
         # keys, so types ride encoded ('' = NULL, 'v'+type otherwise —
         # injective) and decode at the output
@@ -14092,7 +14094,8 @@ def q_value_time_spearman(sf_dir: str) -> pd.DataFrame:
 
 _VALUE_TIME_SPEARMAN_SQL = (
     'WITH e AS (SELECT event_type, epoch_us(ts) AS x, value AS y '
-    'FROM events WHERE ts IS NOT NULL AND value IS NOT NULL), '
+    'FROM events WHERE ts IS NOT NULL AND value IS NOT NULL '
+    'AND NOT isnan(value)), '
     'r AS (SELECT event_type, '
     '2 * rank() OVER (PARTITION BY event_type ORDER BY x) '
     '+ count(*) OVER (PARTITION BY event_type, x) - 1 AS trx, '

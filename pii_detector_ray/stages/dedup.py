@@ -396,17 +396,10 @@ def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
     # Candidate pairs: a per-shingle map_groups would pay Python overhead
     # on tens of thousands of tiny posting groups; bucket shingles by low
     # bits instead, sort each bucket once, and emit every run's pairs
-    # vectorized.  Bucket count scales with the cluster (4 per CPU, power
-    # of two for the mask) — a fixed wide fan-out pays ~15 ms/partition of
-    # shuffle overhead that dwarfs the work at small scale.  The PPJoin
+    # vectorized (``bucket_count()`` buckets).  The PPJoin
     # LENGTH filter prunes here too: Jaccard >= tn/td forces
     # tn * max(m_a, m_b) <= td * min(m_a, m_b).
-    try:
-        cpus = int(ray.cluster_resources().get('CPU', 4))
-    except Exception:
-        cpus = 4
-    nb = 1 << max(4, min(10, (cpus * 4 - 1).bit_length()))
-    mask = nb - 1
+    mask = bucket_count() - 1
 
     def bucket(t: pa.Table) -> pa.Table:
         sh = t.column('sh').to_numpy(zero_copy_only=False)
@@ -608,6 +601,19 @@ def join_partitions(default: int = 16, rows: int | None = None) -> int:
 
 
 _join_partitions = join_partitions   # internal alias
+
+
+def bucket_count() -> int:
+    """Shuffle bucket count for the ``groupby('_bk').map_groups`` idiom:
+    about 4 buckets per cluster CPU, a power of two (so ``& (n - 1)``
+    buckets a hash), between 16 and 1024.  A fixed wide fan-out pays
+    ~15 ms/partition of shuffle overhead that dwarfs the work at small
+    scale."""
+    try:
+        cpus = int(ray.cluster_resources().get('CPU', 4))
+    except Exception:
+        cpus = 4
+    return 1 << max(4, min(10, (cpus * 4 - 1).bit_length()))
 
 
 def simhash_dup_pairs(ds: ray.data.Dataset, *, max_hamming: int = 3,
@@ -959,12 +965,7 @@ def containment_join(ds: ray.data.Dataset, *,
     marked = with_df.groupby(id_col).map_groups(prefix_mark,
                                                 batch_format='pandas')
 
-    try:
-        cpus = int(ray.cluster_resources().get('CPU', 4))
-    except Exception:
-        cpus = 4
-    nb = 1 << max(4, min(10, (cpus * 4 - 1).bit_length()))
-    mask = nb - 1
+    mask = bucket_count() - 1
 
     def bucket(t: pa.Table) -> pa.Table:
         # strip the map_groups pandas block metadata (defeats Ray's
@@ -1144,12 +1145,7 @@ def fingerprint_dup_pairs(ds: ray.data.Dataset, *, min_shared: int = 50,
     prefixes = with_df.groupby(id_col).map_groups(prefix_rows,
                                                   batch_format='pandas')
 
-    try:
-        cpus = int(ray.cluster_resources().get('CPU', 4))
-    except Exception:
-        cpus = 4
-    nb = 1 << max(4, min(10, (cpus * 4 - 1).bit_length()))
-    mask = nb - 1
+    mask = bucket_count() - 1
 
     def bucket(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)

@@ -17,7 +17,7 @@ Exact semantics (the DuckDB oracle ``_SPAN_DEDUP_SQL`` mirrors them):
   first = minimal ``(doc_id, grp_idx)``.
 - ``deduped_text`` = kept spans in order + partial group + tail.
 
-Scale shape (same pattern as ``quality_filter.dedup_exact_by_url``):
+Scale shape (narrow winner keys, then a join back to the payload):
 
 1. span pass — per-batch, emit NARROW rows ``(doc_id, grp_idx, h)`` where
    ``h`` = sha256 of the span text (the oracle groups by the text itself;
@@ -27,8 +27,8 @@ Scale shape (same pattern as ``quality_filter.dedup_exact_by_url``):
    ``packed = doc_id * 2^20 + grp_idx`` (asserted ``grp_idx < 2^20`` and
    ``doc_id < 2^43``) — one int64 per distinct span crosses the wire.
 3. join-back — losing spans (``packed != winner``) join their doc_id;
-   per-doc loser index lists are tiny.  Documents re-read (lazy recompute,
-   the measured-faster choice from round 2) and rebuilt per batch against
+   per-doc loser index lists are tiny.  Documents re-read (lazy recompute
+   rather than a materialize barrier) and rebuilt per batch against
    a broadcast/joined loser map.
 
 The loser set is usually a vanishing fraction of spans, so the broadcast

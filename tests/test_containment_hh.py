@@ -441,6 +441,39 @@ def test_value_time_spearman_null_type(tmp_path):
     assert got['event_type'].isna().sum() == 1
 
 
+def test_value_time_spearman_skips_nan_values(tmp_path):
+    """NaN values drop on both sides, like NULLs: the engine and the DuckDB
+    oracle both equal the brute-force Spearman of the non-NaN rows."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from pii_detector_ray import queries as q
+    rng = np.random.default_rng(3)
+    n = 300
+    ts = np.sort(rng.integers(0, 10**12, n)).astype('datetime64[us]')
+    et = rng.choice(['a', 'b'], n)
+    val = rng.standard_normal(n)
+    val[rng.random(n) < 0.2] = np.nan
+    tbl = pa.table({'event_id': pa.array(range(n), pa.int64()),
+                    'ts': pa.array(ts),
+                    'user_id': pa.array([1] * n, pa.int64()),
+                    'event_type': pa.array(et.tolist(), pa.string()),
+                    'value': pa.array(val, pa.float64()),
+                    'props': pa.array(['{}'] * n, pa.string())})
+    pq.write_table(tbl, tmp_path / 'events.parquet', row_group_size=n // 4)
+    got = q.q_value_time_spearman(str(tmp_path))
+    con = duckdb.connect()
+    con.register('events', tbl)
+    want = con.execute(q.oracle_sql()['value_time_spearman']).df()
+    xs = tbl.column('ts').cast(pa.int64()).to_numpy()
+    assert got['event_type'].tolist() == want['event_type'].tolist() == ['a', 'b']
+    for t, g, w in zip(got['event_type'], got['spearman'], want['spearman']):
+        mask = (et == t) & ~np.isnan(val)
+        exp = round(_spearman_brute(xs[mask], val[mask]), 4)
+        assert g == pytest.approx(exp, abs=1e-9), t
+        assert w == pytest.approx(exp, abs=1e-9), t
+
+
 def test_pair_pack_rejects_sign_bit_ids():
     # ids in [2^31, 2^32) would corrupt the packed int64's sign bit
     from pii_detector_ray.stages.dedup import fingerprint_dup_pairs

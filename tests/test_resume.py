@@ -54,6 +54,32 @@ def test_kill_and_resume_identical(tmp_path, corr_files):
     assert a.equals(b)
 
 
+def test_kill_and_resume_with_url_dedup(tmp_path, corr_files):
+    """Resume with the url dedup on: the rerun skips the committed partition
+    (its manifest is not rewritten) and the output equals an uninterrupted
+    run's."""
+    from pii_detector_ray.state.manifest import manifest_path
+    cfg = PipelineConfig()
+    kwargs = dict(num_partitions=2, dedup_urls=True, keep_only=True)
+    out_a = str(tmp_path / 'a')
+    out_b = str(tmp_path / 'b')
+    run_partitioned(corr_files, out_a, cfg, **kwargs)
+
+    with pytest.raises(RuntimeError, match='injected failure'):
+        run_partitioned(corr_files, out_b, cfg, fail_after_partitions=1, **kwargs)
+    assert completed_partitions(out_b) == {0}
+    committed = os.stat(manifest_path(out_b, 0)).st_mtime_ns
+
+    summary = run_partitioned(corr_files, out_b, cfg, **kwargs)
+    assert summary['partitions_skipped'] == 1 and summary['partitions_run'] == 1
+    assert os.stat(manifest_path(out_b, 0)).st_mtime_ns == committed
+
+    a = _read_sorted(out_a)
+    b = _read_sorted(out_b)
+    assert len(a) == summary['rows'] and a['keep'].all()
+    assert a.equals(b)
+
+
 def test_manifest_lineage_fields(tmp_path, corr_files):
     cfg = PipelineConfig()
     out = str(tmp_path / 'm')
