@@ -33,8 +33,6 @@ PERSON_PATTERN_SQL = r'\b[A-Z][a-z]+(?: [A-Z][a-z]+)+\b'
 # before J, ASCII \b does — both sides must see the same candidates)
 PERSON_PATTERN = '(?a)' + PERSON_PATTERN_SQL
 SCORE_GAZETTEER = 0.9     # first token is a known first name
-SCORE_SHAPE_ONLY = 0.6    # capitalized run without gazetteer support
-KEEP_MIN_ROUNDED = 0.8    # reference keep rule: round(score, 1) >= 0.8
 
 # Common English-language first names (public knowledge; ~190 entries).  The
 # set is deliberately first-name-only: the candidate regex supplies the
@@ -62,19 +60,6 @@ FIRST_NAMES = frozenset((
     'Susan Teresa Terry Theresa Thomas Timothy Tyler Victoria Vincent '
     'Virginia Walter Wayne William Willie Zachary'
 ).split())
-
-
-def person_score(candidate: str) -> float:
-    """Deterministic score for a capitalized-run candidate (already rounded
-    to 1 dp, like the reference's ``round(args[0], 1)``,
-    data_analysis_service.py:206)."""
-    first = candidate.split(' ', 1)[0]
-    return SCORE_GAZETTEER if first in FIRST_NAMES else SCORE_SHAPE_ONLY
-
-
-def person_keep(score: float) -> bool:
-    """The reference's MITIE keep rule (mitie_service.py:22)."""
-    return round(score, 1) >= KEEP_MIN_ROUNDED
 
 
 def trim_candidate(value: str) -> tuple[int, str, float] | None:

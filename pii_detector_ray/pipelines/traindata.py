@@ -38,7 +38,7 @@ from ray.data.aggregate import Min
 from pii_detector_ray.config import PipelineConfig
 from pii_detector_ray.functions.textnorm import normalize_ws_nfc
 from pii_detector_ray.stages.c4filter import c4_filter_batch
-from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
 from pii_detector_ray.stages.keepdrop import make_quality_stage
 from pii_detector_ray.stages.scrub import make_scrub_stage
 from pii_detector_ray.stages.spandedup import span_dedup
@@ -150,9 +150,7 @@ def build_traindata_pipeline(
     winners = winners.map_batches(
         lambda t: t.append_column('_win', pa.array([True] * len(t))),
         batch_format='pyarrow')
-    joined = drop_empty_blocks(live_keyed).join(
-        drop_empty_blocks(winners), join_type='left_outer',
-        num_partitions=join_partitions(), on=('_h', id_col))
+    joined = hash_join(live_keyed, winners, ('_h', id_col), 'left_outer')
 
     kept_rows = joined.map_batches(
         lambda t: pa.table({
@@ -208,9 +206,7 @@ def build_traindata_pipeline(
                 lambda t: pa.table({id_col: t.column(id_col),
                                     '_nd': pa.array([True] * len(t))}),
                 batch_format='pyarrow')
-            kept_rows = drop_empty_blocks(kept_rows).join(
-                marked, join_type='left_outer',
-                num_partitions=join_partitions(), on=(id_col,)) \
+            kept_rows = hash_join(kept_rows, marked, id_col, 'left_outer') \
                 .map_batches(
                 lambda t: pa.table({
                     id_col: t.filter(pc.is_null(t.column('_nd')))

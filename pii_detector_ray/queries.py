@@ -37,6 +37,12 @@ from pii_detector_ray.detectors import (
     compiled,
 )
 from pii_detector_ray.sources.pqread import read_parquet_clean
+from pii_detector_ray.stages.dedup import (
+    bounded_agg,
+    drop_empty_blocks,
+    hash_join,
+    join_partitions,
+)
 from pii_detector_ray.functions.masking import PHI_PATTERN, mask_data
 from pii_detector_ray.functions.re2compat import (
     RE2_NONSPACE as _RE2_NONSPACE,
@@ -115,7 +121,6 @@ def q_source_pii_density(sf_dir: str) -> ray.data.Dataset:
     the augmented char mass per source in ONE pass of integer partials
     (bounded by #sources), so the final groupby coalesces to one block;
     the single float division is per output row with exact int inputs."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     rexes = [compiled(p) for p in _QUERY_PATTERNS.values()]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -128,13 +133,11 @@ def q_source_pii_density(sf_dir: str) -> ray.data.Dataset:
         agg = t.group_by('source').aggregate([('_m', 'sum'), ('_c', 'sum')])
         return agg.rename_columns(['source', '_m', '_c'])
 
-    agg = (read_documents(sf_dir, ['doc_id', 'text', 'source'])
-           .map_batches(augment_batch, batch_format='pyarrow')
-           .map_batches(partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby('source')
-           .aggregate(Sum('_m', alias_name='_m'),
-                      Sum('_c', alias_name='_c')))
+    partials = (read_documents(sf_dir, ['doc_id', 'text', 'source'])
+                .map_batches(augment_batch, batch_format='pyarrow')
+                .map_batches(partial, batch_format='pyarrow'))
+    agg = bounded_agg(partials, 'source', Sum('_m', alias_name='_m'),
+                      Sum('_c', alias_name='_c'))
 
     def fin(t: pa.Table) -> pa.Table:
         m = t.column('_m').to_numpy(zero_copy_only=False).astype(np.int64)
@@ -145,7 +148,7 @@ def q_source_pii_density(sf_dir: str) -> ray.data.Dataset:
             'density_per_1k': pa.array(
                 sql_round_np(1000.0 * m / c, 6), pa.float64())})
 
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+    return agg.map_batches(fin, batch_format='pyarrow')
 
 
 def _source_pii_density_sql() -> str:
@@ -553,7 +556,6 @@ def q_events_resampled(sf_dir: str) -> ray.data.Dataset:
     zero-filled.  Grid = ``ray.data.range`` over the hour span crossed
     with the broadcast (tiny) type list; counts arrive as narrow two-phase
     partials; a co-partitioned left join + coalesce fills the gaps."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
 
     HOUR = 3_600_000_000
 
@@ -593,9 +595,7 @@ def q_events_resampled(sf_dir: str) -> ray.data.Dataset:
               .groupby(['hour', 'event_type'])
               .aggregate(Sum('_n', alias_name='_n')))
 
-    joined = drop_empty_blocks(grid).join(
-        drop_empty_blocks(counts), join_type='left_outer',
-        num_partitions=join_partitions(), on=('hour', 'event_type'))
+    joined = hash_join(grid, counts, ('hour', 'event_type'), 'left_outer')
 
     def fill(batch: pa.Table) -> pa.Table:
         n = pc.coalesce(batch.column('_n'), pa.scalar(0, pa.int64()))
@@ -823,9 +823,7 @@ def q_source_lang_rollup(sf_dir: str) -> ray.data.Dataset:
     base = read_documents(sf_dir, ['source', 'lang'])
 
     # per-batch pre-agg: one narrow row per (source, lang, batch) — the
-    # shuffle carries partial counts, never rows, and coalescing the
-    # bounded partials to one block keeps the Aggregate from emitting
-    # schema-less empty partitions (RefBundle warnings, VERDICT r2)
+    # shuffle carries partial counts, never rows
     def cell_partial(t: pa.Table) -> pa.Table:
         agg = pa.table({'source': t.column('source'),
                         'lang': t.column('lang')}) \
@@ -834,11 +832,9 @@ def q_source_lang_rollup(sf_dir: str) -> ray.data.Dataset:
                          'lang': agg.column('lang'),
                          '_n': pc.cast(agg.column('count_all'), pa.int64())})
 
-    lvl2 = (base.map_batches(cell_partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby(['source', 'lang'])
-            .aggregate(Sum('_n', alias_name='n_docs'))
-            .materialize())
+    lvl2 = bounded_agg(
+        base.map_batches(cell_partial, batch_format='pyarrow'),
+        ['source', 'lang'], Sum('_n', alias_name='n_docs')).materialize()
 
     def pad_lang(t: pa.Table) -> pa.Table:
         return pa.table({'source': t.column('source'),
@@ -972,8 +968,6 @@ def q_events_segment_join(sf_dir: str) -> ray.data.Dataset:
            .groupby('user_id')
            .aggregate(Min('segment', alias_name='segment'))).materialize()
     left = _events(sf_dir, ['event_id', 'user_id']).materialize()
-    from pii_detector_ray.stages.dedup import drop_empty_blocks as _deb
-    from pii_detector_ray.stages.dedup import join_partitions as _jp
     # the cold co-partitioned join can emit empty aggregator partitions as
     # schema-less blocks; cleanse before the partial stage so its output
     # stream is schema-uniform (RefBundle warnings, VERDICT r3).  The join
@@ -981,19 +975,18 @@ def q_events_segment_join(sf_dir: str) -> ray.data.Dataset:
     # barrier is metadata-only.  num_partitions is sized from the (known,
     # materialized) left row count so the pinned skew paths still run but a
     # 60k-row gate input doesn't spawn a 16-actor aggregator fleet.
-    joined = _deb(skew_join(left, dim, on='user_id', hot_key_threshold=50,
-                            num_partitions=_jp(rows=left.count())))
+    joined = drop_empty_blocks(skew_join(
+        left, dim, on='user_id', hot_key_threshold=50,
+        num_partitions=join_partitions(rows=left.count())))
 
     def partial(batch: pa.Table) -> pa.Table:
         agg = pa.table({'segment': batch.column('segment')}) \
             .group_by('segment').aggregate([([], 'count_all')])
         return agg.rename_columns(['segment', '_n'])
 
-    # partials are bounded (≤5 segment rows per batch); coalesce to one
-    # block so the final Aggregate emits no schema-less empty partitions
-    return (joined.map_batches(partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby('segment').aggregate(Sum('_n', alias_name='n_events')))
+    # partials are bounded (≤5 segment rows per batch)
+    return bounded_agg(joined.map_batches(partial, batch_format='pyarrow'),
+                       'segment', Sum('_n', alias_name='n_events'))
 
 
 _EVENTS_SEGMENT_JOIN_SQL = (
@@ -1183,7 +1176,6 @@ def q_session_bounce_rate(sf_dir: str) -> ray.data.Dataset:
     Scale shape: sessionize's mega-user salting is inherited; the
     day rollup is per-batch partials → one coalesced bounded aggregate
     (days are calendar-bounded)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     from pii_detector_ray.stages.sessionize import sessionize
     sess = sessionize(_events(sf_dir, ['user_id', 'ts', 'value']),
                       gap_minutes=30,
@@ -1203,10 +1195,9 @@ def q_session_bounce_rate(sf_dir: str) -> ray.data.Dataset:
                          '_s': pa.array(n_sess),
                          '_b': pa.array(n_bounce)})
 
-    agg = (sess.map_batches(partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby('day').aggregate(Sum('_s', alias_name='n_sessions'),
-                                     Sum('_b', alias_name='n_bounces')))
+    agg = bounded_agg(sess.map_batches(partial, batch_format='pyarrow'),
+                      'day', Sum('_s', alias_name='n_sessions'),
+                      Sum('_b', alias_name='n_bounces'))
 
     def fin(t: pa.Table) -> pa.Table:
         s = t.column('n_sessions').to_numpy(zero_copy_only=False) \
@@ -1217,7 +1208,7 @@ def q_session_bounce_rate(sf_dir: str) -> ray.data.Dataset:
                                pa.array(sql_round_np(b / s, 6),
                                         pa.float64()))
 
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+    return agg.map_batches(fin, batch_format='pyarrow')
 
 
 def q_user_top_type(sf_dir: str, fold_limit: int = 50_000_000
@@ -1230,7 +1221,6 @@ def q_user_top_type(sf_dir: str, fold_limit: int = 50_000_000
     event-proportional) → the per-user argmax folds under ``fold_limit``
     and otherwise runs per-user map_groups (bounded groups: <= |types|
     rows each)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         agg_t = pa.table({'user_id': t.column('user_id'),
@@ -1760,7 +1750,6 @@ def q_bigram_pmi(sf_dir: str, broadcast_vocab_limit: int = 1_000_000
     cmap = {r['w']: r['c'] for r in uni_rows}
     nu = float(sum(cmap.values()))
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     bi = drop_empty_blocks(bi)          # consumed twice: total + scoring
     nb = float(sum(r['c_xy'] for r in bi.map_batches(
         lambda t: pa.table({'c_xy': pa.array(
@@ -1834,7 +1823,6 @@ def q_source_lang_kl(sf_dir: str) -> ray.data.Dataset:
     driver.  Σ p·ln(p/q) runs over langs in ASCENDING lang order on both
     sides (ORDER BY inside the oracle's list aggregation) so even the
     float sum order matches."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         agg = pa.table({'source': t.column('source'),
@@ -1948,8 +1936,6 @@ def q_customer_order_counts(sf_dir: str) -> ray.data.Dataset:
     cross the join."""
     import os
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
-
     def partial(batch: pa.Table) -> pa.Table:
         agg = pa.table({'c_custkey': batch.column('o_custkey')}) \
             .group_by('c_custkey').aggregate([([], 'count_all')])
@@ -1961,8 +1947,7 @@ def q_customer_order_counts(sf_dir: str) -> ray.data.Dataset:
               .groupby('c_custkey').aggregate(Sum('_n', alias_name='_n')))
     cust = read_parquet_clean(os.path.join(sf_dir, 'customer.parquet'),
                               columns=['c_custkey'])
-    joined = cust.join(drop_empty_blocks(counts), join_type='left_outer',
-                       num_partitions=join_partitions(), on=('c_custkey',))
+    joined = hash_join(cust, counts, 'c_custkey', 'left_outer')
 
     def fill(batch: pa.Table) -> pa.Table:
         n = pc.coalesce(batch.column('_n'), pa.scalar(0, pa.int64()))
@@ -1993,7 +1978,6 @@ def q_bucketed_join(sf_dir: str) -> ray.data.Dataset:
     import tempfile
 
     from pii_detector_ray.stages.bucketed import bucketed_join, write_bucketed
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     root = tempfile.mkdtemp(prefix='bucketed_join_', dir='/tmp')
     try:
@@ -2109,16 +2093,13 @@ def q_pricing_summary(sf_dir: str) -> ray.data.Dataset:
         })
 
     # the partials are ONE narrow row per (group, batch) — bounded at any
-    # scale — so coalescing them to a single block before the groupby is
-    # free, and it stops the Aggregate op emitting schema-less empty
-    # partitions (the RefBundle warnings flagged in VERDICT r2)
-    agg = (li.map_batches(partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby(['l_returnflag', 'l_linestatus'])
-           .aggregate(Sum('_qty', alias_name='sum_qty'),
+    # scale
+    agg = bounded_agg(li.map_batches(partial, batch_format='pyarrow'),
+                      ['l_returnflag', 'l_linestatus'],
+                      Sum('_qty', alias_name='sum_qty'),
                       Sum('_price', alias_name='sum_base_price'),
                       Sum('_disc', alias_name='sum_disc_price'),
-                      Sum('_n', alias_name='count_order')))
+                      Sum('_n', alias_name='count_order'))
 
     def fin(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -2259,8 +2240,6 @@ def q_shipping_priority(sf_dir: str,
         df['o_orderdate'] = pd.to_datetime(
             [omap[int(k)] for k in df['l_orderkey']]).astype('datetime64[ns]')
     else:
-        from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-            join_partitions
         partials = (line.map_batches(rev_partial(None),
                                      batch_format='pyarrow')
                     .groupby('l_orderkey')
@@ -2268,9 +2247,7 @@ def q_shipping_priority(sf_dir: str,
         qual_k = qual.map_batches(
             lambda t: t.rename_columns(['l_orderkey', 'o_orderdate']),
             batch_format='pyarrow')
-        joined = drop_empty_blocks(partials).join(
-            drop_empty_blocks(qual_k), join_type='inner',
-            num_partitions=join_partitions(), on=('l_orderkey',))
+        joined = hash_join(partials, qual_k, 'l_orderkey')
 
         def round_rev(t: pa.Table) -> pa.Table:
             return t.append_column('revenue',
@@ -2407,7 +2384,6 @@ def q_session_type_pairs(sf_dir: str, gap_minutes: int = 30
     task; session grouping is a global per-key property, documented)."""
     from itertools import combinations
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     gap_us = gap_minutes * 60_000_000
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2439,10 +2415,8 @@ def q_session_type_pairs(sf_dir: str, gap_minutes: int = 30
     partials = (_events(sf_dir, ['user_id', 'ts', 'event_type'])
                 .map_batches(prep, batch_format='pyarrow')
                 .groupby('user_id').map_groups(pairs))
-    out = (partials.repartition(1)
-           .groupby(['type_a', 'type_b'])
-           .aggregate(Sum('_n', alias_name='n_sessions')))
-    return drop_empty_blocks(out)
+    return bounded_agg(partials, ['type_a', 'type_b'],
+                       Sum('_n', alias_name='n_sessions'))
 
 
 _SESSION_TYPE_PAIRS_SQL = (
@@ -2472,7 +2446,6 @@ def q_session_paths(sf_dir: str, gap_minutes: int = 30
     total order and emits bounded per-user trigram partials; the final
     groupby moves a few rows per user.  Same per-key co-location
     contract (mega-user in one task, documented)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     gap_us = gap_minutes * 60_000_000
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2503,10 +2476,8 @@ def q_session_paths(sf_dir: str, gap_minutes: int = 30
                                  'event_type'])
                 .map_batches(prep, batch_format='pyarrow')
                 .groupby('user_id').map_groups(trigrams))
-    out = (partials.repartition(1)
-           .groupby(['t1', 't2', 't3'])
-           .aggregate(Sum('_n', alias_name='n')))
-    return drop_empty_blocks(out)
+    return bounded_agg(partials, ['t1', 't2', 't3'],
+                       Sum('_n', alias_name='n'))
 
 
 _SESSION_PATHS_SQL = (
@@ -2927,12 +2898,10 @@ def q_nosql_column_scan(sf_dir: str) -> ray.data.Dataset:
                          'n_docs': pa.array(n_docs, pa.int64()),
                          'n_matches': pa.array(n_matches, pa.int64())})
 
-    # bounded partials (4 rows per shard) -> single-block final aggregate
-    return (ds.map_batches(partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby('column_name')
-            .aggregate(Sum('n_docs', alias_name='n_docs'),
-                       Sum('n_matches', alias_name='n_matches')))
+    # bounded partials (4 rows per shard)
+    return bounded_agg(ds.map_batches(partial, batch_format='pyarrow'),
+                       'column_name', Sum('n_docs', alias_name='n_docs'),
+                       Sum('n_matches', alias_name='n_matches'))
 
 
 _NOSQL_COLUMN_SCAN_SQL = (
@@ -3390,10 +3359,8 @@ def q_props_value_deciles(sf_dir: str) -> ray.data.Dataset:
                          'bucket': agg.column('bucket'),
                          '_n': pc.cast(agg.column('count_all'), pa.int64())})
 
-    return (ds.map_batches(partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby(['event_type', 'bucket'])
-            .aggregate(Sum('_n', alias_name='n')))
+    return bounded_agg(ds.map_batches(partial, batch_format='pyarrow'),
+                       ['event_type', 'bucket'], Sum('_n', alias_name='n'))
 
 
 _PROPS_DECILES_SQL = (
@@ -3544,7 +3511,6 @@ def q_dup_cluster_sizes(sf_dir: str) -> ray.data.Dataset:
     clusters (which decide salting strategy downstream).  Two bounded
     groupbys on the verified components operator: per-component sizes,
     then count-of-sizes (the Q13 double-aggregate shape)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     comp = q_components_exact(sf_dir).select_columns(['component'])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -4086,13 +4052,11 @@ def q_embedding_pca(sf_dir: str) -> ray.data.Dataset:
             'sum_sq': pa.array(sql_round_np(
                 t.column('_sq').to_numpy(zero_copy_only=False), 4))})
 
-    return (proj.map_batches(partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby('component')
-            .aggregate(Sum('_n', alias_name='_n'),
+    return bounded_agg(proj.map_batches(partial, batch_format='pyarrow'),
+                       'component', Sum('_n', alias_name='_n'),
                        Sum('_sa', alias_name='_sa'),
-                       Sum('_sq', alias_name='_sq'))
-            .map_batches(finish, batch_format='pyarrow'))
+                       Sum('_sq', alias_name='_sq')) \
+        .map_batches(finish, batch_format='pyarrow')
 
 
 def q_span_dedup(sf_dir: str) -> ray.data.Dataset:
@@ -4234,13 +4198,11 @@ def _media_stats(ds: ray.data.Dataset) -> ray.data.Dataset:
             'sum_all': pa.array(sql_round_np(
                 t.column('_sa').to_numpy(zero_copy_only=False), 4))})
 
-    return (ds.map_batches(partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby('media_type')
-            .aggregate(Sum('_n', alias_name='_n'),
+    return bounded_agg(ds.map_batches(partial, batch_format='pyarrow'),
+                       'media_type', Sum('_n', alias_name='_n'),
                        Sum('_s0', alias_name='_s0'),
-                       Sum('_sa', alias_name='_sa'))
-            .map_batches(finish, batch_format='pyarrow'))
+                       Sum('_sa', alias_name='_sa')) \
+        .map_batches(finish, batch_format='pyarrow')
 
 
 def q_media_feature_stats(sf_dir: str) -> ray.data.Dataset:
@@ -4450,7 +4412,6 @@ def q_langid_confusion(sf_dir: str) -> ray.data.Dataset:
     trigram scorer (q_langid_documents) with one BOUNDED groupby
     (#langs² cells), so partials coalesce to one block first; the oracle
     stacks the same bounded groupby on the full in-SQL model replay."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     pred = q_langid_documents(sf_dir)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -4460,11 +4421,8 @@ def q_langid_confusion(sf_dir: str) -> ray.data.Dataset:
                          'lang_pred': agg.column('lang_pred'),
                          '_n': pc.cast(agg.column('count_all'), pa.int64())})
 
-    out = (pred.map_batches(partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby(['lang', 'lang_pred'])
-           .aggregate(Sum('_n', alias_name='n')))
-    return drop_empty_blocks(out)
+    return bounded_agg(pred.map_batches(partial, batch_format='pyarrow'),
+                       ['lang', 'lang_pred'], Sum('_n', alias_name='n'))
 
 
 def _langid_confusion_sql() -> str:
@@ -4533,10 +4491,10 @@ def q_avro_roundtrip(sf_dir: str) -> ray.data.Dataset:
                          '_n': pc.cast(agg.column('count_all'), pa.int64()),
                          '_c': pc.cast(agg.column('_c_sum'), pa.int64())})
 
-    return (read_avro(paths).map_batches(partial, batch_format='pyarrow')
-            .repartition(1)
-            .groupby('lang').aggregate(Sum('_n', alias_name='n_docs'),
-                                       Sum('_c', alias_name='total_chars')))
+    return bounded_agg(
+        read_avro(paths).map_batches(partial, batch_format='pyarrow'),
+        'lang', Sum('_n', alias_name='n_docs'),
+        Sum('_c', alias_name='total_chars'))
 
 
 _AVRO_ROUNDTRIP_SQL = (
@@ -4765,7 +4723,6 @@ def q_rolling_active_users(sf_dir: str,
     the second distinct.  A final (day, user) dedup + per-day partial
     counts finishes it.  Total traffic: <= 7x the distinct activity
     table, never 7x the event stream."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def dd(t: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(t.column('ts'), pa.int64()),
@@ -5092,8 +5049,6 @@ def q_local_supplier_volume(sf_dir: str,
         os.path.join(sf_dir, 'lineitem.parquet'),
         columns=['l_orderkey', 'l_suppkey', 'l_extendedprice', 'l_discount'])
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     n_qual = qual.count()
     if n_qual <= broadcast_order_limit:
         cmap = {int(r['c_custkey']): int(r['c_nationkey'])
@@ -5111,25 +5066,20 @@ def q_local_supplier_volume(sf_dir: str,
         o_ord = np.argsort(okeys, kind='stable')
         onat_ref = ray.put((okeys[o_ord],
                             np.asarray(onats, np.int64)[o_ord]))
-        # partials are bounded (<=1 row per region nation per batch);
-        # coalesce to one block so the final Aggregate emits no schema-less
-        # empty partitions (the events_segment_join pattern)
-        agg = (line.map_batches(li_partial(onat_ref), batch_format='pyarrow')
-               .repartition(1)
-               .groupby('_nat').aggregate(Sum('_rev', alias_name='_rev')))
+        # partials are bounded (<=1 row per region nation per batch)
+        agg = bounded_agg(
+            line.map_batches(li_partial(onat_ref), batch_format='pyarrow'),
+            '_nat', Sum('_rev', alias_name='_rev'))
     else:
-        onat = drop_empty_blocks(qual).join(
-            drop_empty_blocks(cust_nat.map_batches(
-                lambda t: t.rename_columns(['o_custkey', '_cnat']),
-                batch_format='pyarrow')),
-            join_type='inner', num_partitions=join_partitions(),
-            on=('o_custkey',)).select_columns(['o_orderkey', '_cnat'])
+        cnat_k = cust_nat.map_batches(
+            lambda t: t.rename_columns(['o_custkey', '_cnat']),
+            batch_format='pyarrow')
+        onat = hash_join(qual, cnat_k, 'o_custkey') \
+            .select_columns(['o_orderkey', '_cnat'])
         partials = (line.map_batches(li_partial(None), batch_format='pyarrow')
                     .groupby(['o_orderkey', '_nat'])
                     .aggregate(Sum('_rev', alias_name='_rev')))
-        joined = drop_empty_blocks(partials).join(
-            drop_empty_blocks(onat), join_type='inner',
-            num_partitions=join_partitions(), on=('o_orderkey',))
+        joined = hash_join(partials, onat, 'o_orderkey')
 
         def local_only(t: pa.Table) -> pa.Table:
             return t.filter(pc.equal(t.column('_nat'), t.column('_cnat')))
@@ -5209,8 +5159,6 @@ def q_late_shipment_counts(sf_dir: str,
                 '_n': pa.array(n_all[nz], pa.int64())})
         return f
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     n_orders = orders.count()
     if n_orders <= broadcast_order_limit:
         ot = pa.concat_tables(
@@ -5235,10 +5183,8 @@ def q_late_shipment_counts(sf_dir: str,
         o_narrow = orders.map_batches(
             lambda t: t.rename_columns(['l_orderkey', '_odate', '_oprio']),
             batch_format='pyarrow')
-        joined = drop_empty_blocks(line).join(
-            drop_empty_blocks(o_narrow), join_type='inner',
-            num_partitions=join_partitions(rows=n_orders),
-            on=('l_orderkey',))
+        joined = hash_join(line, o_narrow, 'l_orderkey',
+                           num_partitions=join_partitions(rows=n_orders))
 
         def post(t: pa.Table) -> pa.Table:
             ship = t.column('l_shipdate').to_numpy(zero_copy_only=False) \
@@ -5290,8 +5236,6 @@ def q_promo_revenue(sf_dir: str,
     line = read_parquet_clean(
         os.path.join(sf_dir, 'lineitem.parquet'),
         columns=['l_partkey', 'l_extendedprice', 'l_discount', 'l_shipdate'])
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     n_part = part.count()
     if n_part <= broadcast_part_limit:
         promo = part.filter(expr="p_type == 'PROMO'") \
@@ -5338,9 +5282,7 @@ def q_promo_revenue(sf_dir: str,
         partials = (line.map_batches(pk_partial, batch_format='pyarrow')
                     .groupby('p_partkey').aggregate(
                         Sum('_rev', alias_name='_rev')))
-        joined = drop_empty_blocks(partials).join(
-            drop_empty_blocks(part), join_type='inner',
-            num_partitions=join_partitions(), on=('p_partkey',))
+        joined = hash_join(partials, part, 'p_partkey')
 
         def fold(t: pa.Table) -> pa.Table:
             rev = t.column('_rev').to_numpy(zero_copy_only=False)
@@ -5429,8 +5371,6 @@ def q_small_quantity_revenue(sf_dir: str,
              .groupby('p_partkey').aggregate(Sum('_q', alias_name='_sumq'),
                                              Sum('_n', alias_name='_cnt')))
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     if len(bkeys) <= broadcast_part_limit:
         st = stats.to_pandas()
         sk = np.asarray(st['p_partkey'], np.int64)
@@ -5471,10 +5411,9 @@ def q_small_quantity_revenue(sf_dir: str,
                     .to_numpy(zero_copy_only=False) * 100.0)
                     .astype(np.int64))}),
             batch_format='pyarrow')
-        joined = drop_empty_blocks(narrow).join(
-            drop_empty_blocks(stats), join_type='inner',
-            num_partitions=join_partitions(rows=len(bkeys) * 40),
-            on=('p_partkey',))
+        joined = hash_join(
+            narrow, stats, 'p_partkey',
+            num_partitions=join_partitions(rows=len(bkeys) * 40))
 
         def fold(t: pa.Table) -> pa.Table:
             keep = (5 * t.column('_q').to_numpy(zero_copy_only=False)
@@ -5531,7 +5470,6 @@ def q_big_order_customers(sf_dir: str) -> pd.DataFrame:
     # numpy fold beats Ray's sort-aggregate (the stages/exactsubstr.py
     # measurement: 28 s for a 1.4M-row groupby at 8 CPUs); above it the
     # distributed groupby path runs
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     partials = drop_empty_blocks(
         line.map_batches(q_partial, batch_format='pyarrow'))
     if partials.count() <= 50_000_000:
@@ -5618,19 +5556,14 @@ def q_order_ship_daily(sf_dir: str) -> ray.data.Dataset:
             return pa.table({'day': pa.array(np.datetime_as_string(ud)),
                              '_n': pa.array(cnt.astype(np.int64))})
 
-        # calendar-bounded partials: coalesce to one block (the bounded-
-        # partial pattern) so the final Aggregate stays warning-free
-        return (ds.map_batches(partial, batch_format='pyarrow')
-                .repartition(1)
-                .groupby('day').aggregate(Sum('_n', alias_name=out)))
+        # calendar-bounded partials
+        return bounded_agg(ds.map_batches(partial, batch_format='pyarrow'),
+                           'day', Sum('_n', alias_name=out))
 
     orders = day_counts('orders.parquet', 'o_orderdate', 'n_orders')
     ships = day_counts('lineitem.parquet', 'l_shipdate', 'n_ships')
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
-    joined = drop_empty_blocks(orders).join(
-        drop_empty_blocks(ships), join_type='full_outer',
-        num_partitions=join_partitions(rows=4000), on=('day',))
+    joined = hash_join(orders, ships, 'day', 'full_outer',
+                       num_partitions=join_partitions(rows=4000))
 
     def fin(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -5670,8 +5603,6 @@ def q_returned_item_customers(sf_dir: str,
     import os
     d0 = np.datetime64('1996-07-01')
     d1 = np.datetime64('1996-10-01')
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
                                 columns=['o_orderkey', 'o_custkey',
@@ -5738,9 +5669,7 @@ def q_returned_item_customers(sf_dir: str,
                                      batch_format='pyarrow')
                     .groupby('o_orderkey')
                     .aggregate(Sum('_rev', alias_name='_rev')))
-        joined = drop_empty_blocks(partials).join(
-            drop_empty_blocks(qual), join_type='inner',
-            num_partitions=join_partitions(), on=('o_orderkey',))
+        joined = hash_join(partials, qual, 'o_orderkey')
         per_cust = drop_empty_blocks(joined.select_columns(
             ['_cust', '_rev']))
 
@@ -5813,8 +5742,6 @@ def q_priority_return_orders(sf_dir: str,
     import os
     d0 = np.datetime64('1996-01-01')
     d1 = np.datetime64('1996-04-01')
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     line = read_parquet_clean(os.path.join(sf_dir, 'lineitem.parquet'),
                               columns=['l_orderkey', 'l_returnflag'])
@@ -5857,11 +5784,9 @@ def q_priority_return_orders(sf_dir: str,
             return pa.table({'o_orderpriority': pa.array(up, pa.string()),
                              '_n': pa.array(cnt.astype(np.int64))})
 
-        agg = (orders.map_batches(count_partial, batch_format='pyarrow')
-               .repartition(1)
-               .groupby('o_orderpriority')
-               .aggregate(Sum('_n', alias_name='order_count')))
-        return drop_empty_blocks(agg)
+        return bounded_agg(
+            orders.map_batches(count_partial, batch_format='pyarrow'),
+            'o_orderpriority', Sum('_n', alias_name='order_count'))
 
     distinct = keys.groupby('l_orderkey').aggregate(
         Sum('l_orderkey', alias_name='_x')).select_columns(['l_orderkey'])
@@ -5874,9 +5799,7 @@ def q_priority_return_orders(sf_dir: str,
             .filter(mask)
 
     osd = orders.map_batches(order_side, batch_format='pyarrow')
-    joined = drop_empty_blocks(distinct).join(
-        drop_empty_blocks(osd), join_type='inner',
-        num_partitions=join_partitions(), on=('l_orderkey',))
+    joined = hash_join(distinct, osd, 'l_orderkey')
 
     def pri_partial(t: pa.Table) -> pa.Table:
         pri = t.column('o_orderpriority').to_numpy(zero_copy_only=False)
@@ -5884,11 +5807,8 @@ def q_priority_return_orders(sf_dir: str,
         return pa.table({'o_orderpriority': pa.array(up, pa.string()),
                          '_n': pa.array(cnt.astype(np.int64))})
 
-    agg = (joined.map_batches(pri_partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby('o_orderpriority')
-           .aggregate(Sum('_n', alias_name='order_count')))
-    return drop_empty_blocks(agg)
+    return bounded_agg(joined.map_batches(pri_partial, batch_format='pyarrow'),
+                       'o_orderpriority', Sum('_n', alias_name='order_count'))
 
 
 _PRIORITY_RETURN_SQL = (
@@ -5922,7 +5842,6 @@ def q_brand_supplier_counts(sf_dir: str,
     COUNT DISTINCT folds under ``fold_limit`` and otherwise closes in two
     narrow groupbys (distinct pairs, then counts)."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     supp = read_parquet_clean(os.path.join(sf_dir, 'supplier.parquet'),
                               columns=['s_suppkey', 's_acctbal']).to_pandas()
@@ -5995,14 +5914,13 @@ def q_brand_supplier_counts(sf_dir: str,
         return pa.table({'_g': pa.array(ug, pa.int64()),
                          '_n': pa.array(cnt.astype(np.int64))})
 
-    agg = (distinct.map_batches(grp_partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby('_g').aggregate(Sum('_n', alias_name='_n')))
+    agg = bounded_agg(distinct.map_batches(grp_partial, batch_format='pyarrow'),
+                      '_g', Sum('_n', alias_name='_n'))
 
     def fin(t: pa.Table) -> pa.Table:
         return fin_table(t.column('_g').to_numpy(zero_copy_only=False),
                          t.column('_n').to_numpy(zero_copy_only=False))
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+    return agg.map_batches(fin, batch_format='pyarrow')
 
 
 _BRAND_SUPPLIER_SQL = (
@@ -6090,7 +6008,6 @@ def q_weekly_active_users(sf_dir: str,
     ever reaches the driver; the fan-out is x7 on an already-deduplicated
     narrow stream."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     ev = read_parquet_clean(os.path.join(sf_dir, 'events.parquet'),
                             columns=['ts', 'user_id'])
@@ -6166,15 +6083,14 @@ def q_weekly_active_users(sf_dir: str,
         return pa.table({'_w': pa.array(uw, pa.int64()),
                          '_n': pa.array(cnt.astype(np.int64))})
 
-    agg = (distinct.map_batches(w_partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby('_w').aggregate(Sum('_n', alias_name='users')))
+    agg = bounded_agg(distinct.map_batches(w_partial, batch_format='pyarrow'),
+                      '_w', Sum('_n', alias_name='users'))
 
     def fin(t: pa.Table) -> pa.Table:
         return pa.table({
             'day': day_str(t.column('_w').to_numpy(zero_copy_only=False)),
             'users': pc.cast(t.column('users'), pa.int64())})
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+    return agg.map_batches(fin, batch_format='pyarrow')
 
 
 _WEEKLY_ACTIVE_SQL = (
@@ -6214,10 +6130,8 @@ def q_quantity_percentiles_cont(sf_dir: str) -> pd.DataFrame:
         agg_t = tbl.group_by(['_f', '_q']).aggregate([('_n', 'sum')])
         return agg_t.rename_columns(['_f', '_q', '_n'])
 
-    vc = (line.map_batches(vc_partial, batch_format='pyarrow')
-          .repartition(1)
-          .groupby(['_f', '_q']).aggregate(Sum('_n', alias_name='_n'))
-          .to_pandas())
+    vc = bounded_agg(line.map_batches(vc_partial, batch_format='pyarrow'),
+                     ['_f', '_q'], Sum('_n', alias_name='_n')).to_pandas()
 
     def interp(v: np.ndarray, c: np.ndarray, q: float) -> float:
         cum = np.cumsum(c)
@@ -6338,16 +6252,13 @@ def q_event_transitions(sf_dir: str) -> ray.data.Dataset:
     (ts, event_id)-ordered history.  Mega-users route through the
     day-bucketed salted variant (stages/skew.event_transitions_salted);
     the final aggregate is (type x type)-bounded, so partials coalesce to
-    one block first (the bounded-partials pattern)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
+    one block first (``bounded_agg``)."""
     from pii_detector_ray.stages.skew import event_transitions
     partials = event_transitions(
         _events(sf_dir, ['user_id', 'event_id', 'ts', 'event_type']),
         hot_key_threshold=_events_hot_threshold(sf_dir))
-    agg = (partials.repartition(1)
-           .groupby(['prev_type', 'next_type'])
-           .aggregate(Sum('_n', alias_name='n_transitions')))
-    return drop_empty_blocks(agg)
+    return bounded_agg(partials, ['prev_type', 'next_type'],
+                       Sum('_n', alias_name='n_transitions'))
 
 
 _EVENT_TRANSITIONS_SQL = (
@@ -6435,7 +6346,6 @@ def q_zipf_slope(sf_dir: str, k: int = 100) -> pd.DataFrame:
     valid prefilter) → sources x k rows fold on the driver."""
     from collections import Counter
     from pii_detector_ray.stages.dsir import _qln
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     docs = read_documents(sf_dir, ['text', 'source'])
 
@@ -6735,7 +6645,6 @@ def _premin_user(t: pa.Table) -> pa.Table:
 
 def _first_min(ev: ray.data.Dataset, etype: str) -> ray.data.Dataset:
     """Per-user min ts of ``etype`` as (user_id, _prev) — funnel stage 0."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(
         ev.map_batches(_typed_ts(etype), batch_format='pyarrow')
           .map_batches(_premin_user, batch_format='pyarrow')
@@ -6748,7 +6657,6 @@ def _min_after(ev: ray.data.Dataset, etype: str, stage: ray.data.Dataset,
     ``stage`` (user_id, _prev).  Threshold table size-guarded: broadcast
     under the limit (one shuffle-free map), co-partitioned narrow join
     above it — both paths frame-equal (tests/test_analytics_paths.py)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
 
     n_prev = stage.count()
     cand = ev.map_batches(_typed_ts(etype), batch_format='pyarrow')
@@ -6776,13 +6684,9 @@ def _min_after(ev: ray.data.Dataset, etype: str, stage: ray.data.Dataset,
 
         filtered = cand.map_batches(later_bc, batch_format='pyarrow')
     else:
-        # drop_empty_blocks on a JOIN input is the skew_join precedent:
-        # schema-less empty blocks poison the hash shuffle, and the join
-        # materializes both sides in its aggregators anyway; cand is the
-        # narrow 16 B/row (user_id, ts) projection, never the payload
-        joined = drop_empty_blocks(cand).join(
-            stage, join_type='inner',
-            num_partitions=join_partitions(), on=('user_id',))
+        # cand is the narrow 16 B/row (user_id, ts) projection, never the
+        # payload
+        joined = hash_join(cand, stage, 'user_id')
 
         def later_join(t: pa.Table) -> pa.Table:
             sel = t.filter(pc.greater(t.column('_ts'), t.column('_prev')))
@@ -6845,7 +6749,6 @@ def q_conversion_latency(sf_dir: str,
     funnel's _min_after building block composed into a distribution.  Two
     narrow passes + one two-phase count; nothing event-proportional on the
     driver beyond the size-guarded threshold map."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def _empty() -> ray.data.Dataset:
         return ray.data.from_arrow(pa.schema(
@@ -6887,14 +6790,10 @@ def q_conversion_latency(sf_dir: str,
 
         parts = first_purchase.map_batches(bucket_bc, batch_format='pyarrow')
     else:
-        from pii_detector_ray.stages.dedup import join_partitions
         renamed = first_view.map_batches(
             lambda t: t.rename_columns(['user_id', '_v']),
             batch_format='pyarrow')
-        both = first_purchase.join(drop_empty_blocks(renamed),
-                                   join_type='inner',
-                                   num_partitions=join_partitions(),
-                                   on=('user_id',))
+        both = hash_join(first_purchase, renamed, 'user_id')
 
         def bucket_join(t: pa.Table) -> pa.Table:
             tp = t.column('_prev').to_numpy(zero_copy_only=False)
@@ -7076,8 +6975,6 @@ def q_above_avg_orders(sf_dir: str,
     meets customer in a second narrow join.  Both paths frame-equal
     (tests/test_analytics_paths.py)."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
                                 columns=['o_custkey', 'o_totalprice'])
@@ -7132,22 +7029,19 @@ def q_above_avg_orders(sf_dir: str,
             return pa.table({'c_mktsegment': pa.array(segs, pa.string()),
                              '_n': pa.array(cnt)})
 
-        agg = (orders.map_batches(count_partial, batch_format='pyarrow')
-               .repartition(1)
-               .groupby('c_mktsegment')
-               .aggregate(Sum('_n', alias_name='n_above')))
-        return drop_empty_blocks(agg).filter(expr='n_above > 0')
+        return bounded_agg(
+            orders.map_batches(count_partial, batch_format='pyarrow'),
+            'c_mktsegment', Sum('_n', alias_name='n_above')) \
+            .filter(expr='n_above > 0')
 
-    joined = drop_empty_blocks(
-        orders.map_batches(
-            lambda t: pa.table({
-                'o_custkey': t.column('o_custkey'),
-                '_cents': pa.array(np.rint(
-                    t.column('o_totalprice').to_numpy(zero_copy_only=False)
-                    * 100.0).astype(np.int64))}),
-            batch_format='pyarrow')).join(
-        drop_empty_blocks(per_cust), join_type='inner',
-        num_partitions=join_partitions(), on=('o_custkey',))
+    cents = orders.map_batches(
+        lambda t: pa.table({
+            'o_custkey': t.column('o_custkey'),
+            '_cents': pa.array(np.rint(
+                t.column('o_totalprice').to_numpy(zero_copy_only=False)
+                * 100.0).astype(np.int64))}),
+        batch_format='pyarrow')
+    joined = hash_join(cents, per_cust, 'o_custkey')
 
     def above_partial(t: pa.Table) -> pa.Table:
         cents = t.column('_cents').to_numpy(zero_copy_only=False)
@@ -7161,9 +7055,7 @@ def q_above_avg_orders(sf_dir: str,
 
     counts = (joined.map_batches(above_partial, batch_format='pyarrow')
               .groupby('c_custkey').aggregate(Sum('_n', alias_name='_n')))
-    seg_join = drop_empty_blocks(counts).join(
-        drop_empty_blocks(cust), join_type='inner',
-        num_partitions=join_partitions(), on=('c_custkey',))
+    seg_join = hash_join(counts, cust, 'c_custkey')
 
     def seg_partial(t: pa.Table) -> pa.Table:
         tbl = pa.table({'c_mktsegment': t.column('c_mktsegment'),
@@ -7171,11 +7063,10 @@ def q_above_avg_orders(sf_dir: str,
         return tbl.group_by('c_mktsegment').aggregate([('_n', 'sum')]) \
             .rename_columns(['c_mktsegment', '_n'])
 
-    agg = (seg_join.map_batches(seg_partial, batch_format='pyarrow')
-           .repartition(1)
-           .groupby('c_mktsegment')
-           .aggregate(Sum('_n', alias_name='n_above')))
-    return drop_empty_blocks(agg).filter(expr='n_above > 0')
+    return bounded_agg(
+        seg_join.map_batches(seg_partial, batch_format='pyarrow'),
+        'c_mktsegment', Sum('_n', alias_name='n_above')) \
+        .filter(expr='n_above > 0')
 
 
 _ABOVE_AVG_SQL = (
@@ -7210,7 +7101,6 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 4,
     Scale shape: the quantized working set materializes ONCE (iterative
     algorithms cache their working set); each round is one shuffle-free
     pass emitting <= k rows x d sums per batch."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     ds = _embeddings(sf_dir, ['vec_id', 'embedding'])
 
@@ -7356,7 +7246,6 @@ def _pq_train(sf_dir: str, m: int, k: int, iters: int):
     Returns ``(mat, cents, sub)``: the materialized quantized working
     set, the per-subspace ``(cid_vector, float centroid matrix)`` list
     (empty list if the table is empty), and the subspace width."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     ds = _embeddings(sf_dir, ['vec_id', 'embedding'])
 
@@ -7632,7 +7521,6 @@ def q_semdedup(sf_dir: str, k: int = 4, iters: int = 3,
     reference's per-row classify-then-filter contract
     (/root/reference/app/services/data_analysis_service.py) lifted to
     semantic document identity."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     ds = _embeddings(sf_dir, ['vec_id', 'embedding'])
 
@@ -7772,7 +7660,6 @@ def q_cohort_retention(sf_dir: str,
     co-partitioned narrow join above it (both paths frame-equal in tests);
     final two-phase count.  Every shuffle row is two int64s — the event
     payload never moves."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
 
     week_us = 604_800_000_000
 
@@ -7823,16 +7710,13 @@ def q_cohort_retention(sf_dir: str,
 
         stamped = pairs.map_batches(stamp, batch_format='pyarrow')
     else:
-        joined = pairs.join(cohort, join_type='inner',
-                            num_partitions=join_partitions(), on=('user_id',))
+        joined = hash_join(pairs, cohort, 'user_id')
         stamped = joined.map_batches(off, batch_format='pyarrow')
 
     # stamped is bounded per-batch partials (one row per (cohort, offset,
-    # batch)); coalescing to one block keeps the final Aggregate from
-    # emitting schema-less empty partitions (RefBundle warnings, VERDICT r3)
-    return (stamped.repartition(1)
-            .groupby(['cohort_week', 'week_offset'])
-            .aggregate(Sum('_n', alias_name='n_users')))
+    # batch))
+    return bounded_agg(stamped, ['cohort_week', 'week_offset'],
+                       Sum('_n', alias_name='n_users'))
 
 
 def q_token_edit_pairs(sf_dir: str) -> ray.data.Dataset:
@@ -7979,7 +7863,6 @@ def q_customer_ltv_deciles(sf_dir: str) -> pd.DataFrame:
     is one narrow pass of partial counts."""
     import os
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     from pii_detector_ray.stages.sketches import distributed_quantile
 
     orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
@@ -8155,8 +8038,6 @@ def q_nation_trade_volume(sf_dir: str,
     (orderkey, supp-nation, year) before a second narrow co-partitioned
     join — nothing order-proportional ever reaches the driver."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     d0 = np.datetime64('1996-01-01')
     d1 = np.datetime64('1998-01-01')
     nation = read_parquet_clean(os.path.join(sf_dir, 'nation.parquet'),
@@ -8258,29 +8139,24 @@ def q_nation_trade_volume(sf_dir: str,
         o_ord = np.argsort(okeys, kind='stable')
         onat_ref = ray.put((okeys[o_ord],
                             np.asarray(onats, np.int64)[o_ord]))
-        # bounded partials (<= 2 pairs x 2 years per batch): coalesce so the
-        # final Aggregate sees one block and emits no schema-less empties
-        agg = (line.map_batches(li_partial(onat_ref, False),
-                                batch_format='pyarrow')
-               .repartition(1)
-               .groupby(['supp_nat', 'cust_nat', 'l_year'])
-               .aggregate(Sum('_rev', alias_name='_rev')))
+        # bounded partials (<= 2 pairs x 2 years per batch)
+        agg = bounded_agg(line.map_batches(li_partial(onat_ref, False),
+                                           batch_format='pyarrow'),
+                          ['supp_nat', 'cust_nat', 'l_year'],
+                          Sum('_rev', alias_name='_rev'))
     else:
-        onat = drop_empty_blocks(orders).join(
-            drop_empty_blocks(cust.map_batches(
-                lambda t: t.rename_columns(['o_custkey', 'cust_nat']),
-                batch_format='pyarrow')),
-            join_type='inner',
-            num_partitions=join_partitions(rows=n_orders),
-            on=('o_custkey',)).select_columns(['o_orderkey', 'cust_nat'])
+        cnat = cust.map_batches(
+            lambda t: t.rename_columns(['o_custkey', 'cust_nat']),
+            batch_format='pyarrow')
+        onat = hash_join(orders, cnat, 'o_custkey',
+                         num_partitions=join_partitions(rows=n_orders)) \
+            .select_columns(['o_orderkey', 'cust_nat'])
         partials = (line.map_batches(li_partial(None, True),
                                      batch_format='pyarrow')
                     .groupby(['o_orderkey', 'supp_nat', 'l_year'])
                     .aggregate(Sum('_rev', alias_name='_rev')))
-        joined = drop_empty_blocks(partials).join(
-            drop_empty_blocks(onat), join_type='inner',
-            num_partitions=join_partitions(rows=n_orders),
-            on=('o_orderkey',))
+        joined = hash_join(partials, onat, 'o_orderkey',
+                           num_partitions=join_partitions(rows=n_orders))
         agg = (joined.map_batches(
             lambda t: t.filter(pc.not_equal(t.column('supp_nat'),
                                             t.column('cust_nat'))),
@@ -8340,8 +8216,6 @@ def q_region_market_share(sf_dir: str,
     in one pass; above it both sides meet lineitem in co-partitioned
     narrow joins."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     d0 = np.datetime64('1996-01-01')
     d1 = np.datetime64('1998-01-01')
     nation = read_parquet_clean(
@@ -8471,12 +8345,10 @@ def q_region_market_share(sf_dir: str,
         okeys = np.asarray(oks, np.int64)
         o_ord = np.argsort(okeys, kind='stable')
         oy_ref = ray.put((okeys[o_ord], np.asarray(oys, np.int64)[o_ord]))
-        agg = (line.map_batches(li_pass(pk_ref, oy_ref, False),
-                                batch_format='pyarrow')
-               .repartition(1)
-               .groupby('o_year')
-               .aggregate(Sum('_num', alias_name='_num'),
-                          Sum('_den', alias_name='_den')))
+        agg = bounded_agg(line.map_batches(li_pass(pk_ref, oy_ref, False),
+                                           batch_format='pyarrow'),
+                          'o_year', Sum('_num', alias_name='_num'),
+                          Sum('_den', alias_name='_den'))
     else:
         # join path: lineitem pre-aggregates per orderkey against the
         # broadcast supplier+part maps... part side instead joins when the
@@ -8486,13 +8358,10 @@ def q_region_market_share(sf_dir: str,
             lambda t: t.select(['l_orderkey', 'l_partkey', 'l_suppkey',
                                 'l_extendedprice', 'l_discount']),
             batch_format='pyarrow')
-        liq = drop_empty_blocks(liq).join(
-            drop_empty_blocks(parts.map_batches(
-                lambda t: t.rename_columns(['l_partkey']),
-                batch_format='pyarrow')),
-            join_type='inner',
-            num_partitions=join_partitions(rows=n_parts),
-            on=('l_partkey',))
+        pkeys = parts.map_batches(
+            lambda t: t.rename_columns(['l_partkey']), batch_format='pyarrow')
+        liq = hash_join(liq, pkeys, 'l_partkey',
+                        num_partitions=join_partitions(rows=n_parts))
 
         def li_nat(t: pa.Table) -> pa.Table:
             sk, sn = ray.get(supp_ref)
@@ -8522,17 +8391,13 @@ def q_region_market_share(sf_dir: str,
                     .groupby('o_orderkey')
                     .aggregate(Sum('_num', alias_name='_num'),
                                Sum('_den', alias_name='_den')))
-        qual = drop_empty_blocks(orders).join(
-            drop_empty_blocks(cust.map_batches(
-                lambda t: t.rename_columns(['o_custkey']),
-                batch_format='pyarrow')),
-            join_type='inner',
-            num_partitions=join_partitions(rows=n_orders),
-            on=('o_custkey',)).select_columns(['o_orderkey', 'o_year'])
-        joined = drop_empty_blocks(partials).join(
-            drop_empty_blocks(qual), join_type='inner',
-            num_partitions=join_partitions(rows=n_orders),
-            on=('o_orderkey',))
+        ckeys = cust.map_batches(
+            lambda t: t.rename_columns(['o_custkey']), batch_format='pyarrow')
+        qual = hash_join(orders, ckeys, 'o_custkey',
+                         num_partitions=join_partitions(rows=n_orders)) \
+            .select_columns(['o_orderkey', 'o_year'])
+        joined = hash_join(partials, qual, 'o_orderkey',
+                           num_partitions=join_partitions(rows=n_orders))
         agg = (joined.groupby('o_year')
                .aggregate(Sum('_num', alias_name='_num'),
                           Sum('_den', alias_name='_den')))
@@ -8679,8 +8544,6 @@ def q_disjunctive_revenue(sf_dir: str,
     narrow join above it; lineitem evaluates the quantity windows against
     the mask vectorized and emits one int64 partial per batch."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     def part_mask(t: pa.Table) -> pa.Table:
         brand = t.column('p_brand').to_numpy(zero_copy_only=False)
@@ -8734,14 +8597,12 @@ def q_disjunctive_revenue(sf_dir: str,
 
         total = line.map_batches(li, batch_format='pyarrow').sum('_rev')
     else:
-        joined = drop_empty_blocks(line.map_batches(
+        lkeys = line.map_batches(
             lambda t: t.rename_columns(
                 ['p_partkey', 'l_quantity', 'l_extendedprice',
                  'l_discount']),
-            batch_format='pyarrow')).join(
-                drop_empty_blocks(parts), join_type='inner',
-                num_partitions=join_partitions(),
-                on=('p_partkey',))
+            batch_format='pyarrow')
+        joined = hash_join(lkeys, parts, 'p_partkey')
 
         def li2(t: pa.Table) -> pa.Table:
             qty = t.column('l_quantity').to_numpy(zero_copy_only=False)
@@ -8782,7 +8643,6 @@ def q_idle_rich_customers(sf_dir: str) -> ray.data.Dataset:
     (stages/bloomjoin.py) against the distinct order custkeys."""
     import os
     from pii_detector_ray.stages.bloomjoin import bloom_anti_join
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     cust = read_parquet_clean(
         os.path.join(sf_dir, 'customer.parquet'),
@@ -9115,7 +8975,6 @@ def q_activity_streaks(sf_dir: str) -> ray.data.Dataset:
     emit the merged candidates as a tiny extra table; a final groupby-max
     picks each user's answer.  Sort-disjointness is asserted like
     orders_cume_dist."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def day_partial(t: pa.Table) -> pa.Table:
         u = t.column('user_id').to_numpy(zero_copy_only=False)
@@ -9231,11 +9090,9 @@ def q_source_lang_cube(sf_dir: str) -> ray.data.Dataset:
                          'lang': agg.column('lang'),
                          '_n': pc.cast(agg.column('count_all'), pa.int64())})
 
-    cells = (base.map_batches(cell_partial, batch_format='pyarrow')
-             .repartition(1)
-             .groupby(['source', 'lang'])
-             .aggregate(Sum('_n', alias_name='n_docs'))
-             .materialize())
+    cells = bounded_agg(
+        base.map_batches(cell_partial, batch_format='pyarrow'),
+        ['source', 'lang'], Sum('_n', alias_name='n_docs')).materialize()
 
     def pad(keep: str) -> Callable[[pa.Table], pa.Table]:
         def f(t: pa.Table) -> pa.Table:
@@ -9345,7 +9202,6 @@ def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
              .select_columns(['_t', '_b'])
              .groupby('_t').aggregate(Sum('_b', alias_name='_m')))
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     h = drop_empty_blocks(masks) \
         .map_batches(_hist_partial('_m', '_m', '_c'),
                      batch_format='pyarrow', batch_size=None) \
@@ -9518,7 +9374,6 @@ def q_dedup_normalized(sf_dir: str) -> ray.data.Dataset:
            .groupby('_k')
            .aggregate(Min('doc_id', alias_name='doc_id'),
                       Count(alias_name='n_dups')))
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(
         lambda t: pa.table({'doc_id': pc.cast(t.column('doc_id'),
                                               pa.int64()),
@@ -9764,7 +9619,6 @@ def q_profit_by_nation_year(sf_dir: str) -> ray.data.Dataset:
             'o_year': pc.cast(t.column('_yr'), pa.int64()),
             'profit': pa.array(sql_round_np(p / 10000.0, 2), pa.float64())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
 
 
@@ -9912,7 +9766,6 @@ def q_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
 
     agg = (per_order.map_batches(qual_partial, batch_format='pyarrow')
            .groupby('s_name').aggregate(Sum('_w', alias_name='numwait')))
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg)
 
 
@@ -10145,7 +9998,6 @@ def q_user_first_last_event(sf_dir: str) -> ray.data.Dataset:
             'first_type': pc.utf8_slice_codeunits(mn, 21),
             'last_type': pc.utf8_slice_codeunits(mx, 21)})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
 
 
@@ -10250,7 +10102,6 @@ def q_doc_ngram_novelty(sf_dir: str) -> ray.data.Dataset:
             'n_unique': pc.cast(t.column('n_unique'), pa.int64()),
             'novelty': pa.array(sql_round_np(nu / nn, 6), pa.float64())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
 
 
@@ -10406,7 +10257,6 @@ def q_cheapest_supplier_per_part(sf_dir: str) -> ray.data.Dataset:
                 (pk >> 20).astype(np.float64) / 100.0, 2)),
             's_suppkey': pa.array(pk & ((1 << 20) - 1), type=pa.int64())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
 
 
@@ -10465,7 +10315,6 @@ def q_user_type_bitmask(sf_dir: str) -> ray.data.Dataset:
             'n_types': pa.array([int(m).bit_count() if m else None
                                  for m in mask], pa.int64())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
 
 
@@ -10638,7 +10487,6 @@ def q_dedup_keep_best(sf_dir: str) -> ray.data.Dataset:
             'n_chars': pa.array(pk // B, type=pa.int64()),
             'n_dups': pc.cast(t.column('n_dups'), pa.int64())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
 
 
@@ -10673,7 +10521,6 @@ def q_part_pairs_count(sf_dir: str) -> ray.data.Dataset:
     counting groupby moves 8 B/pair.  Row-count reconciliation asserts
     no run was both emitted and fragmented."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     line = read_parquet_clean(os.path.join(sf_dir, 'lineitem.parquet'),
                               columns=['l_orderkey', 'l_partkey'])
@@ -11020,7 +10867,6 @@ def q_important_parts(sf_dir: str) -> ray.data.Dataset:
         return tbl.group_by('p_partkey').aggregate([('_cents', 'sum')]) \
             .rename_columns(['p_partkey', '_cents'])
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     stats = drop_empty_blocks(
         line.map_batches(partial, batch_format='pyarrow')
         .groupby('p_partkey').aggregate(Sum('_cents', alias_name='_cents'))
@@ -11139,7 +10985,6 @@ def q_seasonal_suppliers(sf_dir: str) -> pd.DataFrame:
             [('_qw', 'sum'), ('_qt', 'sum')]) \
             .rename_columns(['s_suppkey', 'p_partkey', '_qw', '_qt'])
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     agg = drop_empty_blocks(
         line.map_batches(partial, batch_format='pyarrow')) \
         .groupby(['s_suppkey', 'p_partkey']).aggregate(
@@ -11212,8 +11057,6 @@ def q_part_triangles(sf_dir: str,
     would swap in degree-ordered orientation (edge points at the
     higher-degree endpoint), capping out-degree at O(sqrt(m)) — the
     standard mitigation, unneeded for this basket graph."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     edges = drop_empty_blocks(
         q_part_pairs_count(sf_dir).select_columns(['part_a', 'part_b']))
@@ -11224,9 +11067,8 @@ def q_part_triangles(sf_dir: str,
     right = edges.map_batches(
         lambda t: t.rename_columns(['part_a', 'part_c']),
         batch_format='pyarrow')
-    wedges = edges.join(right, join_type='inner',
-                        num_partitions=join_partitions(rows=n_edges),
-                        on=('part_a',))
+    wedges = hash_join(edges, right, 'part_a',
+                       num_partitions=join_partitions(rows=n_edges))
 
     if n_edges <= broadcast_edge_limit:
         ep = edges.to_pandas()                      # edge-bounded, guarded
@@ -11261,15 +11103,13 @@ def q_part_triangles(sf_dir: str,
             b = t.column('part_b').to_numpy(zero_copy_only=False)
             return pa.table({'_k': pa.array(_pack32(a, b), pa.int64())})
 
-        wk = drop_empty_blocks(
-            wedges.map_batches(pack_wedge, batch_format='pyarrow'))
+        wk = wedges.map_batches(pack_wedge, batch_format='pyarrow')
         ek = drop_empty_blocks(
             edges.map_batches(pack_edge, batch_format='pyarrow'))
         # edge keys are unique (group keys) and wedges are unique per
         # (a,b,c), so the inner join emits exactly one row per triangle
-        n_tri = wk.join(ek, join_type='inner',
-                        num_partitions=join_partitions(rows=n_edges),
-                        on=('_k',)).count()
+        n_tri = hash_join(wk, ek, '_k',
+                          num_partitions=join_partitions(rows=n_edges)).count()
     return pd.DataFrame({'n_triangles': pd.array([n_tri], dtype='int64')})
 
 
@@ -11298,7 +11138,6 @@ def q_value_ks_test(sf_dir: str, group_a: str = 'click',
     max is bit-deterministic and the single final division happens once
     on the driver.  Only block summaries and one scalar max travel."""
     from pii_detector_ray.functions.rounding import sql_round_np
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     ev = _events(sf_dir, ['event_type', 'value'])
 
@@ -11442,7 +11281,6 @@ def q_part_skyline(sf_dir: str) -> ray.data.Dataset:
     of block skylines, which for randomly partitioned data concentrates
     near the true skyline size.  A d>2 variant would swap the kernel
     for a block-nested-loop over the (still tiny) candidate set."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def kern(t: pa.Table) -> pa.Table:
         price = t.column('p_retailprice').to_numpy(zero_copy_only=False)
@@ -11492,9 +11330,6 @@ def q_order_total_audit(sf_dir: str) -> pd.DataFrame:
     bounded partial row per batch."""
     import os
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
-
     line = read_parquet_clean(
         os.path.join(sf_dir, 'lineitem.parquet'),
         columns=['l_orderkey', 'l_extendedprice', 'l_discount', 'l_tax'])
@@ -11511,9 +11346,8 @@ def q_order_total_audit(sf_dir: str) -> pd.DataFrame:
         return tab.group_by('o_orderkey').aggregate([('_amt', 'sum')]) \
             .rename_columns(['o_orderkey', '_amt'])
 
-    calc = drop_empty_blocks(
-        line.map_batches(line_partial, batch_format='pyarrow')
-        .groupby('o_orderkey').aggregate(Sum('_amt', alias_name='calc_e4')))
+    calc = line.map_batches(line_partial, batch_format='pyarrow') \
+        .groupby('o_orderkey').aggregate(Sum('_amt', alias_name='calc_e4'))
 
     orders = read_parquet_clean(
         os.path.join(sf_dir, 'orders.parquet'),
@@ -11526,9 +11360,8 @@ def q_order_total_audit(sf_dir: str) -> pd.DataFrame:
                 pa.int64())}),
         batch_format='pyarrow')
     n_orders = orders.count()
-    joined = orders.join(calc, join_type='left_outer',
-                         num_partitions=join_partitions(rows=n_orders),
-                         on=('o_orderkey',))
+    joined = hash_join(orders, calc, 'o_orderkey', 'left_outer',
+                       num_partitions=join_partitions(rows=n_orders))
 
     def audit(t: pa.Table) -> pa.Table:
         tot = t.column('_tot').to_numpy(zero_copy_only=False)
@@ -11588,7 +11421,6 @@ def q_user_activity_gini(sf_dir: str) -> pd.DataFrame:
     until the single driver-side division (domain-asserted: n·total <
     2^62, which holds to ~10^9 users × 10^9 events)."""
     from pii_detector_ray.functions.rounding import sql_round_scalar
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     counts = drop_empty_blocks(
         _events(sf_dir, ['user_id'])
@@ -11691,8 +11523,6 @@ def q_degree_assortativity(sf_dir: str,
     arithmetic is float, computed once on the driver in the same
     expression shape as the oracle."""
     from pii_detector_ray.functions.rounding import sql_round_scalar
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     oriented = drop_empty_blocks(
         q_part_pairs_count(sf_dir).select_columns(['part_a', 'part_b']))
@@ -11749,10 +11579,8 @@ def q_degree_assortativity(sf_dir: str,
         degb = deg.map_batches(
             lambda t: t.rename_columns(['b', 'degb']),
             batch_format='pyarrow')
-        jk = (edges.join(deg, join_type='inner', num_partitions=nparts,
-                         on=('a',))
-              .join(degb, join_type='inner', num_partitions=nparts,
-                    on=('b',)))
+        jk = hash_join(hash_join(edges, deg, 'a', num_partitions=nparts),
+                       degb, 'b', num_partitions=nparts)
         parts = jk.map_batches(
             lambda t: stats(pa.table({'_j': t.column('deg'),
                                       '_k': t.column('degb')})),
@@ -11806,8 +11634,6 @@ def q_part_bfs_reach(sf_dir: str,
     deep-BFS variant (max_hops >> diameter) would thin frontiers with the
     bloom anti-join (stages/bloomjoin.py) to avoid re-expanding settled
     nodes, unnecessary at 3 hops."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     oriented = drop_empty_blocks(
         q_part_pairs_count(sf_dir).select_columns(['part_a', 'part_b']))
@@ -11842,8 +11668,7 @@ def q_part_bfs_reach(sf_dir: str,
         pa.table({'a': pa.array([seed], pa.int64())}))
     levels = [tag(frontier, 0)]
     for k in range(1, max_hops + 1):
-        joined = edges.join(frontier, join_type='inner',
-                            num_partitions=nparts, on=('a',))
+        joined = hash_join(edges, frontier, 'a', num_partitions=nparts)
         nbrs = joined.map_batches(
             lambda t: pa.table({'a': t.column('b').combine_chunks()}),
             batch_format='pyarrow')
@@ -11889,17 +11714,13 @@ def q_events_debounced(sf_dir: str) -> ray.data.Dataset:
     (stages/skew.debounce_counts_salted — local decisions for everything
     but bucket-first events, one boundary row per bucket).  The final
     aggregate is type-bounded, so partials coalesce to one block first
-    (the bounded-partials pattern)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
+    (``bounded_agg``)."""
     from pii_detector_ray.stages.skew import debounce_counts
     partials = debounce_counts(
         _events(sf_dir, ['user_id', 'event_id', 'ts', 'event_type']),
         threshold_us=_DEBOUNCE_S * 1_000_000,
         hot_key_threshold=_events_hot_threshold(sf_dir))
-    agg = (partials.repartition(1)
-           .groupby('event_type')
-           .aggregate(Sum('_n', alias_name='n_kept')))
-    return drop_empty_blocks(agg)
+    return bounded_agg(partials, 'event_type', Sum('_n', alias_name='n_kept'))
 
 
 _EVENTS_DEBOUNCED_SQL = (
@@ -12001,7 +11822,6 @@ def q_score_auc(sf_dir: str, positive: str = 'purchase') -> pd.DataFrame:
     2^63 holds to ~2e9 rows per class), and the single final division
     happens once on the driver."""
     from pii_detector_ray.functions.rounding import sql_round_np
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     ev = _events(sf_dir, ['event_type', 'value'])
 
@@ -12119,7 +11939,6 @@ def q_lang_source_chi2(sf_dir: str) -> pd.DataFrame:
     ``list_sum(list(term ORDER BY source, lang))`` so even the sum
     order matches bit-for-bit."""
     from pii_detector_ray.functions.rounding import sql_round_scalar
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         agg = pa.table({'source': t.column('source'),
@@ -12198,7 +12017,6 @@ def q_benford_orders(sf_dir: str) -> pd.DataFrame:
     import os
 
     from pii_detector_ray.functions.rounding import sql_round_np
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     orders = read_parquet_clean(
         os.path.join(sf_dir, 'orders.parquet'), columns=['o_totalprice'])
@@ -12285,8 +12103,6 @@ def q_log_odds_terms(sf_dir: str) -> ray.data.Dataset:
     from collections import Counter
 
     from pii_detector_ray.functions.rounding import sql_round_np
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
     from pii_detector_ray.stages.tfidf import doc_terms
 
     def partials(t: pa.Table) -> pa.Table:
@@ -12321,15 +12137,12 @@ def q_log_odds_terms(sf_dir: str) -> ray.data.Dataset:
             'z': pa.array([], pa.float64())}))
     ns_ref = ray.put((ns_map, n))
 
-    vocab = drop_empty_blocks(
-        counts.map_batches(
-            lambda t: pa.table({'term': t.column('term'),
-                                '_y': t.column('y')}),
-            batch_format='pyarrow')
+    vocab = (counts.map_batches(
+        lambda t: pa.table({'term': t.column('term'), '_y': t.column('y')}),
+        batch_format='pyarrow')
         .groupby('term').aggregate(Sum('_y', alias_name='yw'))
         .filter(expr='yw >= 50'))
-    joined = counts.join(vocab, join_type='inner',
-                         num_partitions=join_partitions(), on=('term',))
+    joined = hash_join(counts, vocab, 'term')
 
     def zscore(t: pa.Table) -> pa.Table:
         ns_m, n_tot = ray.get(ns_ref)
@@ -12506,7 +12319,6 @@ def q_theil_index(sf_dir: str) -> pd.DataFrame:
     then per-block partial term sums — nothing user-proportional
     reaches the driver.  round(6) absorbs summation-order jitter vs
     the oracle (the ``value_stddev`` precedent)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def valid(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_valid(t.column('value')))
@@ -12555,7 +12367,6 @@ def q_daily_count_anomaly(sf_dir: str) -> pd.DataFrame:
     touched once with no payload shuffle.  round(4) absorbs the
     stddev-algorithm difference vs DuckDB's stddev_samp (the
     ``value_stddev`` precedent)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(t.column('ts'), pa.int64()), 86_400_000_000)
@@ -12664,7 +12475,6 @@ def q_user_type_entropy(sf_dir: str) -> ray.data.Dataset:
     The term sum runs in ASCENDING event_type order on both sides
     (ORDER BY inside the oracle's list aggregation — the
     ``source_lang_kl`` precedent) so even float sum order matches."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         agg = pa.table({'user_id': t.column('user_id'),
@@ -12715,7 +12525,6 @@ def q_revenue_autocorr(sf_dir: str) -> pd.DataFrame:
     table; the driver finishes the lag product exactly in day order.
     round(6) absorbs summation-order jitter."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(t.column('o_orderdate'), pa.int64()),
@@ -12767,7 +12576,6 @@ def q_hapax_ratio(sf_dir: str) -> ray.data.Dataset:
     vocabulary-proportional exchange every DF/TF-IDF query already
     pays — then per-block hapax/type partials collapse to one row per
     source."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def tok_partial(t: pa.Table) -> pa.Table:
         srcs: list[str] = []
@@ -12833,7 +12641,6 @@ def _source_lang_counts(sf_dir: str) -> list[dict]:
     language alphabet is BOUNDED at any corpus size, so the driver may
     finish divergence arithmetic exactly after one partial-count pass
     (the ``source_lang_kl`` lang-marginal precedent)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         agg = pa.table({'source': t.column('source'),
@@ -12960,7 +12767,6 @@ def q_cross_source_leakage(sf_dir: str) -> pd.DataFrame:
     shuffle, then per-hash groups are SOURCE-ALPHABET-bounded so the
     pair explosion is ≤ C(n_sources, 2) rows per hash; the final pair
     count is another narrow groupby.  Document payloads never shuffle."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def hash_partial(t: pa.Table) -> pa.Table:
         texts = t.column('text').to_pylist()
@@ -13002,13 +12808,12 @@ def q_cross_source_leakage(sf_dir: str) -> pd.DataFrame:
             [('_n', 'sum')])
         return agg.rename_columns(['source_a', 'source_b', '_n'])
 
-    rows = drop_empty_blocks(
-        distinct.groupby('h').map_groups(pairs, batch_format='pandas')
+    partials = distinct.groupby('h') \
+        .map_groups(pairs, batch_format='pandas') \
         .map_batches(block_partial, batch_format='pyarrow')
-        .repartition(1)                  # blocks × C(n_sources, 2) rows
-        .groupby(['source_a', 'source_b'])
-        .aggregate(Sum('_n', alias_name='n_shared'))
-    ).take_all()                         # ≤ C(n_sources, 2) rows — bounded
+    rows = bounded_agg(partials, ['source_a', 'source_b'],
+                       Sum('_n', alias_name='n_shared')
+                       ).take_all()      # ≤ C(n_sources, 2) rows — bounded
     return pd.DataFrame({
         'source_a': pd.array([r['source_a'] for r in rows], dtype='string'),
         'source_b': pd.array([r['source_b'] for r in rows], dtype='string'),
@@ -13114,7 +12919,6 @@ def q_top1pct_revenue_share(sf_dir: str) -> pd.DataFrame:
     sort, no collect); two scalar aggregates finish.  round(6) absorbs
     summation-order jitter."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     from pii_detector_ray.stages.sketches import distributed_quantile
 
     totals = drop_empty_blocks(
@@ -13165,7 +12969,6 @@ def q_rfm_segments(sf_dir: str) -> ray.data.Dataset:
     distributed histogram-refinement quantile (no sort, no collect);
     scoring is a stateless vectorized pass and the rollup is ≤ 125 rows."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     from pii_detector_ray.stages.sketches import distributed_quantile
 
     def day_partial(t: pa.Table) -> pa.Table:
@@ -13243,7 +13046,6 @@ def q_monthly_seasonality(sf_dir: str) -> ray.data.Dataset:
     the grand total folds from the same bounded aggregate, so the stream
     is touched once."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         ts = t.column('o_orderdate')
@@ -13288,8 +13090,6 @@ def q_nation_lead_time(sf_dir: str) -> ray.data.Dataset:
     Lead-day sums are exact int64, so avg matches the oracle to the
     division."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, \
-        join_partitions
 
     supp = read_parquet_clean(os.path.join(sf_dir, 'supplier.parquet'),
                               columns=['s_suppkey', 's_nationkey']) \
@@ -13319,9 +13119,8 @@ def q_nation_lead_time(sf_dir: str) -> ray.data.Dataset:
                              86_400_000_000)}),
         batch_format='pyarrow')
     n_lines = line.count()
-    joined = line.join(orders, join_type='inner',
-                       num_partitions=join_partitions(rows=n_lines),
-                       on=('o_orderkey',))
+    joined = hash_join(line, orders, 'o_orderkey',
+                       num_partitions=join_partitions(rows=n_lines))
 
     def partial(t: pa.Table) -> pa.Table:
         smap = ray.get(s2n)
@@ -13431,7 +13230,6 @@ def q_value_zscore_by_type(sf_dir: str) -> ray.data.Dataset:
     a stateless vectorized map — the stream is never shuffled.  round(4)
     absorbs the sufficient-stats-vs-streaming-stddev float gap (the
     ``value_stddev`` precedent)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     def stat_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t.column('value')))
@@ -13550,7 +13348,6 @@ def q_key_skew_report(sf_dir: str) -> pd.DataFrame:
     ONE narrow (key, n) shuffle; quantiles via the exact distributed
     histogram-refinement sketch; max/mean from scalar aggregates —
     nothing key-proportional reaches the driver."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     from pii_detector_ray.stages.sketches import distributed_quantile
 
     def partial(t: pa.Table) -> pa.Table:
@@ -13801,7 +13598,6 @@ def q_heavy_hitter_tokens(sf_dir: str) -> pd.DataFrame:
     import re as _re
     from collections import Counter
     from ray.data.aggregate import Sum
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     docs = read_documents(sf_dir, ['text'])
     tok_re = _re.compile(_RE2_WORD)
     m = _HH_M
@@ -13814,11 +13610,9 @@ def q_heavy_hitter_tokens(sf_dir: str) -> pd.DataFrame:
         cands = [tk for tk, n in c.items() if n * m > total]
         return pa.table({'token': pa.array(sorted(cands), pa.string())})
 
-    cand_rows = drop_empty_blocks(
-        docs.map_batches(local_candidates, batch_format='pyarrow')
-        .repartition(1)                  # < m candidate rows per block
-        .groupby('token').aggregate(Count(alias_name='_n'))
-    ).select_columns(['token'])
+    cand_rows = bounded_agg(
+        docs.map_batches(local_candidates, batch_format='pyarrow'),
+        'token', Count(alias_name='_n')).select_columns(['token'])
     cands = frozenset(r['token'] for r in cand_rows.take_all())
     if not cands:
         return pd.DataFrame({'token': pd.Series([], dtype='string'),
@@ -13840,14 +13634,10 @@ def q_heavy_hitter_tokens(sf_dir: str) -> pd.DataFrame:
                          '_n': pa.array(ns, pa.int64()),
                          '_kind': pa.array(kinds, pa.int64())})
 
-    # bounded-partials: recount emits <= |candidates|+1 rows per block, so
-    # partials coalesce to ONE block before the final groupby (also keeps
-    # the aggregate from emitting schema-less empty blocks)
-    agg = drop_empty_blocks(
-        docs.map_batches(recount, batch_format='pyarrow')
-        .repartition(1)
-        .groupby(['_kind', 'token']).aggregate(Sum('_n', alias_name='n'))
-    ).to_pandas()
+    # bounded-partials: recount emits <= |candidates|+1 rows per block
+    agg = bounded_agg(docs.map_batches(recount, batch_format='pyarrow'),
+                      ['_kind', 'token'], Sum('_n', alias_name='n')
+                      ).to_pandas()
     total_n = int(agg.loc[agg['_kind'] == 1, 'n'].sum())
     hits = agg[(agg['_kind'] == 0) & (agg['n'] * m > total_n)]
     return pd.DataFrame({
@@ -13939,7 +13729,6 @@ def q_value_time_spearman(sf_dir: str) -> pd.DataFrame:
     block emits one integer sufficient-stats row per type (n, Σx, Σy,
     Σxx, Σyy, Σxy; partials fit int64 to ~1e6 rows/type/block — asserted —
     and the driver folds them in arbitrary-precision Python ints)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
 
     ev = _events(sf_dir, ['event_type', 'ts', 'value'])
 
@@ -14025,10 +13814,10 @@ def q_value_time_spearman(sf_dir: str) -> pd.DataFrame:
             [attach_task.remote(blk_refs[i], offsets[i]) for i in order])
 
     nparts = join_partitions(rows=rows.count())
-    with_rx = rows.join(rank_table('x', '_trx'), join_type='inner',
-                        num_partitions=nparts, on=('et', 'x'))
-    with_r = with_rx.join(rank_table('y', '_try'), join_type='inner',
-                          num_partitions=nparts, on=('et', 'y'))
+    with_rx = hash_join(rows, rank_table('x', '_trx'), ('et', 'x'),
+                        num_partitions=nparts)
+    with_r = hash_join(with_rx, rank_table('y', '_try'), ('et', 'y'),
+                       num_partitions=nparts)
 
     def partial(t: pa.Table) -> pa.Table:
         rx = t.column('_trx').to_numpy(zero_copy_only=False)
@@ -14194,15 +13983,11 @@ def q_compression_ratio(sf_dir: str) -> pd.DataFrame:
             '_raw': pa.array([agg[k][1] for k in ks], pa.int64()),
             '_z': pa.array([agg[k][2] for k in ks], pa.int64())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
-    # bounded-partials: one row per (block, source) -> coalesce first
-    agg = drop_empty_blocks(
-        docs.map_batches(partial, batch_format='pyarrow')
-        .repartition(1)
-        .groupby('source').aggregate(Sum('_n', alias_name='n_docs'),
-                                     Sum('_raw', alias_name='raw_bytes'),
-                                     Sum('_z', alias_name='zlib_bytes'))
-    ).to_pandas()
+    # bounded-partials: one row per (block, source)
+    agg = bounded_agg(docs.map_batches(partial, batch_format='pyarrow'),
+                      'source', Sum('_n', alias_name='n_docs'),
+                      Sum('_raw', alias_name='raw_bytes'),
+                      Sum('_z', alias_name='zlib_bytes')).to_pandas()
     raw = agg['raw_bytes'].to_numpy(np.int64)
     z = agg['zlib_bytes'].to_numpy(np.int64)
     ratio = sql_round_np(
@@ -14229,15 +14014,14 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     VALUE, so equality with the oracle is exact with no float arithmetic
     at all (weights are integer units via round(l_quantity))."""
     import os
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
 
     li = read_parquet_clean(os.path.join(sf_dir, 'lineitem.parquet'),
                             columns=['l_returnflag', 'l_extendedprice',
                                      'l_quantity'])
 
     def fold(t: pa.Table) -> pa.Table:
-        q = np.rint(t.column('l_quantity').to_numpy(zero_copy_only=False)) \
-            .astype(np.int64)
+        q = sql_round_np(t.column('l_quantity').to_numpy(
+            zero_copy_only=False), 0).astype(np.int64)
         tab = pa.table({'flag': t.column('l_returnflag'),
                         'x': t.column('l_extendedprice'),
                         '_q': pa.array(q, pa.int64())})
@@ -14360,7 +14144,6 @@ def q_event_lateness(sf_dir: str) -> ray.data.Dataset:
     (``stages/microbatch.py``) to thread the running max across shards —
     the diagnostic keeps the plain path (events tables are far below the
     ``hot_threshold_for`` guard)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
     from ray.data.aggregate import Max
 
     ev = _events(sf_dir, ['user_id', 'event_id', 'ts', 'event_type'])
@@ -14403,12 +14186,11 @@ def q_event_lateness(sf_dir: str) -> ray.data.Dataset:
 
     partials = ev.groupby('user_id').map_groups(per_user,
                                                 batch_format='pandas')
-    agg = (partials.map_batches(block_partial, batch_format='pyarrow')
-           .repartition(1).groupby(['_et', '_etn'])
-           .aggregate(Sum('_n', alias_name='n_events'),
-                      Sum('_nl', alias_name='n_late'),
-                      Sum('_sl', alias_name='sum_late_us'),
-                      Max('_ml', alias_name='max_late_us')))
+    agg = bounded_agg(
+        partials.map_batches(block_partial, batch_format='pyarrow'),
+        ['_et', '_etn'], Sum('_n', alias_name='n_events'),
+        Sum('_nl', alias_name='n_late'), Sum('_sl', alias_name='sum_late_us'),
+        Max('_ml', alias_name='max_late_us'))
 
     def finish(t: pa.Table) -> pa.Table:
         et = [None if n else v for v, n in
@@ -14416,7 +14198,7 @@ def q_event_lateness(sf_dir: str) -> ray.data.Dataset:
         out = t.drop_columns(['_et', '_etn'])
         return out.add_column(0, 'event_type', pa.array(et, pa.string()))
 
-    return drop_empty_blocks(agg).map_batches(finish, batch_format='pyarrow')
+    return agg.map_batches(finish, batch_format='pyarrow')
 
 
 _EVENT_LATENESS_SQL = (
@@ -14481,253 +14263,12 @@ _EVENT_MARKOV2_SQL = (
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    out: dict[str, Callable[[str], Any]] = {}
-    for name, pattern in _QUERY_PATTERNS.items():
-        out[name] = _make_pii_counts(pattern)
-    out.update({
-        'pii_person_counts': q_pii_person_counts,
-        'docx_extract': q_docx_extract,
-        'chunk_diff': q_chunk_diff,
-        'mask_email': q_mask_email,
-        'lang_distribution': q_lang_distribution,
-        'source_stats': q_source_stats,
-        'length_histogram': q_length_histogram,
-        'token_counts': q_token_counts,
-        'dedup_exact': q_dedup_exact,
-        'phi_flag': q_phi_flag,
-        'url_filter': q_url_filter,
-        'url_canonical': q_url_canonical,
-        'events_hourly': q_events_hourly,
-        'events_resampled': q_events_resampled,
-        'events_user_stats': q_events_user_stats,
-        'funnel_stages': q_funnel_stages,
-        'conversion_latency': q_conversion_latency,
-        'email_domain_counts': q_email_domain_counts,
-        'pii_region_counts': q_pii_region_counts,
-        'source_pii_density': q_source_pii_density,
-        'click_days_no_purchase': q_click_days_no_purchase,
-        'cohort_retention': q_cohort_retention,
-        'token_edit_pairs': q_token_edit_pairs,
-        'bm25_topk': q_bm25_topk,
-        'pagerank': q_pagerank,
-        'knn_graph': q_knn_graph,
-        'value_outliers': q_value_outliers,
-        'price_quartile_counts': q_price_quartile_counts,
-        'customer_ltv_deciles': q_customer_ltv_deciles,
-        'events_sessions': q_events_sessions,
-        'session_overlap': q_session_overlap,
-        'session_type_pairs': q_session_type_pairs,
-        'session_paths': q_session_paths,
-        'bucketed_join': q_bucketed_join,
-        'incremental_sessions': q_incremental_sessions,
-        'events_asof': q_events_asof,
-        'events_sliding': q_events_sliding,
-        'orders_price_bands': q_orders_price_bands,
-        'orders_pushdown_count': q_orders_pushdown_count,
-        'orders_ranked': q_orders_ranked,
-        'events_segment_join': q_events_segment_join,
-        'label_centroids': q_label_centroids,
-        'decontamination': q_decontamination,
-        'incremental_dedup': q_incremental_dedup,
-        'multi_format_union': q_multi_format_union,
-        'pricing_summary': q_pricing_summary,
-        'nation_revenue': q_nation_revenue,
-        'shipping_priority': q_shipping_priority,
-        'stratified_sample': q_stratified_sample,
-        'user_value_median': q_user_value_median,
-        'host_p95': q_host_p95,
-        'top_tokens_per_source': q_top_tokens_per_source,
-        'distinct_source_lang': q_distinct_source_lang,
-        'source_lang_list': q_source_lang_list,
-        'customer_order_counts': q_customer_order_counts,
-        'normalize_text': q_normalize_text,
-        'source_lang_kl': q_source_lang_kl,
-        'split_assignment': q_split_assignment,
-        'value_hour_corr': q_value_hour_corr,
-        'hour_value_regression': q_hour_value_regression,
-        'user_value_ntile': q_user_value_ntile,
-        'bigram_pmi': q_bigram_pmi,
-        'value_stddev': q_value_stddev,
-        'type_cooccurrence': q_type_cooccurrence,
-        'distinct_users': q_distinct_users,
-        'frequent_users': q_frequent_users,
-        'source_lang_rollup': q_source_lang_rollup,
-        'events_pivot': q_events_pivot,
-        'event_deltas': q_event_deltas,
-        'user_cumulative': q_user_cumulative,
-        'user_rolling3': q_user_rolling3,
-        'price_quantiles': q_price_quantiles,
-        'similarity_topk': q_similarity_topk,
-        'word_stats': q_word_stats,
-        'host_stats': q_host_stats,
-        'host_quota': q_host_quota,
-        'top_sources': q_top_sources,
-        'source_anti_join': q_source_anti_join,
-        'anti_join_bloom': q_anti_join_bloom,
-        'sample_documents': q_sample_documents,
-        'weighted_sample': q_weighted_sample,
-        'scan_table_columns': q_scan_table_columns,
-        'db_column_scan': q_db_column_scan,
-        'nosql_column_scan': q_nosql_column_scan,
-        'repo_tree_scan': q_repo_tree_scan,
-        'exact_substr_spans': q_exact_substr_spans,
-        'embedding_dup_pairs': q_embedding_dup_pairs,
-        'components_exact': q_components_exact,
-        'dup_cluster_sizes': q_dup_cluster_sizes,
-        'daily_active_users': q_daily_active_users,
-        'rolling_active_users': q_rolling_active_users,
-        'discount_revenue': q_discount_revenue,
-        'big_spender_segments': q_big_spender_segments,
-        'top_order_per_cust': q_top_order_per_cust,
-        'local_supplier_volume': q_local_supplier_volume,
-        'nation_trade_volume': q_nation_trade_volume,
-        'region_market_share': q_region_market_share,
-        'top_revenue_supplier': q_top_revenue_supplier,
-        'disjunctive_revenue': q_disjunctive_revenue,
-        'idle_rich_customers': q_idle_rich_customers,
-        'price_moments': q_price_moments,
-        'value_mad': q_value_mad,
-        'table_profile': q_table_profile,
-        'activity_streaks': q_activity_streaks,
-        'source_lang_cube': q_source_lang_cube,
-        'events_unpivot': q_events_unpivot,
-        'source_vocab_overlap': q_source_vocab_overlap,
-        'monthly_revenue_growth': q_monthly_revenue_growth,
-        'word_dedup_text': q_word_dedup_text,
-        'dedup_normalized': q_dedup_normalized,
-        'value_geomean': q_value_geomean,
-        'embedding_norm_stats': q_embedding_norm_stats,
-        'event_type_cms': q_event_type_cms,
-        'profit_by_nation_year': q_profit_by_nation_year,
-        'order_count_distribution': q_order_count_distribution,
-        'waiting_suppliers': q_waiting_suppliers,
-        'orders_percent_rank': q_orders_percent_rank,
-        'daily_revenue_ma7': q_daily_revenue_ma7,
-        'user_first_last_event': q_user_first_last_event,
-        'doc_ngram_novelty': q_doc_ngram_novelty,
-        'oov_rate': q_oov_rate,
-        'type_token_ratio': q_type_token_ratio,
-        'cheapest_supplier_per_part': q_cheapest_supplier_per_part,
-        'part_pairs_count': q_part_pairs_count,
-        'sessions_per_user_dist': q_sessions_per_user_dist,
-        'brand_weighted_avg_price': q_brand_weighted_avg_price,
-        'winsorized_mean': q_winsorized_mean,
-        'user_type_bitmask': q_user_type_bitmask,
-        'bigram_lm_ppl': q_bigram_lm_ppl,
-        'bpe_merges': q_bpe_merges,
-        'bpe_token_counts': q_bpe_token_counts,
-        'dedup_keep_best': q_dedup_keep_best,
-        'late_shipment_counts': q_late_shipment_counts,
-        'promo_revenue': q_promo_revenue,
-        'small_quantity_revenue': q_small_quantity_revenue,
-        'big_order_customers': q_big_order_customers,
-        'order_ship_daily': q_order_ship_daily,
-        'returned_item_customers': q_returned_item_customers,
-        'priority_return_orders': q_priority_return_orders,
-        'brand_supplier_counts': q_brand_supplier_counts,
-        'readability': q_readability,
-        'weekly_active_users': q_weekly_active_users,
-        'quantity_percentiles_cont': q_quantity_percentiles_cont,
-        'dsir_sample': q_dsir_sample,
-        'reservoir_sample': q_reservoir_sample,
-        'event_transitions': q_event_transitions,
-        'word_entropy': q_word_entropy,
-        'zipf_slope': q_zipf_slope,
-        'orders_cume_dist': q_orders_cume_dist,
-        'session_bounce_rate': q_session_bounce_rate,
-        'user_top_type': q_user_top_type,
-        'click_purchase_days': q_click_purchase_days,
-        'above_avg_orders': q_above_avg_orders,
-        'kmeans_embeddings': q_kmeans_embeddings,
-        'pq_codes': q_pq_codes,
-        'pq_ann_topk': q_pq_ann_topk,
-        'semdedup': q_semdedup,
-        'lang_mix_sample': q_lang_mix_sample,
-        'props_value_deciles': q_props_value_deciles,
-        'sequence_packing': q_sequence_packing,
-        'token_budget_selection': q_token_budget_selection,
-        'avro_roundtrip': q_avro_roundtrip,
-        'video_frame_stats': q_video_frame_stats,
-        'important_parts': q_important_parts,
-        'seasonal_suppliers': q_seasonal_suppliers,
-        'part_triangles': q_part_triangles,
-        'part_bfs_reach': q_part_bfs_reach,
-        'degree_assortativity': q_degree_assortativity,
-        'user_activity_gini': q_user_activity_gini,
-        'order_total_audit': q_order_total_audit,
-        'part_skyline': q_part_skyline,
-        'value_ks_test': q_value_ks_test,
-        'score_auc': q_score_auc,
-        'lang_source_chi2': q_lang_source_chi2,
-        'benford_orders': q_benford_orders,
-        'log_odds_terms': q_log_odds_terms,
-        'rrf_fusion': q_rrf_fusion,
-        'user_burstiness': q_user_burstiness,
-        'theil_index': q_theil_index,
-        'daily_count_anomaly': q_daily_count_anomaly,
-        'segment_hhi': q_segment_hhi,
-        'user_type_entropy': q_user_type_entropy,
-        'revenue_autocorr': q_revenue_autocorr,
-        'hapax_ratio': q_hapax_ratio,
-        'source_js_divergence': q_source_js_divergence,
-        'source_lang_mi': q_source_lang_mi,
-        'cross_source_leakage': q_cross_source_leakage,
-        'events_heatmap': q_events_heatmap,
-        'part_price_cv': q_part_price_cv,
-        'top1pct_revenue_share': q_top1pct_revenue_share,
-        'rfm_segments': q_rfm_segments,
-        'monthly_seasonality': q_monthly_seasonality,
-        'nation_lead_time': q_nation_lead_time,
-        'xml_roundtrip': q_xml_roundtrip,
-        'value_zscore_by_type': q_value_zscore_by_type,
-        'purchase_attribution': q_purchase_attribution,
-        'key_skew_report': q_key_skew_report,
-        'events_debounced': q_events_debounced,
-        'jaccard_join_exact': q_jaccard_join_exact,
-        # rows-only
-        'scrub_documents': q_scrub_documents,
-        'langid_documents': q_langid_documents,
-        'langid_confusion': q_langid_confusion,
-        'pages_pipeline': q_pages_pipeline,
-        'traindata_pipeline': q_traindata_pipeline,
-        'minhash_dedup': q_minhash_dedup,
-        'simhash_dedup': q_simhash_dedup,
-        'ngram_jaccard_dedup': q_ngram_jaccard_dedup,
-        'dedup_components': q_dedup_components,
-        'embedding_dup_lsh': q_embedding_dup_lsh,
-        'similarity_ann': q_similarity_ann,
-        'similarity_ann_sharded': q_similarity_ann_sharded,
-        'similarity_ivf': q_similarity_ivf,
-        'similarity_ivf_sharded': q_similarity_ivf_sharded,
-        'approx_distinct_hll': q_approx_distinct_hll,
-        'doc_fingerprints': q_doc_fingerprints,
-        'token_stats': q_token_stats,
-        'quality_scores': q_quality_scores,
-        'repetition_stats': q_repetition_stats,
-        'tfidf_top_terms': q_tfidf_top_terms,
-        'term_doc_frequencies': q_term_doc_frequencies,
-        'c4_filtered_docs': q_c4_filtered_docs,
-        'ngram_counts': q_ngram_counts,
-        'span_dedup': q_span_dedup,
-        'embedding_pca': q_embedding_pca,
-        'media_features': q_media_features,
-        'media_decode': q_media_decode,
-        'image_dup_pairs': q_image_dup_pairs,
-        'audio_dup_pairs': q_audio_dup_pairs,
-        'media_feature_stats': q_media_feature_stats,
-        'media_decode_stats': q_media_decode_stats,
-        'event_run_lengths': q_event_run_lengths,
-        'events_ohlc': q_events_ohlc,
-        'containment_join': q_containment_join,
-        'heavy_hitter_tokens': q_heavy_hitter_tokens,
-        'fingerprint_dup_pairs': q_fingerprint_dup_pairs,
-        'value_time_spearman': q_value_time_spearman,
-        'revenue_theilsen': q_revenue_theilsen,
-        'compression_ratio': q_compression_ratio,
-        'weighted_median_price': q_weighted_median_price,
-        'event_lateness': q_event_lateness,
-        'event_markov2': q_event_markov2,
-    })
+    """One callable per operator: a pii counter per ``_QUERY_PATTERNS``
+    entry, then every module-level ``q_<name>`` function as ``<name>``."""
+    out: dict[str, Callable[[str], Any]] = {
+        name: _make_pii_counts(pattern)
+        for name, pattern in _QUERY_PATTERNS.items()}
+    out.update({n[2:]: f for n, f in globals().items() if n.startswith('q_')})
     return out
 
 

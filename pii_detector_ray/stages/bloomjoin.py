@@ -130,7 +130,7 @@ def bloom_anti_join(big: ray.data.Dataset, keys_ds: ray.data.Dataset,
 
     Returns ``big``'s schema unchanged.  ``keys_ds`` must have unique keys
     (dedup first if not — only membership matters)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+    from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
 
     # one execution of the key side: the narrow projection is reused by the
     # count, the bloom build, and the marker table (previously 3 passes)
@@ -171,12 +171,10 @@ def bloom_anti_join(big: ray.data.Dataset, keys_ds: ray.data.Dataset,
         lambda b: b.append_column('_in_set', pa.array([True] * len(b))),
         batch_format='pyarrow')
     candidates = drop_empty_blocks(candidates)
-    marker = drop_empty_blocks(marker)
     if candidates.count() == 0:
         return negatives
-    nparts = num_partitions or join_partitions()
-    joined = candidates.join(marker, join_type='left_outer',
-                             num_partitions=nparts, on=(on,))
+    joined = hash_join(candidates, marker, on, 'left_outer',
+                       num_partitions=num_partitions)
     cols = [f.name for f in (big.schema().base_schema)]
 
     def keep_unmatched(batch: pa.Table) -> pa.Table:

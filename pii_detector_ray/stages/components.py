@@ -56,15 +56,13 @@ def connected_components(pairs: ray.data.Dataset, *, col_a: str = 'doc_a',
     # sum(lbl) — min-label propagation is MONOTONE (a node's label only ever
     # decreases), so the sum strictly decreases iff any label changed.  The
     # only driver traffic per round is that one aggregate scalar.
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
-    nparts = join_partitions()
-    labels = drop_empty_blocks(labels)     # aggregate-derived join input
+    from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
+    labels = drop_empty_blocks(labels)     # aggregate output, summed + unioned
     prev_sum = labels.sum('lbl') or 0
     for _ in range(max_rounds - 1):
         # edge (a,b) proposes label(a) to b; every node appears on the 'a'
         # side of the symmetric edge list, so the inner join covers all edges
-        joined = edges.join(labels, join_type='inner', num_partitions=nparts,
-                            on=('a',))
+        joined = hash_join(edges, labels, 'a')
         proposals = joined.map_batches(
             lambda t: pa.table({'a': t.column('b'), 'lbl': t.column('lbl')}),
             batch_format='pyarrow')

@@ -193,19 +193,14 @@ def _attach_pair_payloads(pairs: ray.data.Dataset, payload: ray.data.Dataset,
     sides via hash-partitioned ``Dataset.join`` — both sides are already
     reduced to the candidate subset, so the join is small even when the
     corpus is not."""
-    nparts = num_partitions or _join_partitions()
     side_a = payload.map_batches(
         lambda t: t.rename_columns(['doc_a', f'{payload_col}_a']),
         batch_format='pyarrow')
     side_b = payload.map_batches(
         lambda t: t.rename_columns(['doc_b', f'{payload_col}_b']),
         batch_format='pyarrow')
-    # callers pass pairs already materialized via drop_empty_blocks — do
-    # NOT re-materialize here (it would re-execute the whole explode+shuffle)
-    out = pairs.join(side_a, join_type='inner', num_partitions=nparts,
-                     on=('doc_a',))
-    return out.join(side_b, join_type='inner', num_partitions=nparts,
-                    on=('doc_b',))
+    out = hash_join(pairs, side_a, 'doc_a', num_partitions=num_partitions)
+    return hash_join(out, side_b, 'doc_b', num_partitions=num_partitions)
 
 
 def _collect_candidate_ids(pairs: ray.data.Dataset) -> frozenset:
@@ -376,9 +371,8 @@ def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
 
         with_df = posting.map_batches(attach, batch_format='pyarrow')
     else:
-        with_df = posting.join(
-            drop_empty_blocks(df_tbl), join_type='inner',
-            num_partitions=_join_partitions(rows=n_shingles), on=('sh',))
+        with_df = hash_join(posting, df_tbl, 'sh',
+                            num_partitions=join_partitions(rows=n_shingles))
 
     def prefix_emit(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(['_df', 'sh'], kind='mergesort')
@@ -465,7 +459,7 @@ def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
     texts = _semi_join_payload(ds, cand_ids, id_col, text_col)
     joined = _attach_pair_payloads(
         pairs, texts, text_col,
-        num_partitions=_join_partitions(rows=pairs.count()))
+        num_partitions=join_partitions(rows=pairs.count()))
 
     def verify(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -552,33 +546,85 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 def drop_empty_blocks(ds: ray.data.Dataset,
                       schema: pa.Schema | None = None) -> ray.data.Dataset:
-    """Ray 2.49 workaround, measured in this sandbox: ``groupby().aggregate()``
-    emits 0-row blocks with an EMPTY (zero-column) schema; when such a block
-    is what a ``Dataset.join`` hash-shuffle broadcasts for schema, the join
-    aggregator dies with ``ArrowInvalid: No match or multiple matches for key
-    field reference``.  ``map_batches`` can't normalize them (empty blocks
-    are skipped without invoking the fn), so: materialize and rebuild from
-    the non-empty block refs.  Metadata-only — no blocks are fetched to the
-    driver — but it does force materialization, so use it ONLY on narrow
-    aggregate outputs that feed a join (winner keys, labels, candidate
-    pairs), never on payload datasets.
+    """Materialize ``ds`` and keep only its non-empty blocks — the Ray 2.49
+    workaround.  ``groupby().aggregate()`` emits 0-row blocks with an EMPTY
+    (zero-column) schema, and so does a map whose output batch has no rows;
+    when such a block is what a ``Dataset.join`` hash shuffle broadcasts for
+    schema, the join aggregator dies with ``ArrowInvalid: No match or
+    multiple matches for key field reference``.  ``map_batches`` can't
+    normalize them (empty blocks are skipped without invoking the fn), so:
+    materialize and rebuild from the non-empty block refs.  Metadata-only —
+    no blocks are fetched to the driver — but it does force
+    materialization.
+
+    Joins get this through ``hash_join``, which cleans both inputs; call it
+    directly only to hand a consumer (a union, a result) schema-carrying
+    blocks.  A ``bounded_agg`` output needs no cleaning.
 
     When EVERY block is empty the materialized dataset still has only
     schema-less blocks; pass ``schema`` so an all-empty input comes back as
-    one schema-carrying empty block (else the caller must guard the empty
-    case itself before any join)."""
+    one schema-carrying empty block."""
     m = ds.materialize()
-    refs = []
+    refs, n_blocks = [], 0
     for bundle in m.iter_internal_ref_bundles():
         for ref, meta in bundle.blocks:
+            n_blocks += 1
             if meta.num_rows is None or meta.num_rows > 0:
                 refs.append(ref)
+    if len(refs) == n_blocks:
+        return m
     if not refs:
         if schema is not None:
             return ray.data.from_arrow(
                 pa.table({f.name: pa.array([], f.type) for f in schema}))
         return m
     return ray.data.from_arrow_refs(refs)
+
+
+def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
+              on: str | tuple[str, ...], how: str = 'inner',
+              num_partitions: int | None = None) -> ray.data.Dataset:
+    """Hash-partitioned ``Dataset.join`` (``how`` is its ``join_type``) on
+    the key column(s) ``on``.  Every join in the package goes through here
+    so that both inputs pass ``drop_empty_blocks`` first; that barrier is
+    not extra work, since ``Dataset.join`` materializes both sides in its
+    aggregators anyway — it only moves where the blocks sit.  An inner join
+    with an empty side returns the typed empty result without a shuffle.
+    ``num_partitions`` defaults to ``join_partitions()``."""
+    on = (on,) if isinstance(on, str) else tuple(on)
+    l, r = drop_empty_blocks(left), drop_empty_blocks(right)
+    if how == 'inner' and (l.count() == 0 or r.count() == 0):
+        return _empty_inner(l, r)
+    return l.join(r, join_type=how,
+                  num_partitions=num_partitions or join_partitions(), on=on)
+
+
+def _empty_inner(l: ray.data.Dataset,
+                 r: ray.data.Dataset) -> ray.data.Dataset:
+    """Typed empty result of an inner join of ``l`` and ``r`` (either side
+    empty): the combined schema (a side with only schema-less blocks adds
+    no columns), zero rows."""
+    fields = {}
+    for sch in (l.schema(), r.schema()):
+        for f in (sch.base_schema if sch is not None else ()):
+            fields.setdefault(f.name, f)
+    return ray.data.from_arrow(pa.table(
+        {f.name: pa.array([], f.type) for f in fields.values()}))
+
+
+def bounded_agg(partials: ray.data.Dataset, keys: str | list[str],
+                *aggs) -> ray.data.Dataset:
+    """``partials.groupby(keys).aggregate(*aggs)`` over ONE block.
+
+    For bounded partials (per-batch pre-aggregates: a few rows per input
+    block) the coalesce is free, and the aggregate then returns exactly one
+    block, which carries its schema.  Without it the Ray 2.49 aggregate
+    returns one block per shuffle partition, most of them 0-row and
+    0-column — the blocks ``drop_empty_blocks`` exists for — so this result
+    needs no cleaning.  An all-empty input still yields one schema-less
+    block.  Not for unbounded inputs: the one block is one task's
+    memory."""
+    return partials.repartition(1).groupby(keys).aggregate(*aggs)
 
 
 def join_partitions(default: int = 16, rows: int | None = None) -> int:
@@ -598,9 +644,6 @@ def join_partitions(default: int = 16, rows: int | None = None) -> int:
     if rows is not None:
         return max(2, min(cap, rows // 150_000 + 1))
     return cap
-
-
-_join_partitions = join_partitions   # internal alias
 
 
 def bucket_count() -> int:
@@ -645,9 +688,7 @@ def simhash_dup_pairs(ds: ray.data.Dataset, *, max_hamming: int = 3,
     right = left.map_batches(
         lambda t: t.rename_columns(['bkey', 'doc_id_r', 'simhash_r']),
         batch_format='pyarrow')
-    joined = left.join(right, join_type='inner',
-                       num_partitions=num_partitions or _join_partitions(),
-                       on=('bkey',))
+    joined = hash_join(left, right, 'bkey', num_partitions=num_partitions)
 
     def verify(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -945,9 +986,8 @@ def containment_join(ds: ray.data.Dataset, *,
     # df attaches co-partitioned (the vocabulary-bounded broadcast variant
     # of jaccard_pairs_prefix works identically; the join path is the one
     # that holds at 10^12 docs, and df >= 2 prunes right after it)
-    with_df = posting.join(
-        drop_empty_blocks(df_tbl), join_type='inner',
-        num_partitions=_join_partitions(rows=posting.count()), on=('sh',))
+    with_df = hash_join(posting, df_tbl, 'sh',
+                        num_partitions=join_partitions(rows=posting.count()))
 
     def prefix_mark(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(['_df', 'sh'], kind='mergesort')
@@ -1033,7 +1073,7 @@ def containment_join(ds: ray.data.Dataset, *,
     texts = _semi_join_payload(ds, cand_ids, id_col, text_col)
     joined = _attach_pair_payloads(
         pairs, texts, text_col,
-        num_partitions=_join_partitions(rows=pairs.count()))
+        num_partitions=join_partitions(rows=pairs.count()))
 
     def verify(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -1131,9 +1171,8 @@ def fingerprint_dup_pairs(ds: ray.data.Dataset, *, min_shared: int = 50,
 
     df_tbl = posting.map_batches(df_partial, batch_format='pyarrow') \
         .groupby('fp').aggregate(Sum('_df', alias_name='_df'))
-    with_df = posting.join(
-        drop_empty_blocks(df_tbl), join_type='inner',
-        num_partitions=_join_partitions(rows=posting.count()), on=('fp',))
+    with_df = hash_join(posting, df_tbl, 'fp',
+                        num_partitions=join_partitions(rows=posting.count()))
 
     def prefix_rows(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(['_df', 'fp'], kind='mergesort')
@@ -1194,7 +1233,7 @@ def fingerprint_dup_pairs(ds: ray.data.Dataset, *, min_shared: int = 50,
     texts = _semi_join_payload(ds, cand_ids, id_col, text_col)
     joined = _attach_pair_payloads(
         pairs, texts, text_col,
-        num_partitions=_join_partitions(rows=pairs.count()))
+        num_partitions=join_partitions(rows=pairs.count()))
 
     def verify(t: pa.Table) -> pa.Table:
         if len(t) == 0:

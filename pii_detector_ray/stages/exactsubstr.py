@@ -94,7 +94,7 @@ def duplicated_spans(docs: ray.data.Dataset, *, L: int = 24,
                      broadcast_limit: int = 2_000_000) -> ray.data.Dataset:
     """(doc_id, span_start, span_end) for every maximal duplicated span
     (see module docstring).  ``docs`` needs (id_col, text_col)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+    from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
 
     def hash_partial(t: pa.Table) -> pa.Table:
         texts = [x or '' for x in t.column(text_col).to_pylist()]
@@ -173,10 +173,8 @@ def duplicated_spans(docs: ray.data.Dataset, *, L: int = 24,
             return pa.table({'_h': pa.array(h.astype(np.int64)),
                              '_s': pa.array(ss, pa.string())})
 
-        joined = drop_empty_blocks(
-            docs.map_batches(explode, batch_format='pyarrow')) \
-            .join(dup_hashes, join_type='inner',
-                  num_partitions=join_partitions(), on=('_h',))
+        joined = hash_join(docs.map_batches(explode, batch_format='pyarrow'),
+                           dup_hashes, '_h')
 
         def count_s(t: pa.Table) -> pa.Table:
             agg = pa.table({'_s': t.column('_s')}).group_by('_s') \

@@ -356,27 +356,15 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     Column contract: same as ``Dataset.join`` (shared non-key column names
     need suffixes; keep the sides disjoint).
     """
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+    from pii_detector_ray.stages.dedup import (
+        drop_empty_blocks, hash_join, join_partitions)
     from pii_detector_ray.stages.skew import hot_keys, split_by_keys
 
     nparts = num_partitions or join_partitions()
     hot = hot_keys(left, on, hot_key_threshold) \
         if hot_key_threshold is not None else set()
     if not hot:
-        # Every join input is normalized with drop_empty_blocks: a 0-row
-        # output batch is stored as a schema-LESS block (the map fn is
-        # skipped on empty inputs and Ray drops the schema on empty
-        # outputs), and when the hash shuffle broadcasts such a block for
-        # schema the aggregator dies with ArrowInvalid — reproduced,
-        # order-dependent.  The materialization this costs is NOT extra
-        # asymptotic work here: Dataset.join already materializes both
-        # sides inside its aggregators (measured, ray-249 notes), so the
-        # pre-join barrier only moves where the blocks sit.
-        l, r = drop_empty_blocks(left), drop_empty_blocks(right)
-        if l.count() == 0 or r.count() == 0:
-            return _empty_inner(l, r, on)
-        return l.join(r, join_type='inner', num_partitions=nparts,
-                      on=(on,))
+        return hash_join(left, right, on, num_partitions=nparts)
 
     left_hot, left_cold = split_by_keys(left, on, hot)
     right_hot, right_cold = split_by_keys(right, on, hot)
@@ -414,32 +402,8 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
                 for s in range(R)]
             return pa.concat_tables(reps)
 
-        # join inputs normalized (see the no-hot branch comment: 0-row
-        # batches become schema-less blocks and poison the hash shuffle;
-        # the join materializes in its aggregators anyway)
-        hot_joined = drop_empty_blocks(
-            left_hot.map_batches(salt_left, batch_format='pyarrow')).join(
-            drop_empty_blocks(
-                right_hot.map_batches(replicate_right,
-                                      batch_format='pyarrow')),
-            join_type='inner', num_partitions=nparts, on=(on, '_salt')) \
-            .drop_columns(['_salt'])
-        hot_joined = drop_empty_blocks(hot_joined)
+        hot_joined = drop_empty_blocks(hash_join(
+            left_hot.map_batches(salt_left, batch_format='pyarrow'),
+            right_hot.map_batches(replicate_right, batch_format='pyarrow'),
+            (on, '_salt'), num_partitions=nparts).drop_columns(['_salt']))
     return cold.union(hot_joined)
-
-
-def _empty_inner(l: ray.data.Dataset, r: ray.data.Dataset,
-                 on: str) -> ray.data.Dataset:
-    """Typed empty result of an inner join of ``l`` and ``r`` (either side
-    empty): combined schema, zero rows — skips the all-empty-side shuffle
-    that trips Ray 2.49."""
-    fields = []
-    seen = set()
-    for sch in (l.schema(), r.schema()):
-        base = sch.base_schema
-        for f in base:
-            if f.name not in seen:
-                seen.add(f.name)
-                fields.append(f)
-    return ray.data.from_arrow(pa.table(
-        {f.name: pa.array([], f.type) for f in fields}))

@@ -36,7 +36,7 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from pii_detector_ray.functions.rounding import sql_round_np
-from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
 
 DAMPING = 0.85
 BROADCAST_NODE_LIMIT = 5_000_000
@@ -161,21 +161,18 @@ def pagerank(edges: ray.data.Dataset, *, iterations: int = 3,
                 '_c': pc.divide(t.column('_r'),
                                 pc.cast(t.column('_deg'), pa.float64()))}),
             batch_format='pyarrow')
-        joined = edges.join(drop_empty_blocks(keyed), join_type='inner',
-                            num_partitions=join_partitions(), on=('src',))
+        joined = hash_join(edges, keyed, 'src')
 
         def partial(t: pa.Table) -> pa.Table:
             return pa.table({'node': t.column('dst'), '_s': t.column('_c')}) \
                 .group_by('node').aggregate([('_s', 'sum')]) \
                 .rename_columns(['node', '_s'])
 
-        sums = drop_empty_blocks(
-            joined.map_batches(partial, batch_format='pyarrow')
-            .groupby('node').aggregate(Sum('_s', alias_name='s')))
+        sums = joined.map_batches(partial, batch_format='pyarrow') \
+            .groupby('node').aggregate(Sum('_s', alias_name='s'))
         # deg LEFT join sums: a source with no in-edges keeps its row and
         # settles at the (1-d)/N floor instead of silently vanishing
-        merged = deg.join(sums, join_type='left_outer',
-                          num_partitions=join_partitions(), on=('node',))
+        merged = hash_join(deg, sums, 'node', 'left_outer')
         rank_ds = drop_empty_blocks(merged.map_batches(
             lambda t: pa.table({
                 'node': t.column('node'),

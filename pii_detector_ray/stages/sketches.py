@@ -325,7 +325,7 @@ def hll_distinct_by(ds: ray.data.Dataset, key_col: str, col: str,
                     p: int = 12) -> ray.data.Dataset:
     """Approximate distinct count of ``col`` per ``key_col``: per-batch
     per-group register rows (one 2^p-byte row per group per batch), a
-    groupby max-merge per group, estimate in the group task.  Output:
+    max-merge per group in one final task, which also estimates.  Output:
     (key_col, approx_distinct).
 
     CONTRACT: ``key_col`` must be a BOUNDED alphabet (event types, status
@@ -352,14 +352,6 @@ def hll_distinct_by(ds: ray.data.Dataset, key_col: str, col: str,
         return pa.table({key_col: pa.array(keys_out, keys.type),
                          '_regs': pa.array(regs_out, pa.binary())})
 
-    def merge_group(g) -> 'pa.Table':
-        import pandas as pd
-        merged = np.zeros(1 << p, dtype=np.uint8)
-        for b in g['_regs']:
-            np.maximum(merged, np.frombuffer(b, dtype=np.uint8), out=merged)
-        return pd.DataFrame({key_col: [g[key_col].iloc[0]],
-                             'approx_distinct': [np.int64(round(_hll_estimate(merged)))]})
-
     def block_merge(t: pa.Table) -> pa.Table:
         # pre-merge registers per group WITHIN each block: shrinks the rows
         # crossing the final coalesce from (groups × batches) to
@@ -381,18 +373,20 @@ def hll_distinct_by(ds: ray.data.Dataset, key_col: str, col: str,
         return pa.table({key_col: pa.array(keys_out, tbl.column(key_col).type),
                          '_regs': pa.array(regs_out, pa.binary())})
 
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
-    # coalesce the (bounded) pre-merged registers to ONE block before the
-    # groupby so the sort runs single-partition: no schema-less empty
-    # partitions from the AllToAll (RefBundle warnings, VERDICT r3)
-    out = (ds.select_columns([key_col, col])
-           .map_batches(batch_regs, batch_format='pyarrow')
-           .map_batches(block_merge, batch_format='pyarrow', batch_size=None)
-           .repartition(1)
-           .groupby(key_col).map_groups(merge_group, batch_format='pandas'))
-    # normalize the schema-less empty blocks map_groups can emit (tiny
-    # result: one row per group)
-    return drop_empty_blocks(out)
+    def finish(t: pa.Table) -> pa.Table:
+        merged = block_merge(t)
+        est = [round(_hll_estimate(np.frombuffer(b, dtype=np.uint8)))
+               for b in merged.column('_regs').to_pylist()]
+        return pa.table({key_col: merged.column(key_col),
+                         'approx_distinct': pa.array(est, pa.int64())})
+
+    # coalesce the (bounded) pre-merged registers to ONE block; one more
+    # block_merge there leaves one register row per group
+    return (ds.select_columns([key_col, col])
+            .map_batches(batch_regs, batch_format='pyarrow')
+            .map_batches(block_merge, batch_format='pyarrow', batch_size=None)
+            .repartition(1)
+            .map_batches(finish, batch_format='pyarrow', batch_size=None))
 
 
 # ---------------------------------------------------------------------------

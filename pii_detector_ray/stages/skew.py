@@ -707,7 +707,7 @@ def cumulative_sum_salted(ds: ray.data.Dataset, *, val_col: str,
                           ) -> ray.data.Dataset:
     """Exact running totals with bounded per-task memory (see
     :func:`cumulative_sum`)."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+    from pii_detector_ray.stages.dedup import hash_join
     out_col = f'cum_{val_col}'
 
     def prep(t: pa.Table) -> pa.Table:
@@ -755,13 +755,10 @@ def cumulative_sum_salted(ds: ray.data.Dataset, *, val_col: str,
         .select_columns(['user_id', '_bucket', '_local']) \
         .groupby('user_id').map_groups(offsets, batch_format='pandas')
 
-    nparts = join_partitions()
-    joined = drop_empty_blocks(
+    joined = hash_join(
         local.filter(expr='_tag == 0')
-             .select_columns(['user_id', '_bucket', 'event_id', '_local'])
-    ).join(
-        drop_empty_blocks(offs), join_type='inner',
-        num_partitions=nparts, on=('user_id', '_bucket'))
+             .select_columns(['user_id', '_bucket', 'event_id', '_local']),
+        offs, ('user_id', '_bucket'))
 
     def add_off(t: pa.Table) -> pa.Table:
         return pa.table({

@@ -126,10 +126,9 @@ def span_dedup(docs: ray.data.Dataset, *, id_col: str = 'doc_id',
     stats = spans.groupby('h').aggregate(
         Min('packed', alias_name='winner'),
         Count(alias_name='n'))
-    # drop_empty_blocks: the Ray 2.49 schema-less-empty-block join guard
-    # (dedup.py); also the materialization point — ints only, bounded by
-    # duplicated spans, reused by count + take_all/join below
-    from pii_detector_ray.stages.dedup import drop_empty_blocks
+    # materialization point — ints only, bounded by duplicated spans,
+    # reused by count + take_all/join below
+    from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
     dup_stats = drop_empty_blocks(
         stats.filter(expr='n >= 2'),
         schema=pa.schema([('h', pa.binary()), ('winner', pa.int64()),
@@ -137,9 +136,7 @@ def span_dedup(docs: ray.data.Dataset, *, id_col: str = 'doc_id',
     if dup_stats.count() == 0:               # no duplicate span anywhere:
         losers = None                        # skip the join (an all-empty
     else:                                    # side still trips the shuffle)
-        losers = (dup_stats
-                  .join(spans, join_type='inner', num_partitions=_nparts(),
-                        on=('h',))
+        losers = (hash_join(dup_stats, spans, 'h')
                   .filter(expr='packed != winner')
                   .select_columns(['packed'])).materialize()
 
@@ -184,8 +181,7 @@ def span_dedup(docs: ray.data.Dataset, *, id_col: str = 'doc_id',
 
     per_doc = (losers.map_batches(unpack, batch_format='pyarrow')
                .groupby(id_col).map_groups(collect, batch_format='pandas'))
-    joined = docs.join(per_doc, join_type='left_outer',
-                       num_partitions=_nparts(), on=(id_col,))
+    joined = hash_join(docs, per_doc, id_col, 'left_outer')
 
     def rebuild_joined(batch: pa.Table) -> pa.Table:
         rows = []
@@ -206,8 +202,3 @@ def _out_table(rows: list[tuple], id_type, id_col: str) -> pa.Table:
         'deduped_text': pa.array([r[1] for r in rows], pa.string()),
         'n_spans': pa.array([r[2] for r in rows], pa.int64()),
         'n_spans_dropped': pa.array([r[3] for r in rows], pa.int64())})
-
-
-def _nparts() -> int:
-    from pii_detector_ray.stages.dedup import join_partitions
-    return join_partitions()

@@ -45,7 +45,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pii_detector_ray.stages.dedup import join_partitions
+from pii_detector_ray.stages.dedup import hash_join
 
 _TERM_RE = re.compile(r'[A-Za-z0-9]+')
 
@@ -127,9 +127,8 @@ def tfidf_top_terms(docs: ray.data.Dataset, k: int = 5,
                              'tf': pa.array([], pa.int64())})
         return pa.Table.from_pylist(rows)
 
-    nparts = num_partitions or join_partitions()
-    joined = docs.map_batches(tf_rows, batch_format='pyarrow').join(
-        df_table, join_type='inner', num_partitions=nparts, on=('term',))
+    joined = hash_join(docs.map_batches(tf_rows, batch_format='pyarrow'),
+                       df_table, 'term', num_partitions=num_partitions)
 
     def cut(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(['tf', 'df', 'term'],

@@ -65,16 +65,15 @@ def _anti_join(left: ray.data.Dataset, right: ray.data.Dataset,
                keys: tuple[str, ...],
                num_partitions: int | None = None) -> ray.data.Dataset:
     """Rows of ``left`` whose key tuple does not appear in ``right``."""
-    from pii_detector_ray.stages.dedup import drop_empty_blocks, join_partitions
+    from pii_detector_ray.stages.dedup import drop_empty_blocks, hash_join
     marker = drop_empty_blocks(right.map_batches(
         lambda t: t.select(list(keys)).append_column(
             '_present', pa.array([1] * len(t), pa.int8())),
         batch_format='pyarrow'))
     if marker.count() == 0:       # nothing on the right → everything is a miss
         return left
-    joined = left.join(marker, join_type='left_outer',
-                       num_partitions=num_partitions or join_partitions(),
-                       on=keys)
+    joined = hash_join(left, marker, keys, 'left_outer',
+                       num_partitions=num_partitions)
     return joined.map_batches(
         lambda t: t.filter(pc.is_null(t.column('_present')))
                    .drop_columns(['_present']),

@@ -309,13 +309,18 @@ def test_compression_ratio_block_invariant(tmp_path, blocks):
         assert got['ratio'].iloc[i] == round(z / raw, 6)
 
 
-@pytest.mark.parametrize('blocks', [1, 6])
-def test_weighted_median_price_bruteforce(tmp_path, blocks):
+@pytest.mark.parametrize('blocks,frac', [
+    pytest.param(1, 0.0, id='1'),
+    pytest.param(6, 0.0, id='6'),
+    # *.5 quantities: SQL round() goes half away from zero, not to even
+    pytest.param(6, 0.5, id='half_qty'),
+])
+def test_weighted_median_price_bruteforce(tmp_path, blocks, frac):
     rng = np.random.default_rng(9)
     n = 120
     flags = rng.choice(['A', 'N', 'R'], n)
     price = np.round(rng.uniform(10, 1000, n), 2)
-    qty = rng.integers(1, 50, n).astype(float)
+    qty = rng.integers(1, 50, n).astype(float) + frac
     tbl = pa.table({'l_returnflag': pa.array(flags.tolist(), pa.string()),
                     'l_extendedprice': pa.array(price, pa.float64()),
                     'l_quantity': pa.array(qty, pa.float64())})
@@ -328,7 +333,7 @@ def test_weighted_median_price_bruteforce(tmp_path, blocks):
         m = flags == f
         # lower weighted median: first x (ascending) with 2*cumw >= total
         order = np.argsort(price[m], kind='mergesort')
-        xs, ws = price[m][order], qty[m][order].astype(int)
+        xs, ws = price[m][order], np.floor(qty[m][order] + 0.5).astype(int)
         # collapse duplicate prices like the distributed fold does
         ux, inv = np.unique(xs, return_inverse=True)
         uw = np.bincount(inv, weights=ws).astype(int)
