@@ -188,10 +188,18 @@ def _has_anchor(pattern: str) -> bool:
 
 
 # Match-prefilter gates: a detector's pattern provably cannot match a row
-# unless the gate holds, so gated rows can be skipped wholesale (a pure
-# optimization — tests assert gated scanning equals ungated scan_text).
+# unless the gate holds, so ``scan.scan_texts`` runs the detector's RE2
+# prefilter and its exact scan only on the gate's rows (a pure optimization
+# — tests assert gated scanning equals ungated scan_text).  Every registry
+# detector has an entry; ``custom`` detectors never get one.
 #   'digit'      -> row contains an ASCII digit (pattern requires [0-9])
-#   ('lit', ...) -> lowercased row contains one of the literal substrings
+#   ('re', p)    -> row contains an RE2 match of ``p``
+#   ('lit', ...) -> row contains one of the lowercase literals under
+#                   re.IGNORECASE folding; every alternative of the
+#                   (case-insensitive) pattern spells one of them.  All
+#                   literal gates share ONE case-folded alternation pass;
+#                   each literal then runs only on that pass's rows
+#   ('split', p) -> digit rows run the pattern, digit-less rows run ``p``
 GATES: dict[str, object] = {
     'IN_PAN': 'digit', 'IN_AADHAR': 'digit', 'CREDIT_CARD': 'digit',
     'IBAN_CODE': 'digit', 'CRYPTO': 'digit', 'US_SSN': 'digit',
@@ -238,7 +246,9 @@ class Detector:
 
     @property
     def gate(self) -> object | None:
-        return GATES.get(self.name)
+        """This detector's ``GATES`` entry; None for ``custom`` detectors,
+        whose pattern need not match what a registry name's gate assumes."""
+        return None if self.family == 'custom' else GATES.get(self.name)
 
     @property
     def suppress_codelike(self) -> bool:

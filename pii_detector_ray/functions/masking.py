@@ -19,6 +19,10 @@ from __future__ import annotations
 import hashlib
 import re
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 _ALNUM = re.compile('[A-Za-z0-9]')
 
 # PHI keyword pattern, verbatim from data_analysis_service.py:38-41.
@@ -92,49 +96,40 @@ def is_phi(name: str, data: str) -> bool:
     return bool(_PHI_RE.search(name) or _PHI_RE.search(data))
 
 
-# the PHI pattern is an alternation of exactly these literals (plus boundary
-# conditions), so a row without any of them cannot match — cheap C substring
-# prefilter before the (expensive) regex
-_PHI_KEYWORDS = ('health', 'medical', 'immun', 'pharmacy', 'disease',
-                 'patient', 'insura', 'rh', 'mrn', 'phi')
+# RE2 gate: every _PHI_RE match CONTAINS one of its keywords (health,
+# medical, immun, pharmacy, disease, patient, insura, rh, mrn, phi)
+# case-insensitively, and ``health``/``rh``/``phi`` only where the chars
+# either side are not letters or digits.  It is a provable superset of
+# _PHI_RE:
+# - RE2's (?i) uses Unicode SIMPLE folding, which deliberately excludes the
+#   dotted/dotless-I orbit that Python's re folds (İ U+0130 and ı U+0131
+#   both match ``i`` under re.IGNORECASE) — a full-BMP sweep shows that is
+#   the ONLY per-letter divergence for this alphabet — so ``i`` is widened
+#   to the explicit orbit class;
+# - _PHI_RE's ``(\b|_)`` before a keyword admits start-of-text, a non-word
+#   char or ``_``; RE2's ``(?i)[^a-z0-9]`` rejects only a-z, A-Z, 0-9,
+#   ſ (U+017F) and K (U+212A), all Python word chars, so it admits every
+#   one of those (and likewise after the keyword).
+# The boundary keeps common words like "rhythm", "graphic" or "healthy"
+# from sending a row to the exact (slow, unanchored) regex.  The full-BMP
+# boundary sweep is in tests/test_masking.py.
+_PHI_GATE_RE2 = ('(?i)(?:med[iİı]cal|[iİı]mmun|pharmacy|d[iİı]sease|pat[iİı]ent|[iİı]nsura|mrn'
+                 '|(?:^|[^a-z0-9])(?:health|rh|ph[iİı])(?:$|[^a-z0-9]))')
 
 
-# RE2 form of the keyword gate: every _PHI_RE match CONTAINS one of the
-# keywords case-insensitively (the boundary groups only constrain).  RE2's
-# (?i) uses Unicode SIMPLE folding, which deliberately excludes the
-# dotted/dotless-I orbit that Python's re folds (İ U+0130 and ı U+0131 both
-# match ``i`` under re.IGNORECASE) — a full-BMP sweep shows that is the ONLY
-# per-letter divergence for this alphabet — so ``i`` is widened to the
-# explicit orbit class to keep the gate a provable superset of _PHI_RE.
-_PHI_GATE_RE2 = '(?i)(?:' + '|'.join(
-    k.replace('i', '[iİı]') for k in _PHI_KEYWORDS) + ')'
-
-
-def is_phi_batch(names: list[str], texts: list[str]) -> list[bool]:
-    """Vectorized :func:`is_phi`: one RE2 keyword-gate pass over the batch,
-    exact per-row regex only on gated rows.  Equals ``[is_phi(n, t) ...]``
-    (asserted in tests)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    out = [False] * len(texts)
-    if texts:
-        gate = pc.match_substring_regex(
-            pa.array(texts, pa.string()), _PHI_GATE_RE2) \
-            .to_numpy(zero_copy_only=False)
-        for i in np.flatnonzero(gate):
-            out[i] = bool(_PHI_RE.search(texts[i]))
-    for i, nm in enumerate(names):
-        if not out[i] and nm:
-            # Python re.IGNORECASE folds ı/İ with i and ſ with s (the same
-            # orbit the RE2 text gate widens above); plain lower() leaves
-            # ı/ſ in place and İ becomes 'i'+U+0307, so normalize those
-            # orbits or the gate misses names the exact regex matches.
-            # Deleting U+0307 / mapping ı→i, ſ→s only widens the gate —
-            # the _PHI_RE check below stays the decider.
-            lnm = nm.lower().replace('\u0307', '') \
-                .replace('\u0131', 'i').replace('\u017f', 's')
-            if any(k in lnm for k in _PHI_KEYWORDS):
-                out[i] = bool(_PHI_RE.search(nm))
+def is_phi_batch(names: list[str] | pa.Array, texts: list[str] | pa.Array) -> list[bool]:
+    """Vectorized :func:`is_phi`: ONE RE2 gate pass over the texts and the
+    names together, exact per-row regex only on the gated values.  Equals
+    ``[is_phi(n, t) ...]`` (asserted in tests)."""
+    names, texts = (v if isinstance(v, pa.Array) else pa.array(v, pa.string())
+                    for v in (names, texts))
+    n = len(texts)
+    out = [False] * n
+    if n:
+        both = pa.concat_arrays([texts, names.cast(texts.type)])
+        rows = np.flatnonzero(pc.match_substring_regex(both, _PHI_GATE_RE2)
+                              .to_numpy(zero_copy_only=False))
+        for i, value in zip(rows.tolist(), both.take(rows).to_pylist()):
+            if _PHI_RE.search(value):
+                out[i % n] = True
     return out

@@ -2,27 +2,30 @@
 
 Detection semantics anchor: the reference's ``ReService.extract_entity``
 (``app/services/re_service.py:26-28``) — for each recognizer, stdlib
-``re.finditer(pattern, text)``, collect ``match.group()`` per hit, exceptions
-swallowed per-recognizer (:30-31).  All engine families are fused into one
-pass (the reference cascade ``_analyze``, data_analysis_service.py:50-66,
-concatenates engines without cross-pattern dedup).  Credential-family matches
-that look like code are suppressed (hyperscan_service.py:57-60).
+``re.finditer(pattern, text)``, collect ``match.group()`` per hit; a
+recognizer whose pattern stdlib ``re`` cannot compile yields nothing
+(:30-31).  Any other error propagates.  All engine families are fused into
+one pass (the reference cascade ``_analyze``, data_analysis_service.py:50-66,
+concatenates engines without cross-pattern dedup).  Credential-family
+matches that look like code are suppressed (hyperscan_service.py:57-60).
 
 Two scan paths, same results (asserted by tests):
 
 - :func:`scan_text`  — plain per-row loop.  This is the serial-oracle path.
-- :func:`scan_texts` — the batched fast path: all non-anchored patterns run
-  ONCE over a ``\\x00``-joined megastring of the whole batch (one C-level
-  ``finditer`` per pattern per batch instead of per row), results mapped back
-  to rows via ``searchsorted``.  Anchored patterns (``$``/``^`` — the
-  credential family) fall back to per-row, because joining changes anchor
-  semantics.  ``\\x00`` is safe as a separator for REGISTRY patterns: no
-  registry pattern contains a character class that admits NUL without also
-  being row-local (verified by
+- :func:`scan_texts` — the batched path.  Vectorized RE2 passes pick each
+  detector's candidate rows, each pass running only on the Arrow sub-array
+  its gate left (see :func:`scan_texts`); stdlib ``re`` then decides every
+  span on the surviving rows only.  Non-anchored registry patterns run ONE
+  C-level ``finditer`` over a ``\\x00``-joined megastring of their rows,
+  results mapped back to rows by binary search over the row offsets.
+  Anchored patterns (``$``/``^`` — the credential family) run per row,
+  because joining changes anchor semantics.  ``\\x00`` is safe as a
+  separator for REGISTRY patterns: no registry pattern contains a character
+  class that admits NUL without also being row-local (verified by
   ``tests/test_scan.py::test_megastring_equals_per_row``).  User-supplied
-  ``custom`` patterns carry no such proof (``.`` / ``\\S`` / negated classes
-  match NUL and would leak the neighboring document into a span), so they
-  always take the per-row path (``Detector.megastring_safe``).
+  ``custom`` patterns carry no such proof (``.`` / ``\\S`` / negated
+  classes match NUL and would leak the neighboring document into a span),
+  so they always run per row over every row (``Detector.megastring_safe``).
 
 Span scrubbing: spans are applied right-to-left (start descending) so earlier
 splices don't invalidate later offsets (SURVEY.md §7.3); overlapping spans
@@ -33,12 +36,16 @@ no-cross-pattern-dedup behavior.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from pii_detector_ray.detectors import (
-    CREDENTIAL_PATTERNS,
     SECRET_EXCLUDE,
     Detector,
     compiled,
@@ -49,7 +56,6 @@ from pii_detector_ray.ner import PERSON_ENTITY, PERSON_PATTERN, trim_candidate
 
 _SECRET_EXCLUDE_RE = re.compile(SECRET_EXCLUDE, re.IGNORECASE)
 _SYSTEM_ENTITIES = frozenset(system_entities())
-_CREDENTIAL_NAMES = frozenset(CREDENTIAL_PATTERNS)
 
 # ---------------------------------------------------------------------------
 # RE2 superset prefilter: per detector, transform the Python-re pattern into
@@ -64,13 +70,20 @@ _CREDENTIAL_NAMES = frozenset(CREDENTIAL_PATTERNS)
 #   - ``\D``/``\W``/``\S`` and class elements inside NEGATED classes stay
 #     as-is: RE2's ASCII base sets are subsets of Python's, so their
 #     complements are supersets;
-#   - patterns with ``^``/``$`` (different default semantics), lookarounds,
-#     backrefs, or Python-only flags return None → no prefilter (unchanged
-#     behavior).  Exactness is asserted by
-#     tests/test_scan.py (megastring == per-row) + unicode-digit adversaria.
-# This mirrors the reference's hyperscan-prefilter architecture
-# (hyperscan as the fast first pass, exact engine confirms;
-# app/services/hyperscan_service.py) in Arrow/RE2 terms.
+#   - ``$`` becomes ``\n?$`` (Python's default ``$`` also matches before a
+#     trailing newline); ``^`` means start-of-text in both engines;
+#   - under a leading ``(?i)`` Python folds İ (U+0130) and ı (U+0131) onto
+#     ``i`` but RE2's simple case folding does not (a full-BMP sweep shows
+#     that orbit is the only divergence for ASCII patterns), so a literal
+#     ``i``/``I`` becomes ``[iİı]`` and a positive class that matches ``i``
+#     also admits İ/ı; such patterns must be ASCII without ``\x``-style
+#     escapes;
+#   - lookarounds, backrefs, ``\A``/``\Z``, scoped or non-leading flags and
+#     Python-only flags return None → no prefilter.
+# Exactness is asserted by tests/test_scan.py (megastring == per-row, the
+# unicode adversaria and the İ/ı rows).  This mirrors the reference's
+# hyperscan-prefilter architecture (hyperscan as the fast first pass, exact
+# engine confirms; app/services/hyperscan_service.py) in Arrow/RE2 terms.
 # ---------------------------------------------------------------------------
 
 _PY_SPACE_RE2_ELEMS = r'\t-\r \x1c-\x1f\x85\xa0\p{Z}'
@@ -79,10 +92,20 @@ _PY_SPACE_RE2_ELEMS = r'\t-\r \x1c-\x1f\x85\xa0\p{Z}'
 def _re2_superset(pattern: str) -> str | None:
     if re.search(r'\(\?[aLuxm]', pattern):       # Python-only / ^$-shifting
         return None
+    lead = re.match(r'\(\?[a-zA-Z]+\)', pattern)
     out: list[str] = []
+    if lead:
+        out.append(lead.group())
+        pattern = pattern[lead.end():]
+    if re.search(r'\(\?[a-zA-Z-]+[:)]', pattern):   # scoped / non-leading flags
+        return None
+    fold_i = lead is not None and 'i' in lead.group()
+    if fold_i and not pattern.isascii():
+        return None
     i, n = 0, len(pattern)
     in_class = False
     _class_negated = False
+    class_src = class_out = 0
     while i < n:
         c = pattern[i]
         if c == '\\' and i + 1 < n:
@@ -104,6 +127,8 @@ def _re2_superset(pattern: str) -> str | None:
                     i += 2
                     continue
                 if nxt in 'AZz' or nxt.isdigit():   # anchors / backrefs
+                    return None
+                if fold_i and nxt in 'xuUN':        # may spell an 'i'
                     return None
             else:
                 # inside a class: widen only in POSITIVE classes (widening
@@ -137,6 +162,7 @@ def _re2_superset(pattern: str) -> str | None:
             if c == '[':
                 in_class = True
                 _class_negated = pattern[i + 1:i + 2] == '^'
+                class_src, class_out = i, len(out)
                 out.append(c)
                 i += 1
                 if _class_negated:
@@ -156,30 +182,33 @@ def _re2_superset(pattern: str) -> str | None:
                 return None
             if pattern[i:i + 4] in ('(?<=', '(?<!'):
                 return None
+            if fold_i and c in 'iI':
+                out.append('[iİı]')
+                i += 1
+                continue
         elif c == ']':
             in_class = False
+            out.append(c)
+            i += 1
+            if fold_i and not _class_negated and \
+                    re.fullmatch('(?i)' + pattern[class_src:i], 'i'):
+                out[class_out:] = ['(?:' + ''.join(out[class_out:]) + '|[İı])']
+            continue
         out.append(c)
         i += 1
     return ''.join(out)
 
 
-_PREFILTER_CACHE: dict[str, str | None] = {}
-
-
+@lru_cache(maxsize=None)
 def re2_prefilter(pattern: str) -> str | None:
     """Cached :func:`_re2_superset`, validated against RE2 once (a pattern
     RE2 cannot compile yields None → the scan runs unfiltered)."""
-    if pattern in _PREFILTER_CACHE:
-        return _PREFILTER_CACHE[pattern]
     pf = _re2_superset(pattern)
     if pf is not None:
         try:
-            import pyarrow as pa
-            import pyarrow.compute as pc
             pc.match_substring_regex(pa.array([''], pa.string()), pf)
-        except Exception:
-            pf = None
-    _PREFILTER_CACHE[pattern] = pf
+        except pa.ArrowInvalid:
+            return None
     return pf
 
 
@@ -238,207 +267,199 @@ def _scan_overlapping(det: Detector, text: str, out: list[Span]) -> None:
             _emit(det, m.start(1), m.end(1), val, out)
 
 
+def _recognizer(pattern: str) -> re.Pattern | None:
+    """``compiled(pattern)``, or None when stdlib ``re`` rejects it: a
+    recognizer that cannot compile yields no spans and the others go on, as
+    in the reference (re_service.py:30-31).  ``US_PASSPORT``'s mid-pattern
+    ``(?i)`` is such a pattern on Python >= 3.11."""
+    try:
+        return compiled(pattern)
+    except re.error:
+        return None
+
+
 def scan_text(text: str, detectors: list[Detector], *, ner: bool = False,
               credential_keep_longest: bool = False) -> list[Span]:
     """Per-row scan — the oracle path (re_service.py:26-28 semantics)."""
     spans: list[Span] = []
     for det in detectors:
-        try:
-            if credential_keep_longest and det.suppress_codelike:
-                _scan_overlapping(det, text, spans)
-            else:
-                for m in compiled(det.pattern).finditer(text):
-                    _emit(det, m.start(), m.end(), m.group(), spans)
-        except Exception:
+        pat = _recognizer(det.pattern)
+        if pat is None:
             continue
+        if credential_keep_longest and det.suppress_codelike:
+            _scan_overlapping(det, text, spans)
+        else:
+            for m in pat.finditer(text):
+                _emit(det, m.start(), m.end(), m.group(), spans)
     if ner:
         _person_scan(text, spans)
     spans.sort(key=Span.sort_key)
     return spans
 
 
-_DIGIT_RE = re.compile(r'[0-9]')
+def text_array(texts: list[str] | pa.Array | pa.ChunkedArray) -> pa.Array:
+    """``texts`` as one Arrow string array, NULL read as ''."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    elif not isinstance(texts, pa.Array):
+        texts = pa.array(texts, pa.string())
+    if pa.types.is_null(texts.type):        # an all-NULL column of no type
+        texts = texts.cast(pa.string())
+    return texts.fill_null('') if texts.null_count else texts
+
+
+def _fold_literal(key: str) -> str:
+    """RE2 form of a lowercase gate literal, to run under ``(?i)``: it
+    matches every spelling Python's ``re.IGNORECASE`` matches (RE2 folds
+    ſ→s and K→k itself; only the İ/ı orbit of ``i`` needs widening)."""
+    return ''.join('[iİı]' if ch == 'i' else re.escape(ch) for ch in key)
+
+
+def _hits(arr: pa.Array, pattern: str) -> np.ndarray:
+    """Positions of the rows of ``arr`` that contain an RE2 match of ``pattern``."""
+    return np.flatnonzero(
+        pc.match_substring_regex(arr, pattern).to_numpy(zero_copy_only=False))
+
+
+class _Rows:
+    """A subset of a batch's rows: their batch indices and their texts as an
+    Arrow sub-array, so a pass over the subset never reads the other rows."""
+
+    __slots__ = ('idx', 'arr')
+
+    def __init__(self, idx: np.ndarray, arr: pa.Array):
+        self.idx = idx
+        self.arr = arr
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def take(self, pos: np.ndarray) -> _Rows:
+        """The rows at the (sorted, unique) positions ``pos`` of this subset."""
+        if len(pos) == len(self.idx):
+            return self
+        return _Rows(self.idx[pos], self.arr.take(pos))
+
+    def where(self, pattern: str | None) -> _Rows:
+        """The rows whose text contains an RE2 match of ``pattern`` (all of
+        them when there is no pattern)."""
+        if pattern is None or not len(self.idx):
+            return self
+        return self.take(_hits(self.arr, pattern))
+
+    def items(self) -> Iterator[tuple[int, str]]:
+        """(batch row index, text) pairs."""
+        return zip(self.idx.tolist(), self.arr.to_pylist())
 
 
 class _SubCorpus:
     """\\x00-joined megastring over a row subset, with position→row mapping."""
 
-    def __init__(self, texts: list[str], rows: list[int] | None):
-        self.rows = rows
-        sel = texts if rows is None else [texts[i] for i in rows]
-        self.big = '\x00'.join(sel)
-        n = len(sel)
-        lens = np.fromiter((len(t) for t in sel), dtype=np.int64, count=n)
-        self.offsets = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(lens[:-1] + 1, out=self.offsets[1:])
+    def __init__(self, rows: _Rows):
+        self.idx = rows.idx.tolist()
+        whole = pa.ListArray.from_arrays(pa.array([0, len(rows)], pa.int32()), rows.arr)
+        self.big = pc.binary_join(whole, '\x00')[0].as_py()
+        # offsets in code points, as Python str positions count them
+        lens = pc.utf8_length(rows.arr).to_numpy(zero_copy_only=False).astype(np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(lens[:-1] + 1))).tolist()
 
-    def locate(self, pos: int) -> tuple[int, int]:
-        """megastring position → (global row index, row base offset)."""
-        local = int(np.searchsorted(self.offsets, pos, side='right')) - 1
-        row = local if self.rows is None else self.rows[local]
-        return row, int(self.offsets[local])
+    def finditer(self, pat: re.Pattern) -> Iterator[tuple[int, int, re.Match]]:
+        """``(batch row index, row base offset, match)`` per match."""
+        for m in pat.finditer(self.big):
+            local = bisect_right(self.offsets, m.start()) - 1
+            yield self.idx[local], self.offsets[local], m
 
 
-def scan_texts(texts: list[str], detectors: list[Detector], *, ner: bool = False,
-               credential_keep_longest: bool = False) -> list[list[Span]]:
+def scan_texts(texts: list[str] | pa.Array | pa.ChunkedArray, detectors: list[Detector], *,
+               ner: bool = False, credential_keep_longest: bool = False) -> list[list[Span]]:
     """Batched scan, identical results to mapping :func:`scan_text` over rows
-    (asserted by tests), but engineered for the hot path:
+    (asserted by tests).  ``texts`` may be an Arrow array (NULL reads as
+    '') so a caller that holds one never converts the batch to Python.
 
-    - non-anchored patterns run ONE C-level ``finditer`` over a megastring of
-      the eligible rows instead of a Python loop per row;
-    - each detector's gate (``detectors.GATES``) prunes rows that provably
-      cannot match (no digit / no '@' / no keyword), so most of a clean
-      webtext batch is never scanned by most patterns;
-    - anchored patterns (``$``/``^`` change meaning under joining) fall back
-      to per-row ``finditer`` over gated rows only.
+    Each RE2 pass reads only the Arrow sub-array its gate left
+    (``detectors.GATES``), and Python sees only the rows that survive:
+
+    - three passes read the whole batch: ``[0-9]`` (digit / digit-less
+      rows), the ``[0-9:]`` IP gate and ONE case-folded alternation of the
+      literals of the ``'lit'`` gates (never of the prefilters: RE2 leaves
+      its DFA on such a union);
+    - each literal then runs over that union's rows only, and each
+      detector's RE2 superset prefilter (:func:`re2_prefilter`) over its
+      gate's rows only (the ``'split'`` gate's reduced pattern over the
+      digit-less rows);
+    - stdlib ``re`` decides every span on the prefiltered rows: one
+      ``finditer`` over a megastring of them, or per row for anchored
+      patterns, which joining would change;
+    - ``custom`` detectors have no gate and no prefilter (their patterns
+      carry no RE2 proof) and run per row over every row.
     """
-    n = len(texts)
-    per_row: list[list[Span]] = [[] for _ in range(n)]
-    if n == 0:
+    arr = text_array(texts)
+    per_row: list[list[Span]] = [[] for _ in range(len(arr))]
+    if not len(arr):
         return per_row
+    batch = _Rows(np.arange(len(arr)), arr)
+    lit_keys = sorted({k for det in detectors if isinstance(det.gate, tuple)
+                       and det.gate[0] == 'lit' for k in det.gate[1:]})
+    gated: dict[object, _Rows] = {}
+    key_pos: dict[str, np.ndarray] = {}
 
-    lowered_arr = None        # pa.array of t.lower(), built once on demand
-    raw_arr = None            # pa.array of the raw texts
-    digit_rows: list[int] | None = None
-    corpora: dict[object, _SubCorpus] = {}
+    def gate_rows(g) -> _Rows:
+        """The candidate rows of gate ``g``, each gate evaluated once."""
+        if g in gated:
+            return gated[g]
+        if g in ('digit', 'nondigit'):
+            digit = pc.match_substring_regex(arr, '[0-9]').to_numpy(zero_copy_only=False)
+            gated['digit'] = batch.take(np.flatnonzero(digit))
+            gated['nondigit'] = batch.take(np.flatnonzero(~digit))
+        elif g[0] == 're':
+            gated[g] = batch.where(g[1])
+        else:                        # ('lit', key, ...): rows with one of its keys
+            if 'literals' not in gated:     # rows with a literal of any 'lit' gate
+                gated['literals'] = batch.where(
+                    '(?i)(?:' + '|'.join(_fold_literal(k) for k in lit_keys) + ')')
+            cand = gated['literals']
+            if len(cand):
+                for k in g[1:]:
+                    if k not in key_pos:
+                        key_pos[k] = _hits(cand.arr, '(?i)' + _fold_literal(k))
+                cand = cand.take(np.unique(np.concatenate([key_pos[k] for k in g[1:]])))
+            gated[g] = cand
+        return gated[g]
 
-    def _raw() -> 'pa.Array':
-        nonlocal raw_arr
-        if raw_arr is None:
-            import pyarrow as pa
-            raw_arr = pa.array(texts, pa.string())
-        return raw_arr
-
-    def eligible(det: Detector) -> tuple[object, list[int] | None]:
-        """Gate evaluation is vectorized (pyarrow kernels) with semantics
-        identical to the per-row Python tests they replace: the digit /
-        quick-regex gates run RE2 on the raw text (pure ASCII classes),
-        and literal keys run a plain BYTE substring search over the
-        Python-``lower()``ed strings — byte-identical to ``k in
-        t.lower()`` (arrow's own utf8_lower is NOT used: its case mapping
-        can diverge from Python's on exotic codepoints)."""
-        nonlocal lowered_arr, digit_rows
-        import pyarrow.compute as pc
-        g = det.gate
-        if g is None:
-            return ('all',), None
-        if g == 'digit':
-            if digit_rows is None:
-                digit_rows = np.flatnonzero(
-                    pc.match_substring_regex(_raw(), '[0-9]')
-                    .to_numpy(zero_copy_only=False)).tolist()
-            return ('digit',), digit_rows
-        if g[0] == 're':     # quick-regex gate (e.g. [0-9:] for IP)
-            try:
-                mask = pc.match_substring_regex(_raw(), g[1]) \
-                    .to_numpy(zero_copy_only=False)
-                rows = np.flatnonzero(mask).tolist()
-            except Exception:   # non-RE2 custom gate: per-row fallback
-                quick = compiled(g[1])  # type: ignore[index]
-                rows = [i for i, t in enumerate(texts) if quick.search(t)]
-            return ('re', g[1]), rows
-        keys = tuple(g[1:])  # type: ignore[index]
-        if lowered_arr is None:
-            import pyarrow as pa
-            lowered_arr = pa.array([t.lower() for t in texts], pa.string())
-        mask = None
-        for k in keys:
-            m = pc.match_substring(lowered_arr, k) \
-                .to_numpy(zero_copy_only=False)
-            mask = m if mask is None else (mask | m)
-        rows = np.flatnonzero(mask).tolist()
-        return ('lit', keys), rows
-
-    def scan_sub(det: Detector, pattern: str, key: object, rows: list[int] | None) -> None:
-        pat = compiled(pattern)
-        sub = corpora.get(key)
-        if sub is None:
-            sub = corpora[key] = _SubCorpus(texts, rows)
-        for m in pat.finditer(sub.big):
-            row, base = sub.locate(m.start())
-            _emit(det, m.start() - base, m.end() - base, m.group(), per_row[row])
-
-    def prefilter_rows(pattern: str, rows: list[int] | None) -> list[int] | None:
-        """Intersect a gate's candidate rows with the RE2-superset prefilter
-        (see ``_re2_superset``); returns ``rows`` unchanged when the pattern
-        has no safe prefilter.  The RE2 scan is a single vectorized C++ pass
-        over the batch — rows it rejects provably contain no Python match."""
-        pf = re2_prefilter(pattern)
-        if pf is None:
-            return rows
-        import pyarrow.compute as pc
-        try:
-            mask = pc.match_substring_regex(_raw(), pf) \
-                .to_numpy(zero_copy_only=False)
-        except Exception:
-            return rows
-        if rows is None:
-            return np.flatnonzero(mask).tolist()
-        return [i for i in rows if mask[i]]
+    def scan(det: Detector, pat: re.Pattern, rows: _Rows) -> None:
+        if not len(rows):
+            return
+        if credential_keep_longest and det.suppress_codelike:
+            for row, text in rows.items():
+                _scan_overlapping(det, text, per_row[row])
+        elif det.anchored or not det.megastring_safe:
+            for row, text in rows.items():
+                for m in pat.finditer(text):
+                    _emit(det, m.start(), m.end(), m.group(), per_row[row])
+        else:
+            for row, base, m in _SubCorpus(rows).finditer(pat):
+                _emit(det, m.start() - base, m.end() - base, m.group(), per_row[row])
 
     for det in detectors:
+        pat = _recognizer(det.pattern)
+        if pat is None:
+            continue
         g = det.gate
-        if isinstance(g, tuple) and g and g[0] == 'split':
+        if g is None:
+            scan(det, pat, batch)
+        elif isinstance(g, tuple) and g[0] == 'split':
             # digit rows: full pattern; digit-less rows: reduced equivalent
-            if digit_rows is None:
-                import pyarrow.compute as pc
-                digit_rows = np.flatnonzero(
-                    pc.match_substring_regex(_raw(), '[0-9]')
-                    .to_numpy(zero_copy_only=False)).tolist()
-            digit_set = set(digit_rows)
-            nondigit = [i for i in range(n) if i not in digit_set] \
-                if digit_rows else list(range(n))
-            try:
-                if digit_rows:
-                    drows = prefilter_rows(det.pattern, digit_rows)
-                    if drows:
-                        scan_sub(det, det.pattern, ('pfd', det.pattern), drows)
-                if nondigit:
-                    ndrows = prefilter_rows(g[1], nondigit)
-                    if ndrows:
-                        scan_sub(det, g[1], ('pfn', g[1]), ndrows)
-            except Exception:
-                pass
-            continue
-        key, rows = eligible(det)
-        if rows is not None and not rows:
-            continue
-        # Registry patterns get the RE2 prefilter, EXCEPT literal-gated ones:
-        # a 'lit' gate already pruned rows with a cheap substring pass, and
-        # for those (mostly anchored credential) patterns the full-batch RE2
-        # scan costs more than the remaining per-row Python scan (measured).
-        if det.megastring_safe and not (isinstance(key, tuple) and key
-                                        and key[0] == 'lit'):
-            pf_rows = prefilter_rows(det.pattern, rows)
-            if pf_rows is not rows:
-                key, rows = ('pf', det.pattern), pf_rows
-                if not rows:
-                    continue
-        try:
-            if credential_keep_longest and det.suppress_codelike:
-                for row in (rows if rows is not None else range(n)):
-                    _scan_overlapping(det, texts[row], per_row[row])
-            elif not det.anchored and det.megastring_safe:
-                scan_sub(det, det.pattern, key, rows)
-            else:
-                pat = compiled(det.pattern)
-                for row in (rows if rows is not None else range(n)):
-                    for m in pat.finditer(texts[row]):
-                        _emit(det, m.start(), m.end(), m.group(), per_row[row])
-        except Exception:
-            continue
+            scan(det, pat, gate_rows('digit').where(re2_prefilter(det.pattern)))
+            scan(det, compiled(g[1]), gate_rows('nondigit').where(re2_prefilter(g[1])))
+        else:
+            scan(det, pat, gate_rows(g).where(re2_prefilter(det.pattern)))
 
     if ner:
         # PERSON pattern is letters+spaces only — megastring-safe (ner.py)
-        sub = corpora.get(('all',))
-        if sub is None:
-            sub = corpora[('all',)] = _SubCorpus(texts, None)
-        for m in compiled(PERSON_PATTERN).finditer(sub.big):
+        for row, base, m in _SubCorpus(batch).finditer(compiled(PERSON_PATTERN)):
             hit = trim_candidate(m.group())
             if hit is not None:
                 off, value, score = hit
-                row, base = sub.locate(m.start())
                 per_row[row].append(Span(type=PERSON_ENTITY,
                                          start=m.start() + off - base,
                                          end=m.end() - base, value=value,

@@ -19,3 +19,30 @@ def ray_session():
 def smoke_pages_dir():
     from pii_detector_ray.sources.pages import ensure_corpus
     return ensure_corpus('smoke')
+
+
+@pytest.fixture(scope='session')
+def webtext_pages(tmp_path_factory):
+    """``seed -> pa.Table`` of the pages of the perfbench ``webtext_default``
+    corpus shape (5,000 rows over 8 shards, 2% duplicate urls), generated
+    once per seed per session."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pii_detector_ray.sources.pages import PagesSpec, generate_pages
+
+    tables = {}
+
+    def pages(seed: int) -> pa.Table:
+        if seed not in tables:
+            out = generate_pages(str(tmp_path_factory.mktemp(f'webtext{seed}')),
+                                 PagesSpec(n_rows=5000, n_shards=8, seed=seed,
+                                           dup_url_frac=0.02))
+            tables[seed] = pa.concat_tables(
+                pq.read_table(p) for p in sorted(glob.glob(os.path.join(out, '*.parquet'))))
+        return tables[seed]
+
+    return pages

@@ -84,3 +84,43 @@ def test_phi_batch_name_fold_orbit():
     got = is_phi_batch(names, texts)
     assert got == [is_phi(n, t) for n, t in zip(names, texts)]
     assert got == [True, True, True, True, True, False]
+
+
+def _phi_sweep_misses(gate: str) -> list[str]:
+    """Texts ``c+k`` / ``k+c`` (c: every BMP code point, k: a boundary
+    keyword spelling) that _PHI_RE matches but the RE2 ``gate`` rejects."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from pii_detector_ray.functions.masking import _PHI_RE
+
+    chars = [chr(c) for c in range(0x10000) if not 0xD800 <= c < 0xE000]
+    spellings = ['health', 'HEALTH', 'Health', 'rh', 'RH', 'Rh', 'phi', 'PHI',
+                 'Phi', 'phİ', 'PHİ', 'phı', 'PHı']
+    misses = []
+    for k in spellings:
+        texts = [c + k for c in chars] + [k + c for c in chars]
+        gated = pc.match_substring_regex(pa.array(texts), gate).to_pylist()
+        misses += [t for t, g in zip(texts, gated) if not g and _PHI_RE.search(t)]
+    return misses
+
+
+def test_phi_gate_boundary_superset_sweep():
+    """The boundary-aware RE2 gate admits every char next to health/rh/phi
+    that _PHI_RE's ``(\\b|_)`` admits; a boundary class that also excludes
+    ``_`` is caught by the same sweep."""
+    from pii_detector_ray.functions.masking import _PHI_GATE_RE2
+
+    assert _phi_sweep_misses(_PHI_GATE_RE2) == []
+    narrowed = _PHI_GATE_RE2.replace('[^a-z0-9]', '[^a-z0-9_]')
+    assert narrowed != _PHI_GATE_RE2
+    assert '_health' in _phi_sweep_misses(narrowed)
+
+
+def test_phi_batch_equals_scalar_on_webtext_corpora(webtext_pages):
+    from pii_detector_ray.functions.masking import is_phi_batch
+    for seed in (1, 2, 3):
+        pages = webtext_pages(seed)
+        names = pages.column('url').to_pylist()
+        texts = [t or '' for t in pages.column('text').to_pylist()]
+        assert is_phi_batch(names, texts) == [is_phi(n, t) for n, t in zip(names, texts)]

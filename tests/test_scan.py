@@ -4,7 +4,7 @@ equivalence on adversarial inputs."""
 
 import pytest
 
-from pii_detector_ray.detectors import DEFAULT_SCRUB_ENTITIES, build_registry
+from pii_detector_ray.detectors import DEFAULT_SCRUB_ENTITIES, GATES, build_registry
 from pii_detector_ray.scan import scan_text, scan_texts, scrub_text
 
 ALL = build_registry()
@@ -68,6 +68,12 @@ def test_megastring_equals_per_row():
         'letters ABCDEFGHIJKL runs',     # DL pattern without digits
         'hex ipv6 abcd:abcd:abcd:abcd:abcd:abcd:abcd:beef here',  # no ASCII digit
         'short hex six abcd::beef end',
+        # Python's re.IGNORECASE folds İ/ı onto i; RE2's (?i) does not, so
+        # the literal gates and (?i) prefilters must widen that orbit
+        'TWİLIO_ACCOUNT_SID = ' + 'a' * 32,
+        'gıthub_token = ' + 'b' * 40,
+        'id İBCPX1234F ok and ıBCPX1234F',
+        'ſſh-rsa AAAAB3NzaC1yc2E',
     ]
     batched = scan_texts(texts, ALL)
     for i, t in enumerate(texts):
@@ -229,10 +235,11 @@ def test_re2_superset_property_adversarial():
     import re
 
     texts = ['ééé', 'phİ', '١٢٣', 'a b', 'foo\n', 'foo', 'x9y',
-             'Ωmega word', 'tab\tsep', '', 'i̇dot']
+             'Ωmega word', 'tab\tsep', '', 'i̇dot', 'PHı', 'TWİLIO', 'İD9']
     patterns = [r'[^\W\d_]+', r'[^\W]', r'[^\S\n]', r'\d+', r'\w+', r'\s',
                 r'\bfoo$', r'[\d ]+', r'[\w-]+', r'ph\w', r'[^\d]',
-                r'x\dy', r'\AΩ']
+                r'x\dy', r'\AΩ', r'(?i)ph[a-z]', r'(?i)twilio', r'(?i)[A-Z]{2}\d',
+                r'(?i)[^a-h]d']
     for pat in patterns:
         pf = _re2_superset(pat)
         if pf is None:
@@ -246,3 +253,74 @@ def test_re2_superset_property_adversarial():
     # the negated-class trap specifically must disable the prefilter
     assert _re2_superset(r'[^\W\d_]+') is None
     assert _re2_superset(r'[^\S]') is None
+
+
+def test_ignorecase_prefilter_and_gate_fold_like_python():
+    """Full-BMP sweep: every char Python's re.IGNORECASE matches to an ASCII
+    letter is matched by the (?i) prefilter of that letter and by the gate
+    literal fold (RE2 alone misses İ/ı, the only divergent orbit)."""
+    import re
+    import string
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from pii_detector_ray.scan import _fold_literal, _re2_superset
+
+    chars = [chr(c) for c in range(0x10000) if not 0xD800 <= c < 0xE000]
+    folding = re.compile('(?i)[a-z]')
+    folded = [c for c in chars if folding.fullmatch(c)]
+    assert {'İ', 'ı', 'ſ', 'K'} <= set(folded)
+    arr = pa.array(folded)
+    for x in string.ascii_lowercase:
+        py = re.compile('(?i)' + x)
+        want = [bool(py.fullmatch(c)) for c in folded]
+        for pat in (_re2_superset('(?i)' + x), '(?i)' + _fold_literal(x),
+                    _re2_superset('(?i)[' + x + ']')):
+            got = pc.match_substring_regex(arr, pat).to_pylist()
+            assert all(g for g, w in zip(got, want) if w), (x, pat)
+
+
+def test_every_registry_detector_is_gated():
+    """scan_texts runs registry detectors only on their gate's rows, so
+    every registry detector needs a GATES entry; custom detectors never
+    take one, even under a registry name."""
+    assert all(d.name in GATES for d in ALL)
+    custom = build_registry(include_pii=False, include_credentials=False,
+                            include_extensions=False,
+                            extra={'EMAIL_ADDRESS': r'no-at-sign'})
+    assert custom[0].gate is None
+    assert scan_texts(['a no-at-sign row'], custom) == \
+        [scan_text('a no-at-sign row', custom)]
+    assert len(scan_text('a no-at-sign row', custom)) == 1
+
+
+def test_detector_error_propagates(monkeypatch):
+    """Only an uncompilable pattern is skipped; a detector that raises
+    while scanning fails the scan instead of silently losing its spans."""
+    import pii_detector_ray.scan as scan
+
+    det = next(d for d in ALL if d.name == 'US_SSN')
+    real = scan.compiled
+
+    class Raising:
+        def finditer(self, text):
+            raise RuntimeError('detector bug')
+
+    monkeypatch.setattr(scan, 'compiled',
+                        lambda p: Raising() if p == det.pattern else real(p))
+    with pytest.raises(RuntimeError, match='detector bug'):
+        scan_text('ssn 172-32-1176', [det])
+    with pytest.raises(RuntimeError, match='detector bug'):
+        scan_texts(['ssn 172-32-1176'], [det])
+
+
+def test_uncompilable_custom_pattern_yields_nothing():
+    """The reference swallows a failing recognizer (re_service.py:30-31):
+    an uncompilable custom pattern yields no spans and leaves the other
+    detectors' spans unchanged, on both scan paths."""
+    texts = ['ssn 172-32-1176 mail jwhite@domain.com', 'BAD( here', '']
+    dets = build_registry(extra={'BAD': r'BAD('})
+    assert scan_texts(texts, dets) == scan_texts(texts, ALL)
+    assert [scan_text(t, dets) for t in texts] == [scan_text(t, ALL) for t in texts]
+    assert scan_texts(texts, dets)[0]
