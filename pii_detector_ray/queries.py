@@ -43,6 +43,16 @@ from pii_detector_ray.stages.dedup import (
     hash_join,
     join_partitions,
 )
+from pii_detector_ray.stages.ranks import (
+    midranks,
+    nan_last,
+    null_key,
+    null_key_value,
+    per_part,
+    prefix_before,
+    run_starts,
+    sorted_prefix,
+)
 from pii_detector_ray.functions.masking import PHI_PATTERN, mask_data
 from pii_detector_ray.functions.re2compat import (
     RE2_NONSPACE as _RE2_NONSPACE,
@@ -11128,104 +11138,59 @@ def q_value_ks_test(sf_dir: str, group_a: str = 'click',
     distributions of two event types — the distribution-drift check a
     data pipeline runs between corpus snapshots.
 
-    Plan (100 TB shape): one narrow groupby collapses the stream to
-    per-distinct-value counts for both groups; a global sort + the
-    sequence_packing block-summary prefix sum turns those into exact
-    cumulative counts WITHOUT any row reaching the driver.  The CDF gap
-    is compared in INTEGER cross-multiplied form (|ca*tb - cb*ta|, exact
-    int64 — asserted < 2^63, which holds to ~3e9 events per group; past
-    that the comparison would move to float128/uint128 pairs), so the
-    max is bit-deterministic and the single final division happens once
-    on the driver.  Only block summaries and one scalar max travel."""
+    Plan (100 TB shape, shared with ``score_auc``): per-batch partials
+    count rows per (value, type); one ``stages.ranks.sorted_prefix`` sort
+    by value gives each block its exact per-type counts in earlier blocks
+    WITHOUT any row reaching the caller, and each block collapses its own
+    tie runs into cumulative counts.  The CDF gap is compared in INTEGER
+    cross-multiplied form (|ca*tb - cb*ta|, exact int64 — asserted < 2^63,
+    which holds to ~3e9 events per group; past that the comparison would
+    move to float128/uint128 pairs), so the max is bit-deterministic and
+    the single final division happens once in the caller.  Only block
+    summaries and one scalar per block travel.  As in the oracle: NaN is
+    one value ranked above every number, and with one group absent the
+    row's ``ks_stat`` is NULL."""
     from pii_detector_ray.functions.rounding import sql_round_np
-
-    ev = _events(sf_dir, ['event_type', 'value'])
 
     def partial(t: pa.Table) -> pa.Table:
         sel = t.filter(pc.and_(
             pc.is_in(t.column('event_type'),
                      value_set=pa.array([group_a, group_b])),
             pc.is_valid(t.column('value'))))
-        tab = pa.table({
-            'value': sel.column('value'),
-            '_ia': pc.cast(pc.equal(sel.column('event_type'), group_a),
-                           pa.int64()),
-            '_ib': pc.cast(pc.equal(sel.column('event_type'), group_b),
-                           pa.int64())})
-        return tab.group_by('value').aggregate(
-            [('_ia', 'sum'), ('_ib', 'sum')]) \
-            .rename_columns(['value', '_ia', '_ib'])
+        tab = pa.table({**nan_last(sel.column('value')),
+                        'event_type': sel.column('event_type')})
+        return tab.group_by(['_nan', 'value', 'event_type']) \
+            .aggregate([([], 'count_all')]) \
+            .rename_columns(['_nan', 'value', 'event_type', '_n'])
 
-    g = (ev.map_batches(partial, batch_format='pyarrow')
-         .groupby('value')
-         .aggregate(Sum('_ia', alias_name='_na'),
-                    Sum('_ib', alias_name='_nb')))
-    mat = drop_empty_blocks(g).sort('value').materialize()
+    def block_max(t: pa.Table, off: dict, ta: int, tb: int) -> int:
+        ends = np.append(np.flatnonzero(
+            run_starts(t, ['_nan', 'value']))[1:], t.num_rows) - 1
+        et = t.column('event_type')
+        w = t.column('_n').to_numpy()
+        ca = off.get(group_a, 0) + np.cumsum(
+            np.where(pc.equal(et, group_a).to_numpy(), w, 0))[ends]
+        cb = off.get(group_b, 0) + np.cumsum(
+            np.where(pc.equal(et, group_b).to_numpy(), w, 0))[ends]
+        return int(np.abs(ca * tb - cb * ta).max())
 
-    def summary(t: pa.Table) -> pa.Table:
-        v = t.column('value').to_numpy(zero_copy_only=False)
-        if len(v) == 0:
-            return pa.table({'_min': pa.array([], pa.float64()),
-                             '_max': pa.array([], pa.float64()),
-                             '_sa': pa.array([], pa.int64()),
-                             '_sb': pa.array([], pa.int64())})
-        na = t.column('_na').to_numpy(zero_copy_only=False)
-        nb = t.column('_nb').to_numpy(zero_copy_only=False)
-        return pa.table({'_min': pa.array([float(v.min())]),
-                         '_max': pa.array([float(v.max())]),
-                         '_sa': pa.array([int(na.sum())], pa.int64()),
-                         '_sb': pa.array([int(nb.sum())], pa.int64())})
-
-    summ = sorted(
-        mat.map_batches(summary, batch_format='pyarrow',
-                        batch_size=None).take_all(),
-        key=lambda r: r['_min'])
-    empty = pd.DataFrame({'ks_stat': pd.array([], dtype='float64'),
-                          'n_a': pd.array([], dtype='int64'),
-                          'n_b': pd.array([], dtype='int64')})
-    if not summ:
-        return empty
-    offsets: dict[float, tuple[int, int, float, int, int]] = {}
-    run_a = run_b = 0
-    prev_max = None
-    for s in summ:
-        if prev_max is not None and s['_min'] <= prev_max:
-            raise AssertionError('blocks are not value-range-disjoint')
-        prev_max = s['_max']
-        offsets[s['_min']] = (run_a, run_b, s['_max'], s['_sa'], s['_sb'])
-        run_a += s['_sa']
-        run_b += s['_sb']
-    ta, tb = run_a, run_b
-    if ta == 0 or tb == 0:
-        return empty
+    blocks, totals = sorted_prefix(
+        _events(sf_dir, ['event_type', 'value'])
+        .map_batches(partial, batch_format='pyarrow'),
+        ['_nan', 'value'], 'event_type', weight='_n')
+    ta, tb = totals.get(group_a, 0), totals.get(group_b, 0)
     if ta * tb >= (1 << 63):           # int64 cross-multiply domain
         raise AssertionError('KS cross-multiply domain exceeded')
-    off_ref = ray.put(offsets)
-
-    def block_max(t: pa.Table) -> pa.Table:
-        v = t.column('value').to_numpy(zero_copy_only=False)
-        if len(v) == 0:
-            return pa.table({'_m': pa.array([], pa.int64())})
-        order = np.argsort(v, kind='stable')
-        na = t.column('_na').to_numpy(zero_copy_only=False)[order]
-        nb = t.column('_nb').to_numpy(zero_copy_only=False)[order]
-        base_a, base_b, exp_max, exp_sa, exp_sb = \
-            ray.get(off_ref)[float(v.min())]
-        if float(v.max()) != exp_max or int(na.sum()) != exp_sa \
-                or int(nb.sum()) != exp_sb:
-            raise AssertionError('pass-2 batch does not match its '
-                                 'pass-1 block summary')
-        ca = base_a + np.cumsum(na)
-        cb = base_b + np.cumsum(nb)
-        m = int(np.abs(ca * tb - cb * ta).max())
-        return pa.table({'_m': pa.array([m], pa.int64())})
-
-    maxnum = mat.map_batches(block_max, batch_format='pyarrow',
-                             batch_size=None).max('_m')
-    ks = float(sql_round_np(np.array([maxnum / (ta * tb)]), 6)[0])
-    return pd.DataFrame({'ks_stat': pd.array([ks], dtype='float64'),
-                         'n_a': pd.array([ta], dtype='int64'),
-                         'n_b': pd.array([tb], dtype='int64')})
+    ks = np.nan                        # one group absent: SQL x/0 is NULL
+    if ta and tb:
+        max_task = ray.remote(block_max)
+        maxnum = max(ray.get([max_task.remote(ref, off, ta, tb)
+                              for ref, off in blocks]))
+        ks = float(sql_round_np(np.array([maxnum / (ta * tb)]), 6)[0])
+    k = 1 if blocks else 0             # no valid value: no row
+    return pd.DataFrame({'ks_stat': pd.array([ks][:k], dtype='float64'),
+                         'n_a': pd.array([ta][:k], dtype='int64'),
+                         'n_b': pd.array([tb][:k], dtype='int64')})
 
 
 _VALUE_KS_SQL = (
@@ -11814,97 +11779,55 @@ def q_score_auc(sf_dir: str, positive: str = 'purchase') -> pd.DataFrame:
 
     which is the exact midrank form (each tied pair contributes 1/2).
 
-    Plan (100 TB shape, shared with ``value_ks_test``): one narrow
-    ``groupby(value)`` collapses the stream to per-distinct-value label
-    counts; a global sort + block summaries give exact cross-block
-    negative-count offsets WITHOUT any row reaching the driver; each
-    block then emits ONE int64 partial of 2*U (domain-asserted — 2*U <
-    2^63 holds to ~2e9 rows per class), and the single final division
-    happens once on the driver."""
+    Plan (100 TB shape, shared with ``value_ks_test``): per-batch partials
+    count rows per (value, label); one ``stages.ranks.sorted_prefix`` sort
+    by value gives each block its exact count of negatives in earlier
+    blocks WITHOUT any row reaching the caller.  Each block collapses its
+    own tie runs (a run never straddles two blocks; the primitive asserts
+    it) and emits ONE int64 partial of 2*U (domain-asserted — 2*U < 2^63
+    holds to ~2e9 rows per class); the single final division happens once
+    in the caller.  As in the oracle: NaN is one value ranked above every
+    number, a NULL event_type is a negative, and with one class absent the
+    row's ``auc`` is NULL."""
     from pii_detector_ray.functions.rounding import sql_round_np
-
-    ev = _events(sf_dir, ['event_type', 'value'])
 
     def partial(t: pa.Table) -> pa.Table:
         sel = t.filter(pc.is_valid(t.column('value')))
-        pos = pc.cast(pc.equal(sel.column('event_type'), positive),
-                      pa.int64())
-        tab = pa.table({'value': sel.column('value'),
-                        '_p': pos,
-                        '_n': pc.subtract(pa.scalar(1, pa.int64()), pos)})
-        return tab.group_by('value').aggregate(
-            [('_p', 'sum'), ('_n', 'sum')]) \
-            .rename_columns(['value', '_p', '_n'])
+        tab = pa.table({
+            **nan_last(sel.column('value')),
+            '_pos': pc.fill_null(
+                pc.equal(sel.column('event_type'), positive), False)})
+        return tab.group_by(['_nan', 'value', '_pos']) \
+            .aggregate([([], 'count_all')]) \
+            .rename_columns(['_nan', 'value', '_pos', '_n'])
 
-    g = (ev.map_batches(partial, batch_format='pyarrow')
-         .groupby('value')
-         .aggregate(Sum('_p', alias_name='_na'),
-                    Sum('_n', alias_name='_nb')))
-    mat = drop_empty_blocks(g).sort('value').materialize()
+    def block_u2(t: pa.Table, off: dict) -> int:
+        heads = np.flatnonzero(run_starts(t, ['_nan', 'value']))
+        pos = t.column('_pos').to_numpy(zero_copy_only=False)
+        w = t.column('_n').to_numpy()
+        na = np.add.reduceat(np.where(pos, w, 0), heads)
+        nb = np.add.reduceat(np.where(pos, 0, w), heads)
+        below = off.get(False, 0) + np.cumsum(nb) - nb
+        return int((na * (2 * below + nb)).sum())
 
-    def summary(t: pa.Table) -> pa.Table:
-        v = t.column('value').to_numpy(zero_copy_only=False)
-        if len(v) == 0:
-            return pa.table({'_min': pa.array([], pa.float64()),
-                             '_max': pa.array([], pa.float64()),
-                             '_sa': pa.array([], pa.int64()),
-                             '_sb': pa.array([], pa.int64())})
-        na = t.column('_na').to_numpy(zero_copy_only=False)
-        nb = t.column('_nb').to_numpy(zero_copy_only=False)
-        return pa.table({'_min': pa.array([float(v.min())]),
-                         '_max': pa.array([float(v.max())]),
-                         '_sa': pa.array([int(na.sum())], pa.int64()),
-                         '_sb': pa.array([int(nb.sum())], pa.int64())})
-
-    summ = sorted(
-        mat.map_batches(summary, batch_format='pyarrow',
-                        batch_size=None).take_all(),
-        key=lambda r: r['_min'])
-    empty = pd.DataFrame({'auc': pd.array([], dtype='float64'),
-                          'n_pos': pd.array([], dtype='int64'),
-                          'n_neg': pd.array([], dtype='int64')})
-    if not summ:
-        return empty
-    offsets: dict[float, tuple[int, float, int, int]] = {}
-    run_b = 0
-    prev_max = None
-    for s in summ:
-        if prev_max is not None and s['_min'] <= prev_max:
-            raise AssertionError('blocks are not value-range-disjoint')
-        prev_max = s['_max']
-        offsets[s['_min']] = (run_b, s['_max'], s['_sa'], s['_sb'])
-        run_b += s['_sb']
-    n_pos = sum(s['_sa'] for s in summ)
-    n_neg = run_b
-    if n_pos == 0 or n_neg == 0:
-        return empty
+    blocks, totals = sorted_prefix(
+        _events(sf_dir, ['event_type', 'value'])
+        .map_batches(partial, batch_format='pyarrow'),
+        ['_nan', 'value'], '_pos', weight='_n')
+    n_pos, n_neg = totals.get(True, 0), totals.get(False, 0)
     if 2 * n_pos * n_neg >= (1 << 63):    # int64 2*U domain
         raise AssertionError('AUC rank-sum domain exceeded')
-    off_ref = ray.put(offsets)
-
-    def block_u2(t: pa.Table) -> pa.Table:
-        v = t.column('value').to_numpy(zero_copy_only=False)
-        if len(v) == 0:
-            return pa.table({'_u2': pa.array([], pa.int64())})
-        order = np.argsort(v, kind='stable')
-        na = t.column('_na').to_numpy(zero_copy_only=False)[order]
-        nb = t.column('_nb').to_numpy(zero_copy_only=False)[order]
-        base_b, exp_max, exp_sa, exp_sb = ray.get(off_ref)[float(v.min())]
-        if float(v.max()) != exp_max or int(na.sum()) != exp_sa \
-                or int(nb.sum()) != exp_sb:
-            raise AssertionError('pass-2 batch does not match its '
-                                 'pass-1 block summary')
-        cum_below = base_b + np.cumsum(nb) - nb    # negatives strictly below
-        u2 = int((na * (2 * cum_below + nb)).sum())
-        return pa.table({'_u2': pa.array([u2], pa.int64())})
-
-    u2_total = mat.map_batches(block_u2, batch_format='pyarrow',
-                               batch_size=None).sum('_u2')
-    auc = float(sql_round_np(
-        np.array([u2_total / (2.0 * n_pos * n_neg)]), 6)[0])
-    return pd.DataFrame({'auc': pd.array([auc], dtype='float64'),
-                         'n_pos': pd.array([n_pos], dtype='int64'),
-                         'n_neg': pd.array([n_neg], dtype='int64')})
+    auc = np.nan                          # one class absent: SQL x/0 is NULL
+    if n_pos and n_neg:
+        u2_task = ray.remote(block_u2)
+        u2_total = sum(ray.get([u2_task.remote(ref, off)
+                                for ref, off in blocks]))
+        auc = float(sql_round_np(
+            np.array([u2_total / (2.0 * n_pos * n_neg)]), 6)[0])
+    k = 1 if blocks else 0                # no valid value: no row
+    return pd.DataFrame({'auc': pd.array([auc][:k], dtype='float64'),
+                         'n_pos': pd.array([n_pos][:k], dtype='int64'),
+                         'n_neg': pd.array([n_neg][:k], dtype='int64')})
 
 
 _SCORE_AUC_SQL = (
@@ -13718,156 +13641,58 @@ def q_value_time_spearman(sf_dir: str) -> pd.DataFrame:
     metric drifting?") that Pearson (``value_hour_corr``) can't provide
     under monotone-but-nonlinear drift or heavy tails.
 
-    EXACT distributed ranks via the ``score_auc`` block-summary pattern,
-    once per axis: collapse to distinct (type, v) counts with a narrow
-    groupby, global sort, per-block per-type count summaries give exact
-    cross-block rank offsets without any row reaching the driver, and each
-    distinct value gets its DOUBLED midrank ``2P + g + 1`` — an INTEGER,
-    so every downstream sum is exact int64 arithmetic (Spearman is
-    scale-invariant, so doubling cancels).  Rows then pick up (trx, try)
-    through two co-partitioned joins on the narrow rank tables, and each
-    block emits one integer sufficient-stats row per type (n, Σx, Σy,
-    Σxx, Σyy, Σxy; partials fit int64 to ~1e6 rows/type/block — asserted —
-    and the driver folds them in arbitrary-precision Python ints)."""
-
-    ev = _events(sf_dir, ['event_type', 'ts', 'value'])
+    EXACT distributed ranks on ``stages.ranks.sorted_prefix``, one sort per
+    axis and no join.  Sort 1 orders the rows by (type, time), and each
+    block attaches the DOUBLED time midrank ``2P + g + 1`` of its own rows
+    from its per-type prefix — an INTEGER, so every downstream sum is exact
+    (Spearman is scale-invariant, so doubling cancels).  Sort 2 orders those
+    rows by (type, value); each block attaches the value midrank and emits
+    one integer sufficient-stats partial per type (n, Σx, Σy, Σxx, Σyy,
+    Σxy; int64 while ranks stay below 2^21, exact Python ints above), and
+    the caller folds them in arbitrary-precision Python ints.  A NULL
+    event_type ranks as its own type (``null_key``), as in the oracle."""
 
     def prep(t: pa.Table) -> pa.Table:
         # NULL and NaN values both drop (is_nan of a NULL is NULL, which
-        # filter drops); a NaN key never matches itself in the rank join
+        # filter drops), like the oracle's WHERE
         t = t.filter(pc.and_(pc.is_valid(t.column('ts')),
                              pc.invert(pc.is_nan(t.column('value')))))
-        # NULL-key sentinel: Ray sort/groupby/join can't order None string
-        # keys, so types ride encoded ('' = NULL, 'v'+type otherwise —
-        # injective) and decode at the output
-        et = pa.array(['' if v is None else 'v' + v
-                       for v in t.column('event_type').to_pylist()],
-                      pa.string())
-        return pa.table({'et': et,
+        return pa.table({'et': null_key(t.column('event_type')),
                          'x': pc.cast(t.column('ts'), pa.int64()),
                          'y': t.column('value')})
 
-    rows = ev.map_batches(prep, batch_format='pyarrow').materialize()
+    def attach_x(t: pa.Table, off: dict) -> pa.Table:
+        return pa.table({'et': t.column('et'), 'y': t.column('y'),
+                         '_trx': pa.array(midranks(t, 'et', 'x', off))})
 
-    def rank_table(col: str, out_col: str) -> ray.data.Dataset:
-        """Narrow (et, col, 2*midrank) table: 2*midrank = 2P + g + 1 with
-        P = count of strictly-smaller values in the type, g = tie size."""
-        cnt = drop_empty_blocks(
-            rows.map_batches(
-                lambda t: t.select(['et', col]).group_by(['et', col])
-                .aggregate([([], 'count_all')])
-                .rename_columns(['et', col, '_g']),
-                batch_format='pyarrow')
-            .groupby(['et', col]).aggregate(Sum('_g', alias_name='_g')))
-        mat = cnt.sort(['et', col]).materialize()
-
-        # per-block (first_key, per-type totals): only summaries cross the
-        # driver, never rank rows.  Block order is PINNED by sorting the
-        # summaries on each block's first (et, col) key rather than trusting
-        # ref-bundle iteration order (the score_auc pattern).
-        import ray as _ray
-
-        def _summary(t: pa.Table) -> dict:
-            agg = t.select(['et', '_g']).group_by('et') \
-                .aggregate([('_g', 'sum')]).rename_columns(['et', '_bs'])
-            first = ((t.column('et')[0].as_py(), t.column(col)[0].as_py())
-                     if len(t) else None)
-            return {'first': first, 'tot': dict(zip(
-                agg.column('et').to_pylist(),
-                (int(v) for v in agg.column('_bs').to_pylist())))}
-
-        blk_refs = []
-        for bundle in mat.iter_internal_ref_bundles():
-            blk_refs.extend(ref for ref, _ in bundle.blocks)
-        summary_task = _ray.remote(_summary)
-        summaries = _ray.get([summary_task.remote(r) for r in blk_refs])
-        order = sorted((i for i, s in enumerate(summaries)
-                        if s['first'] is not None),
-                       key=lambda i: summaries[i]['first'])
-        offsets: dict[int, dict] = {}
-        running: dict = {}
-        for i in order:
-            offsets[i] = dict(running)
-            for et, g in summaries[i]['tot'].items():
-                running[et] = running.get(et, 0) + g
-
-        def _attach(t: pa.Table, off: dict) -> pa.Table:
-            off = dict(off)
-            ets = t.column('et').to_pylist()
-            gs = t.column('_g').to_numpy(zero_copy_only=False)
-            tr = np.empty(len(ets), np.int64)
-            for i, (et, g) in enumerate(zip(ets, gs)):
-                p = off.get(et, 0)
-                tr[i] = 2 * p + int(g) + 1
-                off[et] = p + int(g)
-            return pa.table({'et': t.column('et'), col: t.column(col),
-                             out_col: pa.array(tr, pa.int64())})
-
-        if not order:
-            return ray.data.from_arrow(pa.table(
-                {'et': pa.array([], pa.string()),
-                 col: pa.array([], pa.int64() if col == 'x'
-                               else pa.float64()),
-                 out_col: pa.array([], pa.int64())}))
-        attach_task = _ray.remote(_attach)
-        return ray.data.from_arrow_refs(
-            [attach_task.remote(blk_refs[i], offsets[i]) for i in order])
-
-    nparts = join_partitions(rows=rows.count())
-    with_rx = hash_join(rows, rank_table('x', '_trx'), ('et', 'x'),
-                        num_partitions=nparts)
-    with_r = hash_join(with_rx, rank_table('y', '_try'), ('et', 'y'),
-                       num_partitions=nparts)
-
-    def partial(t: pa.Table) -> pa.Table:
-        rx = t.column('_trx').to_numpy(zero_copy_only=False)
-        ry = t.column('_try').to_numpy(zero_copy_only=False)
-        if len(rx) and max(int(rx.max()), int(ry.max())) >= (1 << 21):
+    def stats(t: pa.Table, off: dict) -> dict:
+        rx = t.column('_trx').to_numpy()
+        ry = midranks(t, 'et', 'y', off)
+        if max(int(rx.max()), int(ry.max())) >= (1 << 21):
             # Σ(2r)² per block is int64-safe only to ~2e6 rows/type
-            # (len·(2^21)² < 2^63); above that, fall back to exact
-            # arbitrary-precision Python-int partials per type — slower,
-            # but partials stay one row per (block, type) either way
-            ets = t.column('et').to_pylist()
-            acc: dict[str, list] = {}
-            for et, x, y in zip(ets, rx.tolist(), ry.tolist()):
-                c = acc.setdefault(et, [0, 0, 0, 0, 0, 0])
-                c[0] += 1
-                c[1] += x
-                c[2] += y
-                c[3] += x * x
-                c[4] += y * y
-                c[5] += x * y
-            ks = sorted(acc)
-            return pa.table({
-                'et': pa.array(ks, pa.string()),
-                **{f'_{c}_sum': pa.array([str(acc[k][i]) for k in ks],
-                                         pa.string())
-                   for i, c in enumerate(['n', 'sx', 'sy',
-                                          'sxx', 'syy', 'sxy'])}})
-        tab = pa.table({
-            'et': t.column('et'),
-            '_n': pa.array(np.ones(len(rx), np.int64)),
-            '_sx': pa.array(rx), '_sy': pa.array(ry),
-            '_sxx': pa.array(rx * rx), '_syy': pa.array(ry * ry),
-            '_sxy': pa.array(rx * ry)})
-        agg = tab.group_by('et').aggregate(
-            [('_n', 'sum'), ('_sx', 'sum'), ('_sy', 'sum'),
-             ('_sxx', 'sum'), ('_syy', 'sum'), ('_sxy', 'sum')])
-        # sums travel as decimal STRINGS so the big-rank fallback path and
-        # this int64 fast path share one schema; the driver folds exact
-        # Python ints either way
-        for c in ['_n_sum', '_sx_sum', '_sy_sum',
-                  '_sxx_sum', '_syy_sum', '_sxy_sum']:
-            idx = agg.schema.get_field_index(c)
-            agg = agg.set_column(idx, c, agg.column(c).cast(pa.string()))
-        return agg
+            # (len·(2^21)² < 2^63); above that, sum exact Python ints —
+            # slower, but still one partial per (block, type)
+            rx, ry = rx.astype(object), ry.astype(object)
+        heads = np.flatnonzero(run_starts(t, ['et']))
+        sums = [np.add.reduceat(c, heads).tolist() for c in
+                (np.ones_like(rx), rx, ry, rx * rx, ry * ry, rx * ry)]
+        return dict(zip(t.column('et').take(pa.array(heads)).to_pylist(),
+                        zip(*sums)))
 
+    rows = _events(sf_dir, ['event_type', 'ts', 'value']) \
+        .map_batches(prep, batch_format='pyarrow')
+    blocks, _ = sorted_prefix(rows, ['et', 'x'], 'et')
     agg: dict[str, list] = {}
-    for r in with_r.map_batches(partial, batch_format='pyarrow').take_all():
-        cur = agg.setdefault(r['et'], [0, 0, 0, 0, 0, 0])
-        for i, k in enumerate(['_n_sum', '_sx_sum', '_sy_sum',
-                               '_sxx_sum', '_syy_sum', '_sxy_sum']):
-            cur[i] += int(r[k])           # python ints: no overflow
+    if blocks:
+        attach = ray.remote(attach_x)
+        ranked = ray.data.from_arrow_refs(
+            [attach.remote(ref, off) for ref, off in blocks])
+        blocks, _ = sorted_prefix(ranked, ['et', 'y'], 'et')
+        stats_task = ray.remote(stats)
+        for part in ray.get([stats_task.remote(ref, off)
+                             for ref, off in blocks]):
+            for et, s in part.items():
+                agg[et] = [a + b for a, b in zip(agg.get(et, [0] * 6), s)]
     out_et, out_rho = [], []
     for et in sorted(agg):
         n, sx, sy, sxx, syy, sxy = agg[et]
@@ -13875,8 +13700,9 @@ def q_value_time_spearman(sf_dir: str) -> pd.DataFrame:
         vx, vy = n * sxx - sx * sx, n * syy - sy * sy
         if vx == 0 or vy == 0:
             continue                      # constant axis: rho undefined
-        out_et.append(None if et == '' else et[1:])   # decode sentinel
+        out_et.append(et)
         out_rho.append(sql_round_scalar(num / math.sqrt(vx) / math.sqrt(vy), 4))
+    out_et = null_key_value(pa.array(out_et, pa.string())).to_pylist()
     return pd.DataFrame({'event_type': pd.array(out_et, dtype='string'),
                          'spearman': pd.Series(out_rho, dtype='float64')})
 
@@ -14006,13 +13832,17 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     quantile the unweighted ``price_quantiles`` family can't express when
     rows carry different mass.
 
-    Plan (third use of the score_auc block-summary pattern): one narrow
-    groupby collapses to per-distinct-price integer weights, a global
-    sort by (flag, price) orders them, per-block per-flag weight totals
-    cross the driver (summaries only, never rows), and the ONE block where
-    each flag's cumulative weight crosses W/2 emits its winner — an input
+    Plan: per-batch ``fold`` partials of integer weights (round(l_quantity))
+    per (flag, price), then one ``stages.ranks.sorted_prefix`` sort by
+    (flag, x) weighted by them: per-block per-flag weight prefixes reach
+    the caller (summaries only, never rows).  A flag's winner is the row
+    where its running weight crosses W/2 (2·before < W ≤ 2·after); a (flag, x)
+    repeated by partials of different batches needs no collapse, because
+    the crossing row's x is the same either way.  Only blocks where a flag
+    crosses run a pick task; a flag whose weights all round to 0 takes the
+    first x of its first block, the oracle's min(x).  The winner is an input
     VALUE, so equality with the oracle is exact with no float arithmetic
-    at all (weights are integer units via round(l_quantity))."""
+    at all."""
     import os
 
     li = read_parquet_clean(os.path.join(sf_dir, 'lineitem.parquet'),
@@ -14022,98 +13852,35 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     def fold(t: pa.Table) -> pa.Table:
         q = sql_round_np(t.column('l_quantity').to_numpy(
             zero_copy_only=False), 0).astype(np.int64)
-        tab = pa.table({'flag': t.column('l_returnflag'),
+        tab = pa.table({'flag': null_key(t.column('l_returnflag')),
                         'x': t.column('l_extendedprice'),
                         '_q': pa.array(q, pa.int64())})
         return tab.group_by(['flag', 'x']).aggregate([('_q', 'sum')]) \
             .rename_columns(['flag', 'x', '_q'])
 
-    g = drop_empty_blocks(
-        li.map_batches(fold, batch_format='pyarrow')
-        .groupby(['flag', 'x']).aggregate(Sum('_q', alias_name='_q')))
-    mat = g.sort(['flag', 'x']).materialize()
+    def pick(t: pa.Table, off: dict, totals: dict) -> pa.Table:
+        w = t.column('_q').to_numpy()
+        tot = per_part(t, 'flag', totals)
+        before = prefix_before(t, 'flag', w, off)
+        hit = np.where(tot == 0, run_starts(t, ['flag']),
+                       (2 * before < tot) & (tot <= 2 * (before + w)))
+        return t.select(['flag', 'x']).filter(pa.array(hit))
 
-    import ray as _ray
-
-    def _summary(t: pa.Table) -> dict:
-        agg = t.select(['flag', '_q']).group_by('flag') \
-            .aggregate([('_q', 'sum')]).rename_columns(['flag', '_w'])
-        first = ((t.column('flag')[0].as_py(), t.column('x')[0].as_py())
-                 if len(t) else None)
-        return {'first': first, 'tot': dict(zip(
-            agg.column('flag').to_pylist(),
-            (int(v) for v in agg.column('_w').to_pylist())))}
-
-    blk_refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        blk_refs.extend(ref for ref, _ in bundle.blocks)
-    s_task = _ray.remote(_summary)
-    summaries = _ray.get([s_task.remote(r) for r in blk_refs])
-    order = sorted((i for i, s in enumerate(summaries)
-                    if s['first'] is not None),
-                   key=lambda i: summaries[i]['first'])
-    totals: dict = {}
-    for i in order:
-        for f, w in summaries[i]['tot'].items():
-            totals[f] = totals.get(f, 0) + w
-
-    def _pick(t: pa.Table, off: dict, totals: dict) -> pa.Table:
-        flags = t.column('flag').to_pylist()
-        xs = t.column('x').to_numpy(zero_copy_only=False)
-        qs = t.column('_q').to_numpy(zero_copy_only=False)
-        cum = dict(off)
-        of, ox = [], []
-        hit = set()
-        for f, x, q in zip(flags, xs, qs):
-            c = cum.get(f, 0) + int(q)
-            if f not in hit and 2 * cum.get(f, 0) < totals[f] <= 2 * c:
-                of.append(f)
-                ox.append(float(x))
-                hit.add(f)
-            cum[f] = c
-        return pa.table({'l_returnflag': pa.array(of, pa.string()),
-                         'weighted_median_price': pa.array(ox, pa.float64())})
-
-    def _minx(t: pa.Table, flags: list) -> pa.Table:
-        # zero-total-weight flags (every quantity rounds to 0): the SQL
-        # predicate 2*cw >= tw holds from the first row, so the oracle
-        # returns min(x) — pick it from the flag's FIRST block (global
-        # (flag, x) sort order makes block-min == global-min)
-        of, ox = [], []
-        for f in flags:
-            sel = t.filter(pc.equal(t.column('flag'), f))
-            if len(sel):
-                of.append(f)
-                ox.append(float(sel.column('x')[0].as_py()))
-        return pa.table({'l_returnflag': pa.array(of, pa.string()),
-                         'weighted_median_price': pa.array(ox, pa.float64())})
-
-    pick_task = _ray.remote(_pick)
-    minx_task = _ray.remote(_minx)
-    offs: dict = {}
-    running: dict = {}
-    picks = []
-    zero_seen: set = set()
-    for i in order:
-        offs[i] = dict(running)
-        for f, w in summaries[i]['tot'].items():
-            running[f] = running.get(f, 0) + w
-        # only blocks whose flag crosses W/2 can contain a winner — skip
-        # the rest (a handful of tasks regardless of corpus size)
-        cross = any(2 * offs[i].get(f, 0) < totals[f] <= 2 * running.get(f, 0)
-                    for f in summaries[i]['tot'])
-        if cross:
-            picks.append(pick_task.remote(blk_refs[i], offs[i], totals))
-        zf = [f for f in summaries[i]['tot']
-              if totals[f] == 0 and f not in zero_seen]
-        if zf:
-            zero_seen.update(zf)
-            picks.append(minx_task.remote(blk_refs[i], sorted(zf)))
-    parts = [p for p in _ray.get(picks) if len(p)]
-    out = pa.concat_tables(parts) if parts else pa.table(
-        {'l_returnflag': pa.array([], pa.string()),
-         'weighted_median_price': pa.array([], pa.float64())})
-    return out.to_pandas().sort_values('l_returnflag').reset_index(drop=True)
+    blocks, totals = sorted_prefix(
+        li.map_batches(fold, batch_format='pyarrow'), ['flag', 'x'], 'flag',
+        weight='_q')
+    pick_task = ray.remote(pick)
+    picks = [pick_task.remote(ref, before, totals) for (ref, before), after
+             in zip(blocks, [b for _, b in blocks[1:]] + [totals])
+             if any(2 * before.get(f, 0) < totals[f] <= 2 * after[f]
+                    or (totals[f] == 0 and f not in before) for f in after)]
+    won = (pa.concat_tables(ray.get(picks)) if picks else pa.table(
+        {'flag': pa.array([], pa.string()), 'x': pa.array([], pa.float64())})
+    ).group_by('flag').aggregate([('x', 'min')])
+    return pd.DataFrame({
+        'l_returnflag': null_key_value(won.column('flag')).to_pandas(),
+        'weighted_median_price': won.column('x_min').to_pandas(),
+    }).sort_values('l_returnflag').reset_index(drop=True)
 
 
 _WEIGHTED_MEDIAN_SQL = (

@@ -479,6 +479,56 @@ def test_value_time_spearman_skips_nan_values(tmp_path):
         assert w == pytest.approx(exp, abs=1e-9), t
 
 
+def test_score_auc_and_ks_rank_nan_as_one_final_value(tmp_path):
+    """NaN values stay in ``score_auc`` and ``value_ks_test``, as one value
+    ranked above every number (DuckDB's order); NULLs drop."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from pii_detector_ray import queries as q
+    rng = np.random.default_rng(3)
+    n = 300
+    ts = np.sort(rng.integers(0, 10**12, n)).astype('datetime64[us]')
+    et = rng.choice(['click', 'purchase', 'view'], n)
+    val = rng.standard_normal(n)
+    val[rng.random(n) < 0.2] = np.nan
+    null = np.zeros(n, bool)
+    null[::37] = True
+    tbl = pa.table({'event_id': pa.array(range(n), pa.int64()),
+                    'ts': pa.array(ts),
+                    'user_id': pa.array([1] * n, pa.int64()),
+                    'event_type': pa.array(et.tolist(), pa.string()),
+                    'value': pa.array(val, pa.float64(), mask=null),
+                    'props': pa.array(['{}'] * n, pa.string())})
+    pq.write_table(tbl, tmp_path / 'events.parquet', row_group_size=n // 4)
+    con = duckdb.connect()
+    con.register('events', tbl)
+    score = np.where(np.isnan(val), np.inf, val)[~null]   # no inf in val
+    kind = et[~null]
+
+    got = q.q_score_auc(str(tmp_path))
+    want = con.execute(q.oracle_sql()['score_auc']).df()
+    p, m = score[kind == 'purchase'], score[kind != 'purchase']
+    auc = ((p[:, None] > m).sum() + 0.5 * (p[:, None] == m).sum()) \
+        / (len(p) * len(m))
+    assert got['n_pos'].tolist() == want['n_pos'].tolist() == [len(p)]
+    assert got['n_neg'].tolist() == want['n_neg'].tolist() == [len(m)]
+    assert got['auc'].iloc[0] == want['auc'].iloc[0] == \
+        pytest.approx(round(auc, 6), abs=1e-9)
+
+    got = q.q_value_ks_test(str(tmp_path))
+    want = con.execute(q.oracle_sql()['value_ks_test']).df()
+    a = np.sort(score[kind == 'click'])
+    b = np.sort(score[kind == 'purchase'])
+    u = np.unique(np.concatenate([a, b]))
+    ks = np.abs(np.searchsorted(a, u, 'right') / len(a)
+                - np.searchsorted(b, u, 'right') / len(b)).max()
+    assert got['n_a'].tolist() == want['n_a'].tolist() == [len(a)]
+    assert got['n_b'].tolist() == want['n_b'].tolist() == [len(b)]
+    assert got['ks_stat'].iloc[0] == want['ks_stat'].iloc[0] == \
+        pytest.approx(round(ks, 6), abs=1e-9)
+
+
 def test_pair_pack_rejects_sign_bit_ids():
     # ids in [2^31, 2^32) would corrupt the packed int64's sign bit
     from pii_detector_ray.stages.dedup import fingerprint_dup_pairs

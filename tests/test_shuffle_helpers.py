@@ -1,7 +1,8 @@
 """The Ray 2.49 shuffle workaround lives in two helpers in stages/dedup.py:
 ``hash_join`` (every Dataset.join) and ``bounded_agg`` (every coalesced
 aggregate).  These tests pin what each helper promises and that no other
-module hand-rolls either pattern."""
+module hand-rolls either pattern, nor walks a dataset's block refs outside
+``drop_empty_blocks`` and ``stages/ranks.sorted_prefix``."""
 
 import ast
 from pathlib import Path
@@ -129,7 +130,7 @@ def _named(node, name: str) -> bool:
 
 
 def test_shuffle_workaround_lives_in_one_place():
-    joins, coalesced, wrapped, defs = [], [], [], []
+    joins, coalesced, wrapped, defs, ref_walks = [], [], [], [], []
     for path in sorted(PKG.rglob('*.py')):
         rel = path.relative_to(PKG).as_posix()
         for call, fn in _calls(path):
@@ -143,6 +144,8 @@ def test_shuffle_workaround_lives_in_one_place():
                     _method(call.func.value, 'repartition') and \
                     ast.literal_eval(call.func.value.args[0]) == 1:
                 coalesced.append(where)
+            if _method(call, 'iter_internal_ref_bundles'):
+                ref_walks.append(where)
             if _named(call, 'hash_join') and \
                     any(_named(a, 'drop_empty_blocks') for a in call.args[:2]):
                 wrapped.append((rel, call.lineno))
@@ -155,6 +158,8 @@ def test_shuffle_workaround_lives_in_one_place():
     assert set(joins) == {('stages/dedup.py', 'hash_join')}
     assert set(coalesced) == {('stages/dedup.py', 'bounded_agg')}
     assert wrapped == []
+    assert set(ref_walks) == {('stages/dedup.py', 'drop_empty_blocks'),
+                              ('stages/ranks.py', 'sorted_prefix')}
     assert sorted(defs) == [('stages/dedup.py', 'bounded_agg'),
                             ('stages/dedup.py', 'drop_empty_blocks'),
                             ('stages/dedup.py', 'hash_join')]
