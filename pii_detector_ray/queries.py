@@ -954,9 +954,10 @@ _LABEL_CENTROIDS_SQL = (
 def q_events_segment_join(sf_dir: str) -> ray.data.Dataset:
     """Skew-aware inner join (stages/joins.skew_join): events join a
     derived user→segment dimension with a hot-key threshold LOW enough
-    that most users route through the hot path (broadcast map-side merge)
-    — the driver gate thereby exercises screen + split + broadcast + union
-    + the cold co-partitioned join, then aggregates per segment."""
+    that most users route through the hot path (a broadcast join) — the
+    query thereby exercises screen + split + broadcast + union + the cold
+    join (``hash_join``; a broadcast join too while the cold dimension
+    sides pass ``dedup.broadcasts``), then aggregates per segment."""
     from pii_detector_ray.stages.joins import skew_join
 
     def mk_dim(batch: pa.Table) -> pa.Table:
@@ -978,13 +979,13 @@ def q_events_segment_join(sf_dir: str) -> ray.data.Dataset:
            .groupby('user_id')
            .aggregate(Min('segment', alias_name='segment'))).materialize()
     left = _events(sf_dir, ['event_id', 'user_id']).materialize()
-    # the cold co-partitioned join can emit empty aggregator partitions as
-    # schema-less blocks; cleanse before the partial stage so its output
-    # stream is schema-uniform (RefBundle warnings, VERDICT r3).  The join
-    # output is already materialized inside the join aggregators, so this
-    # barrier is metadata-only.  num_partitions is sized from the (known,
-    # materialized) left row count so the pinned skew paths still run but a
-    # 60k-row gate input doesn't spawn a 16-actor aggregator fleet.
+    # a join can emit 0-row blocks (a broadcast probe that matches nothing,
+    # an empty aggregator partition on the shuffle path); cleanse before
+    # the partial stage so its output stream is schema-uniform (RefBundle
+    # warnings, VERDICT r3).  num_partitions only sizes the shuffle path,
+    # taken when the cold sides fail dedup.broadcasts: sized from the
+    # (known, materialized) left row count, a small input doesn't spawn a
+    # 16-actor aggregator fleet.
     joined = drop_empty_blocks(skew_join(
         left, dim, on='user_id', hot_key_threshold=50,
         num_partitions=join_partitions(rows=left.count())))

@@ -21,9 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Min
+from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
 
 from pii_detector_ray.functions.rounding import sql_round_np, sql_round_scalar
 
@@ -344,7 +346,6 @@ def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
         agg = t.select(['sh']).group_by('sh').aggregate([([], 'count_all')])
         return agg.rename_columns(['sh', '_df'])
 
-    from ray.data.aggregate import Sum
     df_tbl = posting.map_batches(df_partial, batch_format='pyarrow') \
         .groupby('sh').aggregate(Sum('_df', alias_name='_df'))
 
@@ -581,62 +582,201 @@ def drop_empty_blocks(ds: ray.data.Dataset,
     return ray.data.from_arrow_refs(refs)
 
 
+# ``broadcast_join`` builds the right side's hash table once per left
+# block, so its cost grows with right bytes x left blocks.  Inner join of
+# 600k left rows, 4 CPUs, median of 3 runs, broadcast vs Ray's Join (s):
+# won at 16 blocks x 101 MiB (1.6 GiB of builds) 6.3 vs 9.4, 64 x 12 MiB
+# (787 MiB) 3.6 vs 3.8, 256 x 3 MiB (768 MiB) 4.0 vs 4.9, 1024 x 0.7 MiB
+# (717 MiB) 9.6 vs 12.8; lost at 64 x 50 MiB (3.1 GiB) 9.7 vs 6.4 and
+# 256 x 12 MiB (3.1 GiB) 13.6 vs 5.2.  The bound is the largest total
+# measured to win at 256 left blocks.
+BROADCAST_BUILD_BYTES = 768 << 20
+
+
+def broadcasts(left: ray.data.Dataset, right: ray.data.Dataset) -> bool:
+    """Whether joining the materialized ``left`` and ``right`` should
+    broadcast ``right`` (:func:`broadcast_join`) rather than shuffle both:
+    ``right`` fits one block (``DataContext.target_max_block_size``) and
+    one hash build of it per left block stays within
+    ``BROADCAST_BUILD_BYTES``.  The one size rule ``hash_join`` and
+    ``joins.skew_join`` decide by."""
+    r = right.size_bytes()
+    return r <= (DataContext.get_current().target_max_block_size
+                 or DEFAULT_TARGET_MAX_BLOCK_SIZE) and \
+        r * left.num_blocks() <= BROADCAST_BUILD_BYTES
+
+
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
               on: str | tuple[str, ...], how: str = 'inner',
               num_partitions: int | None = None) -> ray.data.Dataset:
-    """Hash-partitioned ``Dataset.join`` (``how`` is its ``join_type``) on
-    the key column(s) ``on``.  Every join in the package goes through here
-    so that both inputs pass ``drop_empty_blocks`` first; that barrier is
-    not extra work, since ``Dataset.join`` materializes both sides in its
-    aggregators anyway — it only moves where the blocks sit.  An inner join
-    with an empty side returns the typed empty result without a shuffle.
-    ``num_partitions`` defaults to ``join_partitions()``."""
+    """Equi-join of ``left`` and ``right`` on the key column(s) ``on``;
+    ``how`` is ``Dataset.join``'s ``join_type``.  Every join in the package
+    goes through here.  Both inputs pass ``drop_empty_blocks`` first; that
+    barrier materializes them, so their block metadata gives row counts
+    and sizes for free.
+
+    - An ``inner`` or ``left_outer`` join whose sides pass
+      :func:`broadcasts` is a :func:`broadcast_join`: no shuffle and no
+      ``Join`` actors.  Starting the actor fleet was almost all of a
+      10k x 150-row join (1.44-1.47 s of it, 4-vCPU VM).
+    - A join with an empty side returns its typed result without a
+      shuffle: no rows for an inner join or an empty left outer side; the
+      kept side's rows with typed NULL columns for the other side for
+      outer joins.
+    - Everything else (``full_outer``, other join types, joins that fail
+      :func:`broadcasts`) is Ray's hash-partitioned ``Dataset.join``;
+      ``num_partitions`` defaults to ``join_partitions()``."""
     on = (on,) if isinstance(on, str) else tuple(on)
     l, r = drop_empty_blocks(left), drop_empty_blocks(right)
-    if how == 'inner' and (l.count() == 0 or r.count() == 0):
-        return _empty_inner(l, r)
+    n_l, n_r = l.count(), r.count()
+    if how == 'full_outer' and n_l == 0 and n_r > 0:
+        # every right row survives: a left outer join seen from the right,
+        # in the left-then-right column order of the full join
+        cols = [f.name for f in _join_fields(l, r)]
+        return broadcast_join(r, l, on, 'left_outer').select_columns(cols)
+    if how == 'full_outer' and n_r == 0:
+        how = 'left_outer'
+    if n_l == 0 and how in ('inner', 'left_outer') or \
+            n_r == 0 and how == 'inner':
+        return _empty_join(l, r)
+    if how in ('inner', 'left_outer') and broadcasts(l, r):
+        return broadcast_join(l, r, on, how)
     return l.join(r, join_type=how,
                   num_partitions=num_partitions or join_partitions(), on=on)
 
 
-def _empty_inner(l: ray.data.Dataset,
-                 r: ray.data.Dataset) -> ray.data.Dataset:
-    """Typed empty result of an inner join of ``l`` and ``r`` (either side
-    empty): the combined schema (a side with only schema-less blocks adds
-    no columns), zero rows."""
+@ray.remote
+def _concat_blocks(*blocks: pa.Table) -> pa.Table:
+    """``broadcast_join``'s build side: the right blocks as one table."""
+    return pa.concat_tables(blocks, promote_options='permissive')
+
+
+def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
+                   on: str | tuple[str, ...],
+                   how: str = 'inner') -> ray.data.Dataset:
+    """``inner`` or ``left_outer`` join of ``left`` with a SMALL ``right``
+    without a shuffle.  One task concatenates the right blocks into one
+    Arrow table (promoting types, as the ``Join`` aggregator's block
+    builder does) in the object store — no block reaches the driver; each
+    left block is then probed with the same ``pa.Table.join`` call that
+    aggregator makes per partition, so columns, suffixes and NULL-key
+    semantics (a NULL key matches nothing) are Ray's.  Each probe rebuilds
+    the hash table over all of ``right``, hence :func:`broadcasts`.
+    One output block per left block; row order is not defined, as for
+    ``Dataset.join``."""
+    on = [on] if isinstance(on, str) else list(on)
+    schema = right.schema()
+    if schema is None or not schema.names:
+        # a left outer join with a right side of schema-less empty blocks:
+        # there are no right columns to add
+        return left
+    build_ref = _concat_blocks.remote(*right.to_arrow_refs())
+    join_type = {'inner': 'inner', 'left_outer': 'left outer'}[how]
+
+    def probe(t: pa.Table) -> pa.Table:
+        return t.join(ray.get(build_ref), keys=on, join_type=join_type)
+
+    return left.map_batches(probe, batch_format='pyarrow', batch_size=None)
+
+
+def _join_fields(l: ray.data.Dataset,
+                 r: ray.data.Dataset) -> list[pa.Field]:
+    """The columns of a join of ``l`` and ``r``: ``l``'s, then ``r``'s not
+    in ``l`` (a side with only schema-less blocks adds none)."""
     fields = {}
     for sch in (l.schema(), r.schema()):
         for f in (sch.base_schema if sch is not None else ()):
             fields.setdefault(f.name, f)
-    return ray.data.from_arrow(pa.table(
-        {f.name: pa.array([], f.type) for f in fields.values()}))
+    return list(fields.values())
+
+
+def _empty_join(l: ray.data.Dataset,
+                r: ray.data.Dataset) -> ray.data.Dataset:
+    """Typed empty result of a join of ``l`` and ``r``."""
+    return ray.data.from_arrow(pa.schema(_join_fields(l, r)).empty_table())
+
+
+# the pyarrow hash aggregation for each Ray aggregate ``bounded_agg`` takes
+_ARROW_AGGS = {Sum: 'sum', Min: 'min', Max: 'max'}
+
+
+def _arrow_agg(agg) -> tuple:
+    """``(column, function, options)`` for ``pa.TableGroupBy.aggregate``
+    computing the Ray aggregate ``agg`` with its null handling: Count
+    counts rows (non-NULL values with ``on`` and ``ignore_nulls``); Sum,
+    Min and Max skip NULLs unless ``ignore_nulls=False`` and are NULL for
+    a group with no value."""
+    col, skip = agg._target_col_name, agg._ignore_nulls
+    if type(agg) is Count:
+        if col is None or not skip:
+            return ([], 'count_all')
+        return (col, 'count', pc.CountOptions('only_valid'))
+    if type(agg) not in _ARROW_AGGS:
+        raise TypeError(f'bounded_agg: no pyarrow form for '
+                        f'{type(agg).__name__} (Sum, Count, Min, Max only)')
+    return (col, _ARROW_AGGS[type(agg)],
+            pc.ScalarAggregateOptions(skip_nulls=skip))
 
 
 def bounded_agg(partials: ray.data.Dataset, keys: str | list[str],
                 *aggs) -> ray.data.Dataset:
-    """``partials.groupby(keys).aggregate(*aggs)`` over ONE block.
+    """``partials.groupby(keys).aggregate(*aggs)`` for BOUNDED partials
+    (per-batch pre-aggregates: a few rows per input block), as one
+    pyarrow ``group_by`` over one coalesced block — no Ray ``Aggregate``
+    operator.  ``aggs`` are Ray ``Sum``, ``Count``, ``Min`` and ``Max``
+    aggregates; any other type raises ``TypeError``.
 
-    For bounded partials (per-batch pre-aggregates: a few rows per input
-    block) the coalesce is free, and the aggregate then returns exactly one
-    block, which carries its schema.  Without it the Ray 2.49 aggregate
-    returns one block per shuffle partition, most of them 0-row and
-    0-column — the blocks ``drop_empty_blocks`` exists for — so this result
-    needs no cleaning.  An all-empty input still yields one schema-less
-    block.  Not for unbounded inputs: the one block is one task's
-    memory."""
-    return partials.repartition(1).groupby(keys).aggregate(*aggs)
+    Why: Ray's aggregate walks a pandas block row by row in Python.
+    ``event_markov2``'s transition partials come from a pandas
+    ``map_groups``, and Ray spent 1.38 s of CPU aggregating their one
+    3,472-row block; the pyarrow ``group_by`` takes 0.06 s (4-vCPU VM).
+
+    The output is Ray's: one block with the key columns, then each alias
+    in order; rows sorted ascending by key with NULL keys last; integer
+    results int64 and floating results float64 (Ray builds them from
+    Python scalars); an all-NULL group's Sum, Min or Max is NULL.  Two
+    differences: pandas-block input yields an Arrow block (``to_pandas()``
+    gives the same frame), and a result column that is NULL in every
+    group keeps its type where Ray's is ``null``.  An all-empty input
+    yields one schema-less empty block, as Ray's aggregate does.  Not for
+    unbounded inputs: the one block is one task's memory."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    names = [a.name for a in aggs]
+    for a in aggs:
+        _arrow_agg(a)        # an unsupported type fails here, not in a task
+
+    def reduce(t: pa.Table) -> pa.Table:
+        # built in the task: pyarrow's option objects do not pickle
+        res = t.group_by(keys).aggregate([_arrow_agg(a) for a in aggs])
+        at = [res.column_names.index(k) for k in keys]
+        cols = {k: res.column(i) for k, i in zip(keys, at)}
+        values = [res.column(i) for i in range(res.num_columns) if i not in at]
+        for name, c in zip(names, values):
+            if pa.types.is_integer(c.type):
+                c = c.cast(pa.int64())
+            elif pa.types.is_floating(c.type):
+                c = c.cast(pa.float64())
+            cols[name] = c
+        return pa.table(cols).sort_by([(k, 'ascending') for k in keys],
+                                      null_placement='at_end')
+
+    return partials.repartition(1).map_batches(
+        reduce, batch_format='pyarrow', batch_size=None)
 
 
 def join_partitions(default: int = 16, rows: int | None = None) -> int:
-    """Dataset.join spawns one aggregator actor per partition; size to the
-    cluster so joins don't starve under small CPU budgets.
+    """Partition count for ``hash_join``'s shuffle path (``full_outer``
+    joins and joins that fail ``broadcasts``): Dataset.join spawns one
+    aggregator actor per partition; size to the cluster so joins don't
+    starve under small CPU budgets.
 
     ``rows``: when the caller knows the (larger) input's row count — e.g.
     it is already materialized — pass it so small inputs don't spawn a
-    cluster-wide aggregator fleet: actor spawn is ~0.3 s each and dominates
-    sub-second joins (measured, ray-249 notes).  One aggregator per ~150k
-    rows, floor 2, still capped by cluster size — at 10^12 rows the cap is
-    the cluster-derived term, which grows with the fleet."""
+    cluster-wide aggregator fleet: on the shuffle path actor spawn is
+    ~0.3 s each and dominates sub-second joins (measured, Ray 2.49).  One
+    aggregator per ~150k rows, floor 2, still capped by cluster size — at
+    10^12 rows the cap is the cluster-derived term, which grows with the
+    fleet."""
     try:
         cap = max(2, min(default, int(ray.cluster_resources().get('CPU', 4)) // 2))
     except Exception:
@@ -950,7 +1090,6 @@ def containment_join(ds: ray.data.Dataset, *,
     universe elements, which grows intersections ≥ and can only ADD
     candidates; the string-shingle verify keeps the output exact."""
     tn, td = threshold
-    from ray.data.aggregate import Sum
 
     def explode(batch: pa.Table) -> pa.Table:
         ids_out: list[int] = []
@@ -1140,7 +1279,6 @@ def fingerprint_dup_pairs(ds: ray.data.Dataset, *, min_shared: int = 50,
     marking per doc; candidate pairs from prefix buckets only
     (packed-int64 dedup); exact verify over broadcast-semi-joined texts —
     documents never shuffle."""
-    from ray.data.aggregate import Sum
 
     from pii_detector_ray.stages.textstats import winnow_fingerprint
 

@@ -334,7 +334,6 @@ def sliding_window_agg(ds: ray.data.Dataset, *, key_col: str, ts_col: str,
 
 def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
               on: str, hot_key_threshold: int | None = 1_000_000,
-              broadcast_limit: int = 2_000_000,
               num_partitions: int | None = None) -> ray.data.Dataset:
     """INNER hash join with hot-key mitigation.
 
@@ -344,10 +343,12 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
 
     1. finds left-side hot keys with the narrow two-phase screen
        (``skew.hot_keys``; zero extra shuffle when no key is hot);
-    2. cold keys take the regular co-partitioned join;
-    3. hot keys bypass the shuffle: when the matching RIGHT rows fit
-       ``broadcast_limit`` they ship once via ``ray.put`` and each left
-       batch merges map-side; otherwise the textbook salt-replicate join
+    2. cold keys take ``dedup.hash_join`` (itself a broadcast join when
+       the cold sides pass ``dedup.broadcasts``);
+    3. hot keys bypass the shuffle: when the hot sides pass the same
+       ``dedup.broadcasts`` the matching RIGHT rows go through
+       ``dedup.broadcast_join`` (built once, each left block probed with
+       ``pa.Table.join``); otherwise the textbook salt-replicate join
        runs — left hot rows get a per-row salt 0..R-1, right hot rows are
        replicated R times, and the join key becomes (key, salt), spreading
        the hot key over R aggregators.  Both paths are EXACT for inner
@@ -357,7 +358,8 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     need suffixes; keep the sides disjoint).
     """
     from pii_detector_ray.stages.dedup import (
-        drop_empty_blocks, hash_join, join_partitions)
+        broadcast_join, broadcasts, drop_empty_blocks, hash_join,
+        join_partitions)
     from pii_detector_ray.stages.skew import hot_keys, split_by_keys
 
     nparts = num_partitions or join_partitions()
@@ -372,22 +374,13 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     cold = skew_join(left_cold, right_cold, on=on, hot_key_threshold=None,
                      num_partitions=nparts)
 
-    # bounded count decides the hot-side strategy without materializing
-    # right_hot (limit() early-stops the stream at broadcast_limit + 1)
-    n_rh = right_hot.limit(broadcast_limit + 1).count()
-    if n_rh == 0:
+    # either hot path materializes both hot sides; their sizes pick it
+    right_hot = drop_empty_blocks(right_hot)
+    if right_hot.count() == 0:
         return cold                      # inner join: hot keys match nothing
-    if n_rh <= broadcast_limit:
-        rh_ref = ray.put(right_hot.to_pandas())
-
-        def map_side(batch: pa.Table) -> pa.Table:
-            ldf = batch.to_pandas()
-            out = ldf.merge(ray.get(rh_ref), how='inner', on=on)
-            return pa.Table.from_pandas(out, preserve_index=False) \
-                .replace_schema_metadata(None)
-
-        hot_joined = drop_empty_blocks(
-            left_hot.map_batches(map_side, batch_format='pyarrow'))
+    left_hot = drop_empty_blocks(left_hot)
+    if broadcasts(left_hot, right_hot):
+        hot_joined = drop_empty_blocks(broadcast_join(left_hot, right_hot, on))
     else:
         R = nparts
 

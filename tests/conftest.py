@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 import ray
+from ray.data.context import DataContext
 
 
 @pytest.fixture(scope='session', autouse=True)
@@ -13,6 +16,24 @@ def ray_session():
                  ignore_reinit_error=True, logging_level='ERROR')
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def max_block_size():
+    """``with max_block_size(n):`` runs the block with
+    ``DataContext.target_max_block_size`` set to ``n``, then restores it.
+    ``n=1`` makes every non-empty dataset too large to broadcast, so
+    ``hash_join`` and ``skew_join`` take Ray's shuffle ``Join``."""
+    @contextlib.contextmanager
+    def set_to(n: int):
+        ctx = DataContext.get_current()
+        old = ctx.target_max_block_size
+        ctx.target_max_block_size = n
+        try:
+            yield
+        finally:
+            ctx.target_max_block_size = old
+    return set_to
 
 
 @pytest.fixture(scope='session')

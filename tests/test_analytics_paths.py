@@ -165,9 +165,13 @@ def test_nation_trade_volume_paths_equal(ray_session):
     assert (bc['supp_nation'] != bc['cust_nation']).all()
 
 
-def test_region_market_share_paths_equal(ray_session):
+def test_region_market_share_paths_equal(ray_session, monkeypatch):
     from pii_detector_ray.queries import q_region_market_share
+    from pii_detector_ray.stages import dedup
     bc = _normf(q_region_market_share(SF).to_pandas())
+    # the join path's joins are Ray's Join: no build budget for a broadcast
+    # (max_block_size(1) would too, but its 1-row blocks cost 100 s here)
+    monkeypatch.setattr(dedup, 'BROADCAST_BUILD_BYTES', 0)
     jn = _normf(q_region_market_share(SF, broadcast_limit=0).to_pandas())
     assert bc.equals(jn)
     assert ((bc['mkt_share'] >= 0) & (bc['mkt_share'] <= 1)).all()

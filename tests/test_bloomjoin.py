@@ -41,27 +41,29 @@ def _exact_anti(rows, key_set):
 
 
 @pytest.mark.parametrize('m_bits', [64, 1 << 12])   # 64 bits → heavy fp rate
-def test_bloom_anti_join_exact(ray_session, m_bits):
+def test_bloom_anti_join_exact(ray_session, max_block_size, m_bits):
     rng = np.random.default_rng(7)
     rows = [{'k': int(x), 'v': i} for i, x in
             enumerate(rng.integers(0, 500, size=400))]
     key_list = [int(x) for x in rng.integers(0, 500, size=120)]
     big = ray.data.from_items(rows)
     keys = ray.data.from_items([{'k': k} for k in sorted(set(key_list))])
-    out = bloom_anti_join(big, keys, on='k', m_bits=m_bits, k=4,
-                          exact_broadcast_limit=0)
-    got = sorted((r['k'], r['v']) for r in out.take_all())
+    with max_block_size(1):          # the verify join is Ray's Join
+        out = bloom_anti_join(big, keys, on='k', m_bits=m_bits, k=4,
+                              exact_broadcast_limit=0)
+        got = sorted((r['k'], r['v']) for r in out.take_all())
     assert got == _exact_anti(rows, set(key_list))
 
 
-def test_bloom_anti_join_string_keys(ray_session):
+def test_bloom_anti_join_string_keys(ray_session, max_block_size):
     rows = [{'k': f'url{i % 50}', 'v': i} for i in range(200)]
     key_list = [f'url{i}' for i in range(0, 50, 2)]
     big = ray.data.from_items(rows)
     keys = ray.data.from_items([{'k': k} for k in key_list])
-    out = bloom_anti_join(big, keys, on='k', m_bits=256, k=3,
-                          exact_broadcast_limit=0)
-    got = sorted((r['k'], r['v']) for r in out.take_all())
+    with max_block_size(1):          # the verify join is Ray's Join
+        out = bloom_anti_join(big, keys, on='k', m_bits=256, k=3,
+                              exact_broadcast_limit=0)
+        got = sorted((r['k'], r['v']) for r in out.take_all())
     assert got == _exact_anti(rows, set(key_list))
 
 
@@ -81,16 +83,17 @@ def test_bloom_anti_join_all_dropped(ray_session):
     assert out.count() == 0
 
 
-def test_broadcast_guard_path_equals_join_path(ray_session):
+def test_broadcast_guard_path_equals_join_path(ray_session, max_block_size):
     rows = [{'k': i % 60, 'v': i} for i in range(300)]
     key_list = list(range(0, 60, 4))
     big = ray.data.from_items(rows)
     keys = ray.data.from_items([{'k': k} for k in key_list])
     via_guard = bloom_anti_join(big, keys, on='k', m_bits=256, k=3)
-    via_join = bloom_anti_join(big, keys, on='k', m_bits=256, k=3,
-                               exact_broadcast_limit=0)
+    with max_block_size(1):          # the verify join is Ray's Join
+        via_join = bloom_anti_join(big, keys, on='k', m_bits=256, k=3,
+                                   exact_broadcast_limit=0)
+        b = sorted((r['k'], r['v']) for r in via_join.take_all())
     a = sorted((r['k'], r['v']) for r in via_guard.take_all())
-    b = sorted((r['k'], r['v']) for r in via_join.take_all())
     assert a == b == _exact_anti(rows, set(key_list))
 
 

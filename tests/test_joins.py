@@ -109,7 +109,7 @@ def test_sliding_window_negative_ts_matches_duckdb_floor():
     assert -1000 in set(got['window_start'])       # floor(-950/100)*100
 
 
-def test_skew_join_all_paths_equal_plain(ray_session):
+def test_skew_join_all_paths_equal_plain(ray_session, max_block_size):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -131,10 +131,12 @@ def test_skew_join_all_paths_equal_plain(ray_session):
         return df.sort_values(['k', 'lv']).reset_index(drop=True)[
             ['k', 'lv', 'rv']]
 
-    plain = norm(skew_join(left, right, on='k', hot_key_threshold=None))
+    # max_block_size(1): nothing fits one block, so the plain join is
+    # Ray's shuffle Join and the hot path salts
+    with max_block_size(1):
+        plain = norm(skew_join(left, right, on='k', hot_key_threshold=None))
+        salted = norm(skew_join(left, right, on='k', hot_key_threshold=500))
     broadcast = norm(skew_join(left, right, on='k', hot_key_threshold=500))
-    salted = norm(skew_join(left, right, on='k', hot_key_threshold=500,
-                            broadcast_limit=0))
     assert plain.equals(broadcast)
     assert plain.equals(salted)
     assert len(plain) == 2000            # right keys cover every left key
@@ -170,7 +172,8 @@ def test_skew_join_empty_sides(ray_session):
     assert out.count() == 0
 
 
-def test_skew_join_hot_rows_only_in_late_partitions(ray_session):
+def test_skew_join_hot_rows_only_in_late_partitions(ray_session,
+                                                    max_block_size):
     """Regression (r3 review, reproduced): hot-key rows confined to the
     LAST partitions leave many 0-row blocks in the hot split; those become
     schema-less and poisoned the (key, salt) hash shuffle until every join
@@ -191,8 +194,9 @@ def test_skew_join_hot_rows_only_in_late_partitions(ray_session):
         'k': pa.array(np.arange(0, 10, dtype=np.int64)),
         'name': pa.array([f'n{i}' for i in range(10)])})).repartition(4)
     for trial in range(3):    # the failure was block-arrival-order flaky
-        out = skew_join(left, right, on='k', hot_key_threshold=100,
-                        broadcast_limit=0).to_pandas()
+        with max_block_size(1):          # the salted (key, salt) shuffle
+            out = skew_join(left, right, on='k',
+                            hot_key_threshold=100).to_pandas()
         assert len(out) == len(ks)
         assert (out.loc[out['k'] == 7, 'name'] == 'n7').all()
 

@@ -1,10 +1,12 @@
 """The Ray 2.49 shuffle workaround lives in two helpers in stages/dedup.py:
 ``hash_join`` (every Dataset.join) and ``bounded_agg`` (every coalesced
-aggregate).  These tests pin what each helper promises and that no other
-module hand-rolls either pattern, nor walks a dataset's block refs outside
+aggregate).  These tests pin what each helper promises, that their
+shuffle-free paths equal Ray's operators, and that no other module
+hand-rolls either pattern, nor walks a dataset's block refs outside
 ``drop_empty_blocks`` and ``stages/ranks.sorted_prefix``."""
 
 import ast
+import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,11 @@ import pyarrow as pa
 import pytest
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.grouped_data import GroupedData
 
 import pii_detector_ray
+from pii_detector_ray import queries as q
 from pii_detector_ray.stages.dedup import bounded_agg, hash_join
 
 PKG = Path(pii_detector_ray.__file__).parent
@@ -62,6 +66,66 @@ def test_bounded_agg_returns_one_block_with_schema(ray_session):
     assert got['n'].tolist() == exp.tolist()
 
 
+def _ray_agg(partials, keys, *aggs) -> ray.data.Dataset:
+    """The coalesced Ray aggregate ``bounded_agg`` replaces."""
+    return partials.repartition(1).groupby(keys).aggregate(*aggs)
+
+
+_AGG_TABLE = pa.table({
+    'k': pa.array([3, None, 1, 1, 2, None, 3, 2], pa.int64()),
+    's': pa.array(['b', 'a', None, 'a', 'b', 'a', 'b', None]),
+    'n': pa.array([1, 2, 3, 4, None, None, 5, 6], pa.int32()),
+    'x': pa.array([1.5, 2.0, None, 4.0, None, 1.0, 0.5, 8.0], pa.float32()),
+    'u': pa.array([1, 2, 3, 4, 5, 6, 7, 8], pa.uint8()),
+    't': pa.array(['x', 'y', 'z', None, 'w', None, 'v', 'u'])})
+
+
+def _agg_case(case: str) -> tuple:
+    blocks = [_AGG_TABLE.slice(i, 3) for i in range(0, 8, 3)]
+    ds = ray.data.from_arrow(blocks)
+    if case == 'pandas_objects':
+        # object-column pandas blocks, as a pandas map_groups emits them
+        return (ds.map_batches(lambda d: d[['s', 'k', 'n']],
+                               batch_format='pandas'),
+                's', (Sum('n', alias_name='sn'), Count(alias_name='c')))
+    if case == 'null_keys':
+        return ds, 'k', (Sum('u', alias_name='su'),
+                         Count(alias_name='c'))
+    if case == 'all_null_sum_group':
+        # group k=2 has only NULL n and x
+        return (ds.filter(expr='k == 2 or k == 3'), 'k',
+                (Sum('n', alias_name='sn'), Max('x', alias_name='mx')))
+    if case == 'multi_key':
+        return ds, ['s', 'k'], (Sum('n', alias_name='sn'),
+                                Sum('x', alias_name='sx'))
+    if case == 'count_max_min':
+        return ds, 's', (Count(alias_name='c'), Max('t', alias_name='mt'),
+                         Min('n', alias_name='mn'), Max('x', alias_name='mx'),
+                         Min('u', alias_name='mu'))
+    assert case == 'all_empty'
+    return ds.filter(expr='k > 100'), 'k', (Sum('n', alias_name='sn'),)
+
+
+@pytest.mark.parametrize('case', ['pandas_objects', 'null_keys',
+                                  'all_null_sum_group', 'multi_key',
+                                  'count_max_min', 'all_empty'])
+def test_bounded_agg_equals_ray_aggregate(ray_session, case):
+    partials, keys, aggs = _agg_case(case)
+    want = _ray_agg(partials, keys, *aggs).materialize()
+    got = bounded_agg(partials, keys, *aggs).materialize()
+    assert got.num_blocks() == want.num_blocks() == 1
+    assert (got.schema() is None) == (want.schema() is None)
+    g, w = got.to_pandas(), want.to_pandas()
+    assert g.dtypes.to_dict() == w.dtypes.to_dict()
+    pd.testing.assert_frame_equal(g, w)
+
+
+def test_bounded_agg_rejects_other_aggregates(ray_session):
+    ds = ray.data.from_arrow(_AGG_TABLE)
+    with pytest.raises(TypeError, match='Mean'):
+        bounded_agg(ds, 'k', Sum('n'), Mean('x'))
+
+
 def _rows(df: pd.DataFrame) -> list[tuple]:
     df = df[sorted(df.columns)].astype(object)
     return sorted(tuple(None if pd.isna(v) else int(v) for v in r)
@@ -102,6 +166,172 @@ def test_hash_join_inner_with_an_empty_side_is_typed(ray_session):
             'k': pa.int64(), 'v': pa.string(), 'w': pa.float64()}
 
 
+def test_hash_join_outer_with_an_empty_side_is_typed(ray_session):
+    left = ray.data.from_arrow(pa.table({
+        'k': pa.array([1, None, 2], pa.int64()),
+        'v': pa.array(['a', 'b', 'c'], pa.string())}))
+    right = ray.data.from_arrow(pa.table({
+        'k': pa.array([], pa.int64()), 'w': pa.array([], pa.float64())}))
+    kept = {'k': [1, None, 2], 'v': ['a', 'b', 'c'], 'w': [None] * 3}
+
+    def result(ds):
+        t = pa.concat_tables(ray.get(ds.to_arrow_refs())) \
+            .sort_by([('v', 'ascending')])
+        return dict(zip(t.column_names, t.schema.types)), t.to_pydict()
+
+    types = {'k': pa.int64(), 'v': pa.string(), 'w': pa.float64()}
+    for how in ('left_outer', 'full_outer'):
+        assert result(hash_join(left, right, 'k', how)) == (types, kept)
+    # swapped: the right side's columns come first
+    swapped = {'k': pa.int64(), 'w': pa.float64(), 'v': pa.string()}
+    out = hash_join(right, left, 'k', 'left_outer')
+    assert out.count() == 0
+    sch = out.schema().base_schema
+    assert dict(zip(sch.names, sch.types)) == swapped
+    assert result(hash_join(right, left, 'k', 'full_outer')) == \
+        (swapped, {'k': [1, None, 2], 'w': [None] * 3, 'v': ['a', 'b', 'c']})
+
+
+@contextlib.contextmanager
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each ``(owner, attr)`` while the block runs."""
+    calls = {attr: 0 for _, attr in targets}
+    for owner, attr in targets:
+        real = getattr(owner, attr)
+
+        def wrapper(*args, _real=real, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+    yield calls
+    monkeypatch.undo()
+
+
+def _join_sides(case: str) -> tuple:
+    rng = np.random.default_rng(7)
+    if case == 'duplicate_keys':
+        lk, rk = rng.integers(0, 6, 60), rng.integers(0, 8, 20)
+        left = pa.table({'k': pa.array(lk), 'lv': pa.array(np.arange(60))})
+        right = [pa.table({'k': pa.array(rk[:10]),
+                           'rv': pa.array(np.arange(10))}),
+                 pa.table({'k': pa.array(rk[10:]),
+                           'rv': pa.array(np.arange(10, 20))})]
+        return left, right, 'k'
+    if case == 'null_keys':
+        left = pa.table({'k': pa.array([1, None, 2, None, 3], pa.int64()),
+                         'lv': pa.array(np.arange(5))})
+        right = [pa.table({'k': pa.array([None, 1, 3, None], pa.int64()),
+                           'rv': pa.array(['n', 'a', 'c', 'm'])})]
+        return left, right, 'k'
+    if case == 'two_column_key':
+        left = pa.table({'a': pa.array(rng.integers(0, 3, 40)),
+                         'b': pa.array(rng.choice(['x', 'y', None], 40)),
+                         'lv': pa.array(np.arange(40))})
+        right = [pa.table({'a': pa.array([0, 0, 1, 2, 2]),
+                           'b': pa.array(['x', 'y', 'x', None, 'y']),
+                           'rv': pa.array([1.0, 2.0, 3.0, 4.0, 5.0])})]
+        return left, right, ('a', 'b')
+    assert case == 'promoted_right_types'
+    left = pa.table({'k': pa.array([1, 2, 3, 4], pa.int64()),
+                     'lv': pa.array([10, 20, 30, 40])})
+    # int32 then int64 values, and a column that is all-NULL in one block
+    right = [pa.table({'k': pa.array([1, 2], pa.int64()),
+                       'rv': pa.array([5, 6], pa.int32()),
+                       'rs': pa.nulls(2)}),
+             pa.table({'k': pa.array([2, 4], pa.int64()),
+                       'rv': pa.array([7, 2 ** 40], pa.int64()),
+                       'rs': pa.array(['p', None])})]
+    return left, right, 'k'
+
+
+def _sorted_table(ds: ray.data.Dataset) -> pa.Table:
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return t.sort_by([(c, 'ascending') for c in t.column_names])
+
+
+@pytest.mark.parametrize('how', ['inner', 'left_outer'])
+@pytest.mark.parametrize('case', ['duplicate_keys', 'null_keys',
+                                  'two_column_key', 'promoted_right_types'])
+def test_hash_join_broadcast_equals_ray_join(ray_session, monkeypatch,
+                                             max_block_size, case, how):
+    lt, rts, on = _join_sides(case)
+    left = ray.data.from_arrow([lt.slice(0, len(lt) // 2),
+                                lt.slice(len(lt) // 2)])
+    right = ray.data.from_arrow(rts)
+    with _count_calls(monkeypatch, (ray.data.Dataset, 'join')) as calls:
+        got = _sorted_table(hash_join(left, right, on, how))
+    assert calls == {'join': 0}
+    with max_block_size(1), \
+            _count_calls(monkeypatch, (ray.data.Dataset, 'join')) as calls:
+        want = _sorted_table(hash_join(left, right, on, how))
+    assert calls == {'join': 1}
+    assert got.schema == want.schema
+    assert got.equals(want)
+
+
+def test_hash_join_shuffles_past_the_build_budget(ray_session, monkeypatch):
+    """A right side that fits one block still shuffles once one hash build
+    of it per left block exceeds ``BROADCAST_BUILD_BYTES``."""
+    from pii_detector_ray.stages import dedup
+
+    lt = pa.table({'k': pa.array(np.arange(40) % 7), 'lv': np.arange(40)})
+    left = ray.data.from_arrow([lt.slice(i * 10, 10) for i in range(4)])
+    right = ray.data.from_arrow(pa.table({'k': np.arange(7),
+                                          'rv': np.arange(7) * 2}))
+    build = right.size_bytes() * 4
+    got = {}
+    for budget in (build, build - 1):
+        monkeypatch.setattr(dedup, 'BROADCAST_BUILD_BYTES', budget)
+        with _count_calls(monkeypatch, (ray.data.Dataset, 'join')) as calls:
+            got[budget] = _sorted_table(hash_join(left, right, 'k'))
+        assert calls == {'join': int(budget < build)}
+    assert got[build].equals(got[build - 1]) and got[build].num_rows == 40
+
+
+def _gate_events(tmp_path) -> str:
+    """An events table in the benchmark's gate shape: 10,000 rows over 150
+    users and 5 event types, ``ts`` rising with ``event_id``."""
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(0)
+    n = 10_000
+    ts = 1_704_067_200_000_000 + np.arange(n, dtype=np.int64) * 259_200_000
+    pq.write_table(pa.table({
+        'event_id': pa.array(np.arange(n, dtype=np.int64)),
+        'ts': pa.array(ts, pa.timestamp('us')),
+        'user_id': pa.array(rng.integers(0, 150, n, dtype=np.int64)),
+        'event_type': pa.array(rng.choice(
+            ['click', 'error', 'purchase', 'signup', 'view'], n).tolist()),
+        'value': pa.array(np.round(rng.exponential(50.0, n), 2))}),
+        tmp_path / 'events.parquet')
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize('name', ['event_markov2', 'events_segment_join'])
+def test_gate_query_plans_skip_ray_shuffle_operators(ray_session, tmp_path,
+                                                     monkeypatch, name):
+    """On gate-shaped tables ``event_markov2`` closes its transition
+    partials without a Ray aggregate and ``events_segment_join`` joins
+    without a ``Dataset.join``; both still equal their DuckDB oracle."""
+    import duckdb
+
+    target = {'event_markov2': (GroupedData, 'aggregate'),
+              'events_segment_join': (ray.data.Dataset, 'join')}[name]
+    sf_dir = _gate_events(tmp_path)
+    with _count_calls(monkeypatch, target) as calls:
+        got = q.queries()[name](sf_dir)
+        got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
+    assert calls == {target[1]: 0}
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{sf_dir}/events.parquet')")
+    want = con.execute(q.oracle_sql()[name]).df()
+    cols = list(want.columns)
+    got = got[cols].sort_values(cols[:-1]).reset_index(drop=True)
+    want = want.sort_values(cols[:-1]).reset_index(drop=True)
+    assert got.astype(str).equals(want.astype(str))
+
+
 def _calls(path: Path):
     """(call node, innermost enclosing function name) for every call."""
     out = []
@@ -129,10 +359,58 @@ def _named(node, name: str) -> bool:
         isinstance(node.func, ast.Name) and node.func.id == name
 
 
+def _is_coalesce(node) -> bool:
+    """``<ds>.repartition(1)``."""
+    return _method(node, 'repartition') and len(node.args) == 1 and \
+        isinstance(node.args[0], ast.Constant) and node.args[0].value == 1
+
+
+def _scope_defs(node) -> dict:
+    """Name -> function defs declared directly in ``node``'s scope (also
+    inside its ``if``/``for`` blocks, not inside nested functions)."""
+    out, stack = {}, list(ast.iter_child_nodes(node))
+    while stack:
+        ch = stack.pop()
+        if isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.setdefault(ch.name, []).append(ch)
+        elif not isinstance(ch, (ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(ch))
+    return out
+
+
+def _coalesced_reduces(path: Path) -> list:
+    """Innermost enclosing function of every ``repartition(1)`` feeding a
+    ``map_batches`` whose function (resolved through the enclosing scopes)
+    runs a pyarrow ``group_by(...).aggregate(...)`` — a hand-rolled
+    coalesced aggregate."""
+    def aggregates(fn) -> bool:
+        return any(_method(n, 'aggregate') and _method(n.func.value, 'group_by')
+                   for n in ast.walk(fn))
+
+    out = []
+
+    def visit(node, env, fn):
+        env = {**env, **_scope_defs(node)}
+        for ch in ast.iter_child_nodes(node):
+            if _method(ch, 'map_batches') and _is_coalesce(ch.func.value) \
+                    and ch.args and isinstance(ch.args[0], ast.Name) and \
+                    any(aggregates(d) for d in env.get(ch.args[0].id, [])):
+                out.append(fn)
+            if isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(ch, env, ch.name)
+            else:
+                visit(ch, env, fn)
+
+    visit(ast.parse(path.read_text()), {}, None)
+    return out
+
+
 def test_shuffle_workaround_lives_in_one_place():
-    joins, coalesced, wrapped, defs, ref_walks = [], [], [], [], []
+    joins, coalesced_groupbys, wrapped, defs, ref_walks = [], [], [], [], []
+    coalesced = []
     for path in sorted(PKG.rglob('*.py')):
         rel = path.relative_to(PKG).as_posix()
+        coalesced += [(rel, fn) for fn in _coalesced_reduces(path)]
         for call, fn in _calls(path):
             where = (rel, fn)
             kws = {k.arg for k in call.keywords}
@@ -140,10 +418,9 @@ def test_shuffle_workaround_lives_in_one_place():
             if _method(call, 'join') and 'join_type' in kws and \
                     'keys' not in kws:
                 joins.append(where)
-            if _method(call, 'groupby') and \
-                    _method(call.func.value, 'repartition') and \
-                    ast.literal_eval(call.func.value.args[0]) == 1:
-                coalesced.append(where)
+            # the Ray-aggregate form of the coalesce: gone everywhere
+            if _method(call, 'groupby') and _is_coalesce(call.func.value):
+                coalesced_groupbys.append(where)
             if _method(call, 'iter_internal_ref_bundles'):
                 ref_walks.append(where)
             if _named(call, 'hash_join') and \
@@ -156,6 +433,7 @@ def test_shuffle_workaround_lives_in_one_place():
                  if isinstance(n, ast.FunctionDef) and n.name in
                  ('hash_join', 'bounded_agg', 'drop_empty_blocks')]
     assert set(joins) == {('stages/dedup.py', 'hash_join')}
+    assert coalesced_groupbys == []
     assert set(coalesced) == {('stages/dedup.py', 'bounded_agg')}
     assert wrapped == []
     assert set(ref_walks) == {('stages/dedup.py', 'drop_empty_blocks'),
