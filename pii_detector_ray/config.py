@@ -80,11 +80,9 @@ class PipelineConfig:
 
     thresholds: QualityThresholds = field(default_factory=QualityThresholds)
 
-    # execution sizing (see SURVEY.md §4; derive pools from cluster size so the
-    # 8-vs-32-CPU scaling run isn't capped by a fixed pool)
+    # rows per scrub batch of the rescan and traindata pipelines; the
+    # flagship's stages take whole blocks (pipelines/quality_filter.py)
     scrub_batch_size: int = 1024
-    scorer_batch_size: int = 1024
-    min_read_blocks_per_cpu: int = 4
 
     # checkpoint/resume layout
     num_output_partitions: int = 8

@@ -3,12 +3,16 @@
 Execution model (SURVEY.md §4 'Checkpoint / resume'): input files →
 deterministic partitions → for each partition not yet committed, run the
 streaming pipeline over that partition's files, write ``out/part=K/``,
-aggregate partition metrics, then atomically commit the manifest.  Each
-partition run saturates the whole cluster (enough input blocks per
-partition), so serializing over partitions costs little and buys exact
-resume: a killed job re-runs only uncommitted partitions
-(``tests/test_resume.py`` kills between partitions and asserts identical
-final output with no recomputation of committed ones).
+aggregate partition metrics, then atomically commit the manifest.  A
+partition is read by ``quality_filter.read_pages``: one task per file when
+its files number at least ``min(CPUs, ceil(rows / 1024))``, else its files
+split into ``min(2 x CPUs, ceil(rows / 1024))`` blocks.  So a partition
+of fewer files than CPUs fills the cluster only when its rows make enough
+1,024-row blocks; a one-file partition of at most 1,024 rows is one task.
+Serializing over partitions buys exact resume: a killed job re-runs only
+uncommitted partitions (``tests/test_resume.py`` kills between partitions
+and asserts identical final output with no recomputation of committed
+ones).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from pii_detector_ray.sources.pqread import read_parquet_clean
 
 import pii_detector_ray
 from pii_detector_ray.config import PipelineConfig
-from pii_detector_ray.pipelines.quality_filter import build_pipeline
+from pii_detector_ray.pipelines.quality_filter import build_pipeline, read_pages
 from pii_detector_ray.state.manifest import (
     assign_partitions,
     completed_partitions,
@@ -153,8 +157,7 @@ def run_partitioned(
         if os.path.isdir(part_dir):
             shutil.rmtree(part_dir)   # uncommitted partial output from a crash
         t0 = time.monotonic()
-        ds = read_parquet_clean(files)
-        ds = build_pipeline(ds, cfg, dedup_urls=dedup_urls, keep_only=keep_only)
+        ds = build_pipeline(read_pages(files), cfg, dedup_urls=dedup_urls, keep_only=keep_only)
         ds.write_parquet(part_dir)
         metrics = _partition_metrics(part_dir)
         write_manifest(out_dir, part_id, {

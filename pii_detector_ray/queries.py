@@ -81,6 +81,14 @@ def _events(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
     return read_parquet_clean(os.path.join(sf_dir, 'events.parquet'), columns=columns)
 
 
+def _frame(ds: ray.data.Dataset, schema: pa.Schema) -> pd.DataFrame:
+    """``ds.to_pandas()``, or ``schema``'s typed empty frame when ``ds``
+    has no rows: Ray 2.49's ``to_pandas`` of a dataset without rows is a
+    frame without columns, even when its blocks carry a schema."""
+    df = ds.to_pandas()
+    return df if len(df) else schema.empty_table().to_pandas()
+
+
 def _embeddings(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
     import os
     return read_parquet_clean(os.path.join(sf_dir, 'embeddings.parquet'), columns=columns)
@@ -951,7 +959,7 @@ _LABEL_CENTROIDS_SQL = (
 )
 
 
-def q_events_segment_join(sf_dir: str) -> ray.data.Dataset:
+def q_events_segment_join(sf_dir: str) -> pd.DataFrame:
     """Skew-aware inner join (stages/joins.skew_join): events join a
     derived user→segment dimension with a hot-key threshold LOW enough
     that most users route through the hot path (a broadcast join) — the
@@ -996,8 +1004,9 @@ def q_events_segment_join(sf_dir: str) -> ray.data.Dataset:
         return agg.rename_columns(['segment', '_n'])
 
     # partials are bounded (≤5 segment rows per batch)
-    return bounded_agg(joined.map_batches(partial, batch_format='pyarrow'),
-                       'segment', Sum('_n', alias_name='n_events'))
+    return _frame(bounded_agg(joined.map_batches(partial, batch_format='pyarrow'),
+                              'segment', Sum('_n', alias_name='n_events')),
+                  pa.schema([('segment', pa.string()), ('n_events', pa.int64())]))
 
 
 _EVENTS_SEGMENT_JOIN_SQL = (
@@ -6257,7 +6266,7 @@ _RESERVOIR_SAMPLE_SQL = (
 )
 
 
-def q_event_transitions(sf_dir: str) -> ray.data.Dataset:
+def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     """First-order Markov transition counts over the event stream: how
     often each event_type follows each other type within a user's
     (ts, event_id)-ordered history.  Mega-users route through the
@@ -6268,8 +6277,10 @@ def q_event_transitions(sf_dir: str) -> ray.data.Dataset:
     partials = event_transitions(
         _events(sf_dir, ['user_id', 'event_id', 'ts', 'event_type']),
         hot_key_threshold=_events_hot_threshold(sf_dir))
-    return bounded_agg(partials, ['prev_type', 'next_type'],
-                       Sum('_n', alias_name='n_transitions'))
+    return _frame(bounded_agg(partials, ['prev_type', 'next_type'],
+                              Sum('_n', alias_name='n_transitions')),
+                  pa.schema([('prev_type', pa.string()), ('next_type', pa.string()),
+                             ('n_transitions', pa.int64())]))
 
 
 _EVENT_TRANSITIONS_SQL = (
@@ -13995,7 +14006,7 @@ def q_event_markov2(sf_dir: str) -> pd.DataFrame:
     is the existing transition-count machinery (salted for mega-users);
     the composition runs on the TYPE-ALPHABET-bounded count table (T²
     rows), driver-side by construction."""
-    trans = q_event_transitions(sf_dir).to_pandas()
+    trans = q_event_transitions(sf_dir)
     out_n = trans.groupby('prev_type', dropna=False)['n_transitions'] \
         .transform('sum').to_numpy(np.int64)
     q = sql_round_np(1e6 * trans['n_transitions'].to_numpy(np.int64)
@@ -14006,8 +14017,8 @@ def q_event_markov2(sf_dir: str) -> pd.DataFrame:
     p2 = j.assign(w2=j['q'] * j['q2']) \
         .groupby(['a', 'c'], as_index=False, dropna=False)['w2'].sum()
     return pd.DataFrame({
-        'prev_type': p2['a'].astype('string'),
-        'next2_type': p2['c'].astype('string'),
+        'prev_type': p2['a'].astype(object),
+        'next2_type': p2['c'].astype(object),
         'w2': p2['w2'].astype('int64'),
         'prob2': pd.Series(sql_round_np(p2['w2'].to_numpy(np.int64) / 1e12,
                                         6), dtype='float64')})

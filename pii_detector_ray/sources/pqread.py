@@ -38,26 +38,40 @@ def _all_files(paths) -> list[str]:
     return [paths]
 
 
-def clean_schema(paths, columns: list[str] | None = None) -> pa.Schema | None:
+def footers(paths) -> list[pq.FileMetaData] | None:
+    """The Parquet footer of every file under ``paths`` (in read order), or
+    None when there is no file, more than ``_MAX_FOOTER_CHECKS`` files, or an
+    unreadable footer."""
+    try:
+        files = _all_files(paths)
+        if not files or len(files) > _MAX_FOOTER_CHECKS:
+            return None
+        return [pq.read_metadata(f) for f in files]
+    except (OSError, pa.ArrowException):
+        return None
+
+
+def clean_schema(paths, columns: list[str] | None = None,
+                 metas: list[pq.FileMetaData] | None = None) -> pa.Schema | None:
     """Metadata-stripped footer schema, restricted to ``columns`` (in the
     given order) — but ONLY when every file's footer agrees.  Imposing one
     file's schema on a heterogeneous set would silently null-fill or drop
     columns that Ray's default schema unification used to carry, so a
     mismatch (or an unreadable footer, or too many files to check) returns
-    None and the caller does a plain read."""
+    None and the caller does a plain read.  ``metas``: the footers, when the
+    caller has already read them (``footers(paths)``)."""
+    metas = footers(paths) if metas is None else metas
+    if not metas:
+        return None
     try:
-        files = _all_files(paths)
-        if not files or len(files) > _MAX_FOOTER_CHECKS:
-            return None
-
-        def stripped(f: str) -> pa.Schema:
-            full = pq.read_schema(f)
+        def stripped(md: pq.FileMetaData) -> pa.Schema:
+            full = md.schema.to_arrow_schema()
             names = columns if columns is not None else full.names
             return pa.schema([full.field(n).remove_metadata() for n in names])
 
-        schema = stripped(files[0])
-        for f in files[1:]:
-            if not stripped(f).equals(schema):
+        schema = stripped(metas[0])
+        for md in metas[1:]:
+            if not stripped(md).equals(schema):
                 return None
         return schema
     except Exception:
@@ -65,10 +79,11 @@ def clean_schema(paths, columns: list[str] | None = None) -> pa.Schema | None:
 
 
 def read_parquet_clean(paths, *, columns: list[str] | None = None,
+                       metas: list[pq.FileMetaData] | None = None,
                        **kwargs) -> ray.data.Dataset:
     """``ray.data.read_parquet`` with a metadata-free explicit schema (falls
     back to the plain read when the footer is unreadable)."""
-    schema = clean_schema(paths, columns)
+    schema = clean_schema(paths, columns, metas)
     if schema is not None:
         kwargs['schema'] = schema
     return ray.data.read_parquet(paths, columns=columns, **kwargs)

@@ -159,15 +159,19 @@ def test_pipeline_matches_oracle_every_column():
 
 
 def test_from_json_ignores_removed_fields():
-    """A config saved while the actor-pool scorer option still existed
-    loads (the CLI reads saved configs); the stale key is dropped."""
-    # the removed field's name, in two parts: it is gone from the package
-    removed = 'scorer' '_mode'
+    """A config saved while removed fields still existed loads (the CLI
+    reads saved configs); the stale keys are dropped: the actor-pool scorer
+    option, the quality stage's batch size (the flagship's stages now take
+    whole blocks) and a read-blocks-per-CPU knob nothing read."""
+    # the removed fields' names, in two parts: they are gone from the package
+    removed = {'scorer' '_mode': 'actors', 'scorer' '_batch_size': 512,
+               'min_read' '_blocks_per_cpu': 4}
     saved = json.loads(PipelineConfig(scrub_batch_size=7).to_json())
-    saved[removed] = 'actors'
+    saved.update(removed)
     cfg = PipelineConfig.from_json(json.dumps(saved))
     assert cfg.scrub_batch_size == 7
-    assert not hasattr(cfg, removed)
+    for name in removed:
+        assert not hasattr(cfg, name)
     assert cfg.to_json() == PipelineConfig(scrub_batch_size=7).to_json()
 
 

@@ -227,3 +227,26 @@ def test_port_plan_is_sorts_only(ray_session, tmp_path, monkeypatch, name):
     assert len(got) == len(want) > 0
     assert calls == {'sort': 2 if name == 'value_time_spearman' else 1,
                      'join': 0, 'aggregate': 0, 'drop_empty_blocks': 0}
+
+
+@pytest.mark.parametrize('name', ['event_transitions', 'events_segment_join',
+                                  'event_markov2'])
+def test_event_query_on_zero_rows_equals_oracle_frame(ray_session, tmp_path,
+                                                      name):
+    """On a zero-row events table the transition, segment-join and
+    two-step Markov queries return the oracle's empty frame: same columns,
+    same dtypes (Ray's ``to_pandas`` of an empty dataset has no columns)."""
+    tbl = pa.table({'event_id': pa.array([], pa.int64()),
+                    'ts': pa.array([], pa.timestamp('us')),
+                    'user_id': pa.array([], pa.int64()),
+                    'event_type': pa.array([], pa.string()),
+                    'value': pa.array([], pa.float64()),
+                    'props': pa.array([], pa.string())})
+    pq.write_table(tbl, tmp_path / 'events.parquet')
+    got = q.queries()[name](str(tmp_path))
+    con = duckdb.connect()
+    con.register('events', tbl)
+    want = con.execute(q.oracle_sql()[name]).df()
+    assert len(got) == len(want) == 0
+    assert dict(got.dtypes) == dict(want.dtypes)
+    assert list(got.columns) == list(want.columns)
