@@ -162,7 +162,7 @@ def _candidate_pairs_from_keys(exploded: ray.data.Dataset, key_cols: list[str],
         if len(g) < 2:
             return pd.DataFrame({'doc_a': pd.Series([], dtype='int64'),
                                  'doc_b': pd.Series([], dtype='int64')})
-        ids = np.sort(g[id_col].to_numpy())
+        ids = np.sort(g[id_col].to_numpy()).astype(np.int64)
         ii, jj = np.triu_indices(len(ids), k=1)
         return pd.DataFrame({'doc_a': ids[ii], 'doc_b': ids[jj]})
 
@@ -180,10 +180,11 @@ def _semi_join_payload(corpus: ray.data.Dataset, cand_ids: frozenset,
     ref = _ray.put(pa.array(sorted(cand_ids), pa.int64()))
 
     def keep(batch: pa.Table) -> pa.Table:
-        value_set = _ray.get(ref)
-        mask = pa.compute.is_in(batch.column(id_col).cast(pa.int64()),
-                                value_set=value_set)
-        return batch.select([id_col, payload_col]).filter(mask)
+        # int64 like the pair ids it joins with: a join on int32 vs int64
+        # keys fails
+        ids = batch.column(id_col).cast(pa.int64())
+        return pa.table({id_col: ids, payload_col: batch.column(payload_col)}) \
+            .filter(pc.is_in(ids, value_set=_ray.get(ref)))
 
     return corpus.map_batches(keep, batch_format='pyarrow')
 
@@ -192,7 +193,7 @@ def _attach_pair_payloads(pairs: ray.data.Dataset, payload: ray.data.Dataset,
                           payload_col: str,
                           num_partitions: int | None = None) -> ray.data.Dataset:
     """Join (doc_a, doc_b) pairs with the candidate payload dataset on both
-    sides via hash-partitioned ``Dataset.join`` — both sides are already
+    sides through ``hash_join`` — both sides are already
     reduced to the candidate subset, so the join is small even when the
     corpus is not."""
     side_a = payload.map_batches(
@@ -208,14 +209,16 @@ def _attach_pair_payloads(pairs: ray.data.Dataset, payload: ray.data.Dataset,
 def _collect_candidate_ids(pairs: ray.data.Dataset) -> frozenset:
     """Distinct ids appearing in a (doc_a, doc_b) pair list.  Ids only —
     at 10^12-doc scale this is the one driver-side set and is bounded by
-    2 × candidate pairs, a vanishing fraction of the corpus."""
+    2 × candidate pairs, a vanishing fraction of the corpus.  Each block's
+    distinct ids reach the driver, which unions them."""
     ids = pairs.map_batches(
-        lambda t: pa.table({'i': pa.concat_arrays([
+        lambda t: pa.table({'i': pc.unique(pa.concat_arrays([
             t.column('doc_a').combine_chunks().cast(pa.int64()),
-            t.column('doc_b').combine_chunks().cast(pa.int64())])}),
-        batch_format='pyarrow')
-    distinct = ids.groupby('i').aggregate(Count(alias_name='_n'))
-    return frozenset(r['i'] for r in distinct.select_columns(['i']).take_all())
+            t.column('doc_b').combine_chunks().cast(pa.int64())]))}),
+        batch_format='pyarrow', batch_size=None)
+    return frozenset().union(*(
+        t.column('i').to_pylist()
+        for t in ids.iter_batches(batch_format='pyarrow', batch_size=None)))
 
 
 def ngram_jaccard_pairs(ds: ray.data.Dataset, *, threshold: float = 0.7,
@@ -265,7 +268,7 @@ def ngram_jaccard_pairs(ds: ray.data.Dataset, *, threshold: float = 0.7,
 
 
 # ---------------------------------------------------------------------------
-# Exact similarity join: prefix-filtered all-pairs word-n-gram Jaccard
+# Exact similarity joins: one prefix-filtered pair miner (SSJoin)
 # ---------------------------------------------------------------------------
 
 _WORD_RE = None
@@ -294,167 +297,155 @@ def word_jaccard_exact(text_a: str, text_b: str, n: int = 3
     return i, len(sa) + len(sb) - i
 
 
-def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
-                         threshold: tuple[int, int] = (7, 10), n: int = 3,
-                         text_col: str = 'text', id_col: str = 'doc_id',
-                         broadcast_df_limit: int = 2_000_000
-                         ) -> ray.data.Dataset:
-    """EXACT all-pairs similarity join: every (doc_a, doc_b, jaccard) with
-    word-n-gram Jaccard >= threshold (a rational tn/td, so the cut is an
-    integer predicate ``td*i >= tn*union`` — no float boundary).
-
-    Unlike :func:`ngram_jaccard_pairs` (MinHash-LSH candidates,
-    probabilistic recall) this is LOSSLESS: candidates come from PREFIX
-    FILTERING (Bayardo/Xiao all-pairs) — order the shingle universe by
-    ascending document frequency; a set of size m only needs its first
-    ``m - ceil(t*m) + 1`` shingles indexed, because two sets with Jaccard
-    >= t must share an element inside both prefixes under any global order.
-    Rare-shingle prefixes keep posting lists short where df-ordering
-    matters most.
-
-    Hashing note: shingles key by stable 64-bit FNV-1a.  A collision only
-    MERGES universe elements, which can only grow hashed-set intersections
-    and shrink unions — hashed Jaccard >= true Jaccard, so the hashed-space
-    prefix index stays a SUPERSET of the true-space candidates and the
-    exact string-shingle verify pass keeps the output exact.
-
-    Scale shape: the posting table is (doc_id, sh) int64 pairs only; df
-    attaches via a broadcast dict under ``broadcast_df_limit`` distinct
-    shingles and a co-partitioned join above it (both paths frame-equal,
-    tests/test_dedup.py); per-doc prefix selection is one narrow
-    ``map_groups``; candidate pairs dedup narrow; only candidate texts are
-    fetched (broadcast semi-join) for the verify stage."""
-    tn, td = threshold
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids_out: list[int] = []
-        sh_out: list[int] = []
-        for did, tx in zip(batch.column(id_col).to_pylist(),
-                           batch.column(text_col).to_pylist()):
-            hs = {_fnv1a(s) for s in word_shingles(tx or '', n)}
-            ids_out.extend([did] * len(hs))
-            sh_out.extend(hs)
-        sh = np.array(sh_out, np.uint64).astype(np.int64) if sh_out \
-            else np.empty(0, np.int64)
-        return pa.table({id_col: pa.array(ids_out, pa.int64()),
-                         'sh': pa.array(sh, pa.int64())})
-
-    posting = drop_empty_blocks(ds.map_batches(
-        explode, batch_format='pyarrow')).materialize()
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        agg = t.select(['sh']).group_by('sh').aggregate([([], 'count_all')])
-        return agg.rename_columns(['sh', '_df'])
-
-    df_tbl = posting.map_batches(df_partial, batch_format='pyarrow') \
-        .groupby('sh').aggregate(Sum('_df', alias_name='_df'))
-
-    n_shingles = posting.count()
-    if n_shingles == 0:
-        return ray.data.from_arrow(pa.table(
-            {'doc_a': pa.array([], pa.int64()),
-             'doc_b': pa.array([], pa.int64()),
-             'jaccard': pa.array([], pa.float64())}))
-
-    if n_shingles <= broadcast_df_limit:
-        import ray as _ray
-        dfp = df_tbl.to_pandas()             # vocabulary-bounded, guarded
-        keys = np.asarray(dfp['sh'], np.int64)
-        order = np.argsort(keys, kind='stable')
-        df_ref = _ray.put((keys[order],
-                           np.asarray(dfp['_df'], np.int64)[order]))
-
-        def attach(t: pa.Table) -> pa.Table:
-            ks, dfs = _ray.get(df_ref)
-            sh = t.column('sh').to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(ks, sh)
-            return t.append_column('_df', pa.array(dfs[idx], pa.int64()))
-
-        with_df = posting.map_batches(attach, batch_format='pyarrow')
-    else:
-        with_df = hash_join(posting, df_tbl, 'sh',
-                            num_partitions=join_partitions(rows=n_shingles))
-
-    def prefix_emit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_df', 'sh'], kind='mergesort')
-        m = len(g)
-        p = m - ((tn * m + td - 1) // td) + 1    # m - ceil(t*m) + 1, exact
-        return pd.DataFrame({
-            'sh': g['sh'].to_numpy()[:p],
-            id_col: g[id_col].to_numpy()[:p],
-            '_m': np.int64(m)})              # set size rides for the
-                                             # length filter below
-
-    prefixes = with_df.groupby(id_col).map_groups(prefix_emit,
-                                                  batch_format='pandas')
-
-    # Candidate pairs: a per-shingle map_groups would pay Python overhead
-    # on tens of thousands of tiny posting groups; bucket shingles by low
-    # bits instead, sort each bucket once, and emit every run's pairs
-    # vectorized (``bucket_count()`` buckets).  The PPJoin
-    # LENGTH filter prunes here too: Jaccard >= tn/td forces
-    # tn * max(m_a, m_b) <= td * min(m_a, m_b).
+def _bucketed(ds: ray.data.Dataset, col: str, fn) -> ray.data.Dataset:
+    """``fn`` (``pa.Table -> pa.Table``) over the buckets of ``ds``: rows
+    whose int64 ``col`` values agree in their low bits meet in one
+    ``map_groups`` call, so rows with equal values always meet.  One call
+    per value would pay Python overhead on tens of thousands of tiny
+    groups; ``bucket_count()`` buckets keep every call vectorized."""
     mask = bucket_count() - 1
 
     def bucket(t: pa.Table) -> pa.Table:
-        sh = t.column('sh').to_numpy(zero_copy_only=False)
-        return t.append_column('_bk', pa.array(sh & mask, pa.int64()))
+        return t.append_column('_bk', pc.bit_wise_and(t.column(col), mask))
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['sh', id_col], kind='mergesort')
-        sh = g['sh'].to_numpy()
-        ids = g[id_col].to_numpy()
-        ms = g['_m'].to_numpy()
-        brk = np.ones(len(g), bool)
-        brk[1:] = sh[1:] != sh[:-1]
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], len(g))
-        lens = ends - starts
-        oa, ob = [], []
-        for s, e in zip(starts[lens >= 2], ends[lens >= 2]):
-            v, m = ids[s:e], ms[s:e]
-            ii, jj = np.triu_indices(e - s, k=1)
-            keep = (tn * np.maximum(m[ii], m[jj])
-                    <= td * np.minimum(m[ii], m[jj]))
-            oa.append(v[ii][keep])
-            ob.append(v[jj][keep])
-        a = np.concatenate(oa) if oa else np.empty(0, np.int64)
-        b = np.concatenate(ob) if ob else np.empty(0, np.int64)
-        return pd.DataFrame({'doc_a': a.astype('int64'),
-                             'doc_b': b.astype('int64')})
+    return ds.map_batches(bucket, batch_format='pyarrow') \
+        .groupby('_bk').map_groups(fn, batch_format='pyarrow')
 
-    raw_pairs = prefixes.map_batches(bucket, batch_format='pyarrow') \
-        .groupby('_bk').map_groups(bucket_pairs, batch_format='pandas')
 
-    # Dedup pairs by a PACKED int64 key with an in-batch np.unique first:
-    # a multi-key groupby over the buckets' pandas blocks measured 20-200x
-    # slower than this arrow single-int64 shape (the part_pairs pattern).
-    def pack_dedup(t: pa.Table) -> pa.Table:
-        a = t.column('doc_a').to_numpy(zero_copy_only=False)
-        b = t.column('doc_b').to_numpy(zero_copy_only=False)
-        if len(a) and (min(int(a.min()), int(b.min())) < 0
-                       or max(int(a.max()), int(b.max())) >= (1 << 31)):
-            # high half must stay below 2^31: ids in [2^31, 2^32) would
-            # set the int64 sign bit and the arithmetic >>32 unpack would
-            # emit corrupted negative doc ids (review r5-final)
-            raise AssertionError('pair pack domain exceeded')
-        return pa.table({'_pk': pa.array(np.unique((a << 32) | b),
-                                         pa.int64())})
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of the runs of equal values in sorted ``keys``."""
+    brk = np.ones(len(keys), bool)
+    brk[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(brk)
+    return starts, np.append(starts[1:], len(keys))
 
-    def unpack(t: pa.Table) -> pa.Table:
-        pk = t.column('_pk').to_numpy(zero_copy_only=False)
-        return pa.table({'doc_a': pa.array(pk >> 32, pa.int64()),
-                         'doc_b': pa.array(pk & ((1 << 32) - 1),
-                                           pa.int64())})
 
-    distinct = raw_pairs.map_batches(pack_dedup, batch_format='pyarrow') \
-        .groupby('_pk').aggregate(Count(alias_name='_n')) \
-        .map_batches(unpack, batch_format='pyarrow')
-    pairs = drop_empty_blocks(distinct)
-    cand_ids = _collect_candidate_ids(pairs)
+def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct ``(a, b)`` id pairs, each packed into one int64
+    ``a << 32 | b`` (one sortable key: a two-column distinct measured
+    20-200x slower).  Ids must lie in ``[0, 2^31)``: a high half in
+    ``[2^31, 2^32)`` would set the sign bit and ``_unpack_pairs``'s
+    arithmetic shift would return negative ids."""
+    if len(a) and (min(int(a.min()), int(b.min())) < 0
+                   or max(int(a.max()), int(b.max())) >= (1 << 31)):
+        raise AssertionError('pair pack domain exceeded')
+    return np.unique((a << 32) | b)
+
+
+def _unpack_pairs(pk: np.ndarray) -> pa.Table:
+    return pa.table({'doc_a': pa.array(pk >> 32, pa.int64()),
+                     'doc_b': pa.array(pk & ((1 << 32) - 1), pa.int64())})
+
+
+def prefix_filter_pairs(ds: ray.data.Dataset, *, tokens, key, prefix_len,
+                        measure, measure_field: pa.Field,
+                        directed: bool = False, pair_ok=None,
+                        text_col: str = 'text', id_col: str = 'doc_id'
+                        ) -> ray.data.Dataset:
+    """Exact set-similarity join by prefix filtering (SSJoin,
+    Chaudhuri/Ganti/Kaushik; Bayardo/Xiao all-pairs): every pair of
+    documents whose token sets pass ``measure``, as ``(doc_a, doc_b,
+    <measure_field>)`` rows.
+
+    - ``tokens(text)``: the document's distinct tokens, the sets
+      ``measure`` compares.
+    - ``key(token)``: the token's 64-bit posting key.  A key collision only
+      merges tokens, which can only add candidates; the verify compares
+      the tokens themselves, so the output stays exact.
+    - ``prefix_len(m)`` (vectorized over set sizes ``m``): how many of a
+      document's tokens, ordered by ascending document frequency, are
+      indexed.  The caller's measure must guarantee that a qualifying pair
+      shares a token inside the prefixes.
+    - ``directed=False``: pairs come from two prefix postings of one key,
+      as ``doc_a < doc_b``.  ``directed=True``: ``doc_a`` is a prefix
+      posting and ``doc_b`` any other posting of the key (the container
+      side of an asymmetric measure is unprunable), so both orders occur.
+    - ``pair_ok(m_a, m_b)``: a vectorized length filter on the two set
+      sizes, applied before a pair is emitted; ``None`` keeps every pair.
+    - ``measure(s_a, s_b)``: the measure of a candidate pair, or ``None``
+      when the pair fails it.
+
+    Shape: only ``(id, key)`` postings shuffle, never documents.  Postings
+    bucket by key (document frequency), then by id (each document's
+    prefix; keys of frequency 1 pair with nothing and drop), then by key
+    again (candidate pairs, packed and distinct per bucket), and the packed
+    pairs bucket once more for the global distinct (so ids of paired
+    documents must lie in ``[0, 2^31)``).  Only candidate texts are
+    fetched (a broadcast semi-join) for the verify, which tokenizes each
+    document once per batch."""
     empty = pa.table({'doc_a': pa.array([], pa.int64()),
                       'doc_b': pa.array([], pa.int64()),
-                      'jaccard': pa.array([], pa.float64())})
+                      measure_field.name: pa.array([], measure_field.type)})
+
+    def explode(batch: pa.Table) -> pa.Table:
+        ids_out: list[int] = []
+        keys_out: list[int] = []
+        for did, tx in zip(batch.column(id_col).to_pylist(),
+                           batch.column(text_col).to_pylist()):
+            ks = {key(t) for t in tokens(tx or '')}
+            ids_out.extend([did] * len(ks))
+            keys_out.extend(ks)
+        return pa.table({'id': pa.array(ids_out, pa.int64()),
+                         'sh': pa.array(np.array(keys_out, np.uint64)
+                                        .astype(np.int64))})
+
+    posting = drop_empty_blocks(ds.map_batches(explode,
+                                               batch_format='pyarrow'))
+    if posting.count() == 0:
+        return ray.data.from_arrow(empty)
+
+    def attach_df(t: pa.Table) -> pa.Table:
+        sh = t.column('sh').to_numpy()
+        _, inv, df = np.unique(sh, return_inverse=True, return_counts=True)
+        return pa.table({'id': t.column('id'), 'sh': t.column('sh'),
+                         '_df': pa.array(df[inv], pa.int64())})
+
+    def prefix_rows(t: pa.Table) -> pa.Table:
+        ids, sh, df = (t.column(c).to_numpy() for c in ('id', 'sh', '_df'))
+        o = np.lexsort((sh, df, ids))
+        ids, sh, df = ids[o], sh[o], df[o]
+        starts, ends = _runs(ids)
+        m = np.repeat(ends - starts, ends - starts)
+        rank = np.arange(len(ids)) - np.repeat(starts, ends - starts)
+        pfx = rank < prefix_len(m)
+        keep = (df >= 2) & (pfx | directed)
+        return pa.table({'id': ids[keep], 'sh': sh[keep],
+                         '_m': m[keep], '_pfx': pfx[keep]})
+
+    def pair_keys(t: pa.Table) -> pa.Table:
+        ids, sh, ms, pfx = (t.column(c).to_numpy()
+                            for c in ('id', 'sh', '_m', '_pfx'))
+        o = np.lexsort((ids, sh))
+        ids, sh, ms, pfx = ids[o], sh[o], ms[o], pfx[o]
+        starts, ends = _runs(sh)
+        run = ends - starts >= 2
+        oa, ob = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, e in zip(starts[run], ends[run]):
+            v, m = ids[s:e], ms[s:e]
+            if directed:
+                ai = np.flatnonzero(pfx[s:e])
+                ii = np.repeat(ai, e - s)
+                jj = np.tile(np.arange(e - s), len(ai))
+                keep = ii != jj
+            else:
+                ii, jj = np.triu_indices(e - s, k=1)
+                keep = np.ones(len(ii), bool)
+            if pair_ok is not None:
+                keep &= pair_ok(m[ii], m[jj])
+            oa.append(v[ii[keep]])
+            ob.append(v[jj[keep]])
+        return pa.table({'_pk': _pack_pairs(np.concatenate(oa),
+                                            np.concatenate(ob))})
+
+    def distinct(t: pa.Table) -> pa.Table:
+        return _unpack_pairs(pc.unique(t.column('_pk')).to_numpy())
+
+    pairs = drop_empty_blocks(_bucketed(
+        _bucketed(_bucketed(_bucketed(posting, 'sh', attach_df),
+                            'id', prefix_rows),
+                  'sh', pair_keys),
+        '_pk', distinct))
+    cand_ids = _collect_candidate_ids(pairs)
     if not cand_ids:
         return ray.data.from_arrow(empty)
     texts = _semi_join_payload(ds, cand_ids, id_col, text_col)
@@ -463,38 +454,147 @@ def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
         num_partitions=join_partitions(rows=pairs.count()))
 
     def verify(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return empty
-        a = t.column('doc_a').to_pylist()
-        b = t.column('doc_b').to_pylist()
-        ta = t.column(f'{text_col}_a').to_pylist()
-        tb = t.column(f'{text_col}_b').to_pylist()
         # a doc appears in many candidate pairs — tokenize each doc ONCE
         # per batch (the per-pair cost is then a C-speed set intersection)
         memo: dict[int, frozenset] = {}
 
-        def sh_of(did: int, tx: str) -> frozenset:
+        def tokens_of(did: int, tx: str) -> frozenset:
             s = memo.get(did)
             if s is None:
-                s = frozenset(word_shingles(tx or '', n))
-                memo[did] = s
+                s = memo[did] = frozenset(tokens(tx or ''))
             return s
 
-        oa, ob, oj = [], [], []
-        for aa, bb, x, y in zip(a, b, ta, tb):
-            sa = sh_of(aa, x)
-            sb = sh_of(bb, y)
-            i = len(sa & sb)
-            u = len(sa) + len(sb) - i
-            if u > 0 and td * i >= tn * u:
-                oa.append(aa)
-                ob.append(bb)
-                oj.append(sql_round_scalar(i / u, 4))
+        oa, ob, ov = [], [], []
+        for a, b, x, y in zip(t.column('doc_a').to_pylist(),
+                              t.column('doc_b').to_pylist(),
+                              t.column(f'{text_col}_a').to_pylist(),
+                              t.column(f'{text_col}_b').to_pylist()):
+            v = measure(tokens_of(a, x), tokens_of(b, y))
+            if v is not None:
+                oa.append(a)
+                ob.append(b)
+                ov.append(v)
         return pa.table({'doc_a': pa.array(oa, pa.int64()),
                          'doc_b': pa.array(ob, pa.int64()),
-                         'jaccard': pa.array(oj, pa.float64())})
+                         measure_field.name: pa.array(ov, measure_field.type)})
 
     return joined.map_batches(verify, batch_format='pyarrow')
+
+
+def jaccard_pairs_prefix(ds: ray.data.Dataset, *,
+                         threshold: tuple[int, int] = (7, 10), n: int = 3,
+                         text_col: str = 'text', id_col: str = 'doc_id'
+                         ) -> ray.data.Dataset:
+    """EXACT all-pairs similarity join: every (doc_a, doc_b, jaccard),
+    doc_a < doc_b, with word-n-gram Jaccard >= threshold (a rational
+    tn/td, so the cut is an integer predicate ``td*i >= tn*union`` — no
+    float boundary).
+
+    Unlike :func:`ngram_jaccard_pairs` (MinHash-LSH candidates,
+    probabilistic recall) this is LOSSLESS: candidates come from PREFIX
+    FILTERING (Bayardo/Xiao all-pairs) — order the shingle universe by
+    ascending document frequency; a set of size m only needs its first
+    ``m - ceil(t*m) + 1`` shingles indexed, because two sets with Jaccard
+    >= t must share an element inside both prefixes under any global order.
+    Rare-shingle prefixes keep posting lists short where df-ordering
+    matters most.  The PPJoin LENGTH filter prunes candidate pairs too:
+    Jaccard >= tn/td forces ``tn * max(m_a, m_b) <= td * min(m_a, m_b)``.
+
+    Shingles key by stable 64-bit FNV-1a; the verify compares the shingle
+    strings (:func:`prefix_filter_pairs`)."""
+    tn, td = threshold
+
+    def jaccard_of(sa: frozenset, sb: frozenset):
+        i = len(sa & sb)
+        u = len(sa) + len(sb) - i
+        return sql_round_scalar(i / u, 4) if u > 0 and td * i >= tn * u \
+            else None
+
+    return prefix_filter_pairs(
+        ds, tokens=lambda tx: word_shingles(tx, n), key=_fnv1a,
+        prefix_len=lambda m: m - (tn * m + td - 1) // td + 1,
+        pair_ok=lambda ma, mb: tn * np.maximum(ma, mb)
+        <= td * np.minimum(ma, mb),
+        measure=jaccard_of, measure_field=pa.field('jaccard', pa.float64()),
+        text_col=text_col, id_col=id_col)
+
+
+def containment_join(ds: ray.data.Dataset, *,
+                     threshold: tuple[int, int] = (8, 10), n: int = 3,
+                     text_col: str = 'text', id_col: str = 'doc_id'
+                     ) -> ray.data.Dataset:
+    """EXACT all-pairs CONTAINMENT join: every DIRECTED pair (doc_a, doc_b),
+    a != b, with ``|S_a ∩ S_b| / |S_a| >= threshold`` over word-n-gram
+    shingle sets — finds fragments/quotes embedded in larger documents
+    (Broder's containment measure), which symmetric Jaccard misses
+    whenever the container is much larger than the fragment.
+
+    Lossless candidate generation, adapted from prefix filtering: order the
+    shingle universe by ascending document frequency; the CONTAINEE side
+    only needs its first ``m_a - ceil(t*m_a) + 1`` shingles indexed (if a
+    pair shares no element inside A's prefix, the intersection fits in A's
+    suffix of size ``ceil(t*m_a) - 1 < t*m_a``), but the CONTAINER side is
+    unprunable — any of B's shingles can witness — so B indexes its full
+    set.  Two prunes make up for the full B index: shingles with global
+    df < 2 can't form a pair and are dropped before the shuffle, and the
+    length filter ``m_b >= ceil(t * m_a)`` (containment needs
+    ``|S_b| >= |S_a ∩ S_b| >= t*m_a``) cuts pairs inside each bucket."""
+    tn, td = threshold
+
+    def containment_of(sa: frozenset, sb: frozenset):
+        i = len(sa & sb)
+        return sql_round_scalar(i / len(sa), 4) \
+            if len(sa) > 0 and td * i >= tn * len(sa) else None
+
+    return prefix_filter_pairs(
+        ds, tokens=lambda tx: word_shingles(tx, n), key=_fnv1a,
+        prefix_len=lambda m: m - (tn * m + td - 1) // td + 1,
+        directed=True, pair_ok=lambda ma, mb: td * mb >= tn * ma,
+        measure=containment_of,
+        measure_field=pa.field('containment', pa.float64()),
+        text_col=text_col, id_col=id_col)
+
+
+def fingerprint_dup_pairs(ds: ray.data.Dataset, *, min_shared: int = 50,
+                          text_col: str = 'text', id_col: str = 'doc_id'
+                          ) -> ray.data.Dataset:
+    """EXACT near-dup candidate pairs à la MOSS (Schleimer et al. 2003):
+    every unordered pair sharing >= ``min_shared`` DISTINCT winnowing
+    fingerprints (``stages/textstats.winnow_fingerprint``: k=5 char
+    shingles, window=8 masked minima), with the exact shared count.
+
+    Positional fingerprints make this robust to reordering/insertion in a
+    way word-shingle Jaccard is not, and the guarantee is winnowing's: any
+    shared substring of length >= k + window - 1 (12 chars) contributes at
+    least one shared fingerprint.
+
+    LOSSLESS candidate generation via the overlap-predicate prefix filter
+    (Chaudhuri/Ganti/Kaushik SSJoin): under any global total order on the
+    fingerprint universe, two sets with |A∩B| >= F must collide inside
+    BOTH prefixes of length ``m - F + 1`` (if every shared element lay
+    outside A's prefix, A would hold at most F-1 of them).  Ordering the
+    universe by ascending document frequency keeps prefix posting lists
+    short; docs with m < F can't qualify and drop before the shuffle.  A
+    first cut counted ALL shared-fp pair instances and went quadratic on
+    the synthetic small-vocab corpus (every doc pair shares a handful of
+    fps) — the prefix filter bounds pair generation to near-candidates and
+    the exact verify recomputes |A∩B| from the two texts."""
+    from pii_detector_ray.stages.textstats import winnow_fingerprint
+
+    def fingerprints(tx: str) -> set[int]:
+        s = set(winnow_fingerprint(tx))
+        return s if len(s) >= min_shared else set()   # |A∩B| >= F needs m >= F
+
+    def shared(sa: frozenset, sb: frozenset):
+        k = len(sa & sb)
+        return k if k >= min_shared else None
+
+    return prefix_filter_pairs(
+        ds, tokens=fingerprints, key=int,
+        prefix_len=lambda m: m - min_shared + 1,
+        measure=shared, measure_field=pa.field('n_shared', pa.int64()),
+        text_col=text_col, id_col=id_col)
+
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +1028,8 @@ def embedding_dup_pairs_exact(ds: ray.data.Dataset, *, threshold: float = 0.95,
 
 def embedding_dup_pairs_lsh(ds: ray.data.Dataset, *, threshold: float = 0.95,
                             n_tables: int = 8, n_planes: int = 8, seed: int = 11,
-                            id_col: str = 'vec_id', vec_col: str = 'embedding',
-                            verify_mode: str = 'bucket') -> ray.data.Dataset:
+                            id_col: str = 'vec_id', vec_col: str = 'embedding'
+                            ) -> ray.data.Dataset:
     """Scale path: BANDED multi-table random-hyperplane LSH (round-2 fix —
     a single 12-plane table had ~0 recall at threshold 0.45).
 
@@ -940,35 +1040,27 @@ def embedding_dup_pairs_lsh(ds: ray.data.Dataset, *, threshold: float = 0.95,
     n_tables — the defaults give ~0.99 at s=0.95; LOWER thresholds need
     fewer planes / more tables (the driver query at 0.45 uses 3×12).
 
-    Two verify modes (identical results, different shuffle/compute trade):
-
-    - ``'bucket'`` (default): packed-float32 vectors ride the bucket shuffle
-      (amplification ×n_tables of the VECTOR set — cheap: vectors are a few
-      hundred bytes) and each bucket verifies with ONE matmul + triu mask;
-      only surviving pairs (rare) are deduped.  Candidate pairs are never
-      materialized as rows, which at low thresholds (candidate mass ~ n²)
-      is the difference between a matmul and millions of shuffled rows —
-      measured 51 s → ~4 s on the sf0.01 embeddings at threshold 0.45.
-    - ``'join'``: the two-phase narrow shape shared with
-      :func:`ngram_jaccard_pairs` — shuffle (bucket, id) ints only, dedupe
-      candidate pairs, semi-join + hash-join the packed vectors back.
-      Right when vectors are large or candidates are rare (high threshold).
-    """
+    Packed-float32 vectors ride the bucket shuffle (amplification
+    ×n_tables of the VECTOR set — cheap: vectors are a few hundred bytes)
+    and each bucket verifies with ONE matmul + triu mask; only surviving
+    pairs (rare) are deduped.  Candidate pairs are never materialized as
+    rows, which at low thresholds (candidate mass ~ n²) is the difference
+    between a matmul and millions of shuffled rows — measured 51 s → ~4 s
+    on the sf0.01 embeddings at threshold 0.45 against a narrow
+    candidate-pair join."""
     def make_planes(dim: int) -> np.ndarray:
         # deterministic per (seed, table) — regenerated per batch from the
         # same seed, so every worker buckets identically
         return np.random.default_rng(seed).standard_normal(
             (n_tables, dim, n_planes))
 
-    def bucketize(batch: pa.Table, with_vec: bool) -> pa.Table:
+    def bucketize(batch: pa.Table) -> pa.Table:
         vecs = batch.column(vec_col).to_pylist()
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         if len(vecs) == 0:
-            cols = {'bucket': pa.array([], pa.int64()),
-                    id_col: pa.array([], pa.int64())}
-            if with_vec:
-                cols['vec_bytes'] = pa.array([], pa.binary())
-            return pa.table(cols)
+            return pa.table({'bucket': pa.array([], pa.int64()),
+                             id_col: pa.array([], pa.int64()),
+                             'vec_bytes': pa.array([], pa.binary())})
         mat32 = np.array([np.asarray(v, dtype='<f4') for v in vecs])
         mat = mat32.astype(np.float64)
         planes = make_planes(mat.shape[1])
@@ -977,426 +1069,29 @@ def embedding_dup_pairs_lsh(ds: ray.data.Dataset, *, threshold: float = 0.95,
             signs = (mat @ planes[t]) > 0
             bits = (signs.astype(np.int64) << np.arange(n_planes)).sum(axis=1)
             buckets.append((np.int64(t) << np.int64(n_planes)) | bits)
-        cols = {'bucket': pa.array(np.concatenate(buckets)),
-                id_col: pa.array(np.tile(ids, n_tables))}
-        if with_vec:
-            packed = [row.tobytes() for row in mat32]
-            cols['vec_bytes'] = pa.array(packed * n_tables, pa.binary())
-        return pa.table(cols)
+        packed = [row.tobytes() for row in mat32]
+        return pa.table({'bucket': pa.array(np.concatenate(buckets)),
+                         id_col: pa.array(np.tile(ids, n_tables)),
+                         'vec_bytes': pa.array(packed * n_tables, pa.binary())})
 
-    empty = pa.table({'vec_a': pa.array([], pa.int64()),
-                      'vec_b': pa.array([], pa.int64()),
-                      'sim': pa.array([], pa.float64())})
-
-    if verify_mode == 'bucket':
-        exploded = ds.map_batches(lambda t: bucketize(t, True),
-                                  batch_format='pyarrow')
-
-        def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            if len(g) < 2:
-                return pd.DataFrame({'vec_a': pd.Series([], dtype='int64'),
-                                     'vec_b': pd.Series([], dtype='int64'),
-                                     'sim': pd.Series([], dtype='float64')})
-            g = g.sort_values(id_col, kind='mergesort')
-            ids = g[id_col].to_numpy()
-            mat = np.array([np.frombuffer(b, dtype='<f4')
-                            for b in g['vec_bytes']]).astype(np.float64)
-            n = np.linalg.norm(mat, axis=1)
-            safe = np.where(n == 0, 1.0, n)
-            sims = (mat @ mat.T) / np.outer(safe, safe)   # same form as exact path
-            ii, jj = np.nonzero(np.triu(sims >= threshold, k=1))
-            return pd.DataFrame({'vec_a': ids[ii], 'vec_b': ids[jj],
-                                 'sim': sql_round_np(sims[ii, jj], 4)})
-
-        pairs = exploded.groupby('bucket').map_groups(
-            verify_bucket, batch_format='pandas')
-        # a pair can surface from several tables — dedupe the (rare) survivors
-        return pairs.groupby(['vec_a', 'vec_b']).aggregate(
-            Min('sim', alias_name='sim'))
-
-    exploded = ds.map_batches(lambda t: bucketize(t, False),
-                              batch_format='pyarrow')
-    pairs = drop_empty_blocks(            # materialize once for both consumers
-        _candidate_pairs_from_keys(exploded, ['bucket'], id_col))
-    cand_ids = _collect_candidate_ids(pairs)
-    if not cand_ids:
-        return ray.data.from_arrow(empty)
-
-    # Acero hash joins reject list<float> non-key fields — carry the vector
-    # through the join as packed float32 LE bytes (the stored dtype, so the
-    # float64 verify below sees byte-identical inputs to the exact path)
-    def pack(t: pa.Table) -> pa.Table:
-        packed = [np.asarray(v, dtype='<f4').tobytes()
-                  for v in t.column(vec_col).to_pylist()]
-        return pa.table({id_col: t.column(id_col),
-                         'vec_bytes': pa.array(packed, pa.binary())})
-
-    vecs = _semi_join_payload(ds, cand_ids, id_col, vec_col) \
-        .map_batches(pack, batch_format='pyarrow')
-    joined = _attach_pair_payloads(pairs, vecs, 'vec_bytes')
-
-    def verify(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return empty
-        a = t.column('doc_a').to_numpy(zero_copy_only=False)
-        b = t.column('doc_b').to_numpy(zero_copy_only=False)
-        ma = np.array([np.frombuffer(v, dtype='<f4')
-                       for v in t.column('vec_bytes_a').to_pylist()]).astype(np.float64)
-        mb = np.array([np.frombuffer(v, dtype='<f4')
-                       for v in t.column('vec_bytes_b').to_pylist()]).astype(np.float64)
-        na = np.linalg.norm(ma, axis=1)
-        nb = np.linalg.norm(mb, axis=1)
-        sims = (ma * mb).sum(axis=1) \
-            / (np.where(na == 0, 1.0, na) * np.where(nb == 0, 1.0, nb))
-        keep = sims >= threshold          # threshold on RAW sims like the exact path
-        return pa.table({'vec_a': pa.array(a[keep], pa.int64()),
-                         'vec_b': pa.array(b[keep], pa.int64()),
-                         'sim': pa.array(sql_round_np(sims[keep], 4), pa.float64())})
-
-    return joined.map_batches(verify, batch_format='pyarrow')
-
-
-# ---------------------------------------------------------------------------
-# Containment join (asymmetric near-dup: fragment ⊆ container)
-# ---------------------------------------------------------------------------
-
-def containment_join(ds: ray.data.Dataset, *,
-                     threshold: tuple[int, int] = (8, 10), n: int = 3,
-                     text_col: str = 'text', id_col: str = 'doc_id'
-                     ) -> ray.data.Dataset:
-    """EXACT all-pairs CONTAINMENT join: every DIRECTED pair (doc_a, doc_b),
-    a != b, with ``|S_a ∩ S_b| / |S_a| >= threshold`` over word-n-gram
-    shingle sets — the asymmetric cousin of :func:`jaccard_pairs_prefix`
-    that finds fragments/quotes embedded in larger documents (Broder's
-    containment measure), which symmetric Jaccard misses whenever the
-    container is much larger than the fragment.
-
-    Lossless candidate generation, adapted from prefix filtering: order the
-    shingle universe by ascending document frequency; the CONTAINEE side
-    only needs its first ``m_a - ceil(t*m_a) + 1`` shingles indexed (if a
-    pair shares no element inside A's prefix, the intersection fits in A's
-    suffix of size ``ceil(t*m_a) - 1 < t*m_a``), but the CONTAINER side is
-    unprunable — any of B's shingles can witness — so B indexes its full
-    set.  Two prunes make up for the full B index: shingles with global
-    df < 2 can't form a pair and are dropped before the shuffle, and the
-    length filter ``m_b >= ceil(t * m_a)`` (containment needs
-    ``|S_b| >= |S_a ∩ S_b| >= t*m_a``) cuts pairs inside each bucket.
-
-    Scale shape mirrors ``jaccard_pairs_prefix``: the posting table is
-    (doc_id, sh:int64, m:int32, pfx:bool) rows only, candidate mining
-    buckets shingles by low hash bits (cluster-scaled fan-out), pair dedup
-    is a packed-int64 groupby, and only candidate texts are fetched for the
-    exact verify — documents never shuffle.  Hash collisions only merge
-    universe elements, which grows intersections ≥ and can only ADD
-    candidates; the string-shingle verify keeps the output exact."""
-    tn, td = threshold
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids_out: list[int] = []
-        sh_out: list[int] = []
-        m_out: list[int] = []
-        for did, tx in zip(batch.column(id_col).to_pylist(),
-                           batch.column(text_col).to_pylist()):
-            hs = {_fnv1a(s) for s in word_shingles(tx or '', n)}
-            ids_out.extend([did] * len(hs))
-            sh_out.extend(hs)
-            m_out.extend([len(hs)] * len(hs))
-        sh = np.array(sh_out, np.uint64).astype(np.int64) if sh_out \
-            else np.empty(0, np.int64)
-        return pa.table({id_col: pa.array(ids_out, pa.int64()),
-                         'sh': pa.array(sh, pa.int64()),
-                         '_m': pa.array(m_out, pa.int64())})
-
-    posting = drop_empty_blocks(ds.map_batches(
-        explode, batch_format='pyarrow')).materialize()
-    empty = pa.table({'doc_a': pa.array([], pa.int64()),
-                      'doc_b': pa.array([], pa.int64()),
-                      'containment': pa.array([], pa.float64())})
-    if posting.count() == 0:
-        return ray.data.from_arrow(empty)
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        agg = t.select(['sh']).group_by('sh').aggregate([([], 'count_all')])
-        return agg.rename_columns(['sh', '_df'])
-
-    df_tbl = posting.map_batches(df_partial, batch_format='pyarrow') \
-        .groupby('sh').aggregate(Sum('_df', alias_name='_df'))
-
-    # df attaches co-partitioned (the vocabulary-bounded broadcast variant
-    # of jaccard_pairs_prefix works identically; the join path is the one
-    # that holds at 10^12 docs, and df >= 2 prunes right after it)
-    with_df = hash_join(posting, df_tbl, 'sh',
-                        num_partitions=join_partitions(rows=posting.count()))
-
-    def prefix_mark(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_df', 'sh'], kind='mergesort')
-        m = len(g)
-        p = m - ((tn * m + td - 1) // td) + 1    # m - ceil(t*m) + 1, exact
-        keep = g['_df'].to_numpy() >= 2          # df<2 can't pair
-        pfx = np.zeros(m, bool)
-        pfx[:p] = True
-        return pd.DataFrame({
-            'sh': g['sh'].to_numpy()[keep],
-            id_col: g[id_col].to_numpy()[keep],
-            '_m': g['_m'].to_numpy()[keep],
-            '_pfx': pfx[keep]})
-
-    marked = with_df.groupby(id_col).map_groups(prefix_mark,
-                                                batch_format='pandas')
-
-    mask = bucket_count() - 1
-
-    def bucket(t: pa.Table) -> pa.Table:
-        # strip the map_groups pandas block metadata (defeats Ray's
-        # schema-dedup hashing, the _finalize pattern) before the shuffle
-        t = t.replace_schema_metadata(None)
-        sh = t.column('sh').to_numpy(zero_copy_only=False)
-        return t.append_column('_bk', pa.array(sh & mask, pa.int64()))
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['sh', id_col], kind='mergesort')
-        sh = g['sh'].to_numpy()
+    def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        if len(g) < 2:
+            return pd.DataFrame({'vec_a': pd.Series([], dtype='int64'),
+                                 'vec_b': pd.Series([], dtype='int64'),
+                                 'sim': pd.Series([], dtype='float64')})
+        g = g.sort_values(id_col, kind='mergesort')
         ids = g[id_col].to_numpy()
-        ms = g['_m'].to_numpy()
-        pfx = g['_pfx'].to_numpy()
-        brk = np.ones(len(g), bool)
-        brk[1:] = sh[1:] != sh[:-1]
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], len(g))
-        lens = ends - starts
-        oa, ob = [], []
-        for s, e in zip(starts[lens >= 2], ends[lens >= 2]):
-            v, m, fx = ids[s:e], ms[s:e], pfx[s:e]
-            ai = np.flatnonzero(fx)
-            if not len(ai):
-                continue
-            k = e - s
-            ii = np.repeat(ai, k)                    # containee (prefix row)
-            jj = np.tile(np.arange(k), len(ai))      # container (any row)
-            keep = (ii != jj) & (td * m[jj] >= tn * m[ii])
-            oa.append(v[ii[keep]])
-            ob.append(v[jj[keep]])
-        a = np.concatenate(oa) if oa else np.empty(0, np.int64)
-        b = np.concatenate(ob) if ob else np.empty(0, np.int64)
-        return pd.DataFrame({'doc_a': a.astype('int64'),
-                             'doc_b': b.astype('int64')})
+        mat = np.array([np.frombuffer(b, dtype='<f4')
+                        for b in g['vec_bytes']]).astype(np.float64)
+        n = np.linalg.norm(mat, axis=1)
+        safe = np.where(n == 0, 1.0, n)
+        sims = (mat @ mat.T) / np.outer(safe, safe)   # same form as exact path
+        ii, jj = np.nonzero(np.triu(sims >= threshold, k=1))
+        return pd.DataFrame({'vec_a': ids[ii], 'vec_b': ids[jj],
+                             'sim': sql_round_np(sims[ii, jj], 4)})
 
-    raw_pairs = marked.map_batches(bucket, batch_format='pyarrow') \
-        .groupby('_bk').map_groups(bucket_pairs, batch_format='pandas')
-
-    def pack_dedup(t: pa.Table) -> pa.Table:
-        a = t.column('doc_a').to_numpy(zero_copy_only=False)
-        b = t.column('doc_b').to_numpy(zero_copy_only=False)
-        if len(a) and (min(int(a.min()), int(b.min())) < 0
-                       or max(int(a.max()), int(b.max())) >= (1 << 31)):
-            # high half must stay below 2^31: ids in [2^31, 2^32) would
-            # set the int64 sign bit and the arithmetic >>32 unpack would
-            # emit corrupted negative doc ids (review r5-final)
-            raise AssertionError('pair pack domain exceeded')
-        return pa.table({'_pk': pa.array(np.unique((a << 32) | b),
-                                         pa.int64())})
-
-    def unpack(t: pa.Table) -> pa.Table:
-        pk = t.column('_pk').to_numpy(zero_copy_only=False)
-        return pa.table({'doc_a': pa.array(pk >> 32, pa.int64()),
-                         'doc_b': pa.array(pk & ((1 << 32) - 1),
-                                           pa.int64())})
-
-    distinct = raw_pairs.map_batches(pack_dedup, batch_format='pyarrow') \
-        .groupby('_pk').aggregate(Count(alias_name='_n')) \
-        .map_batches(unpack, batch_format='pyarrow')
-    pairs = drop_empty_blocks(distinct)
-    cand_ids = _collect_candidate_ids(pairs)
-    if not cand_ids:
-        return ray.data.from_arrow(empty)
-    texts = _semi_join_payload(ds, cand_ids, id_col, text_col)
-    joined = _attach_pair_payloads(
-        pairs, texts, text_col,
-        num_partitions=join_partitions(rows=pairs.count()))
-
-    def verify(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return empty
-        memo: dict[int, frozenset] = {}
-
-        def sh_of(did: int, tx: str) -> frozenset:
-            s = memo.get(did)
-            if s is None:
-                s = frozenset(word_shingles(tx or '', n))
-                memo[did] = s
-            return s
-
-        oa, ob, oc = [], [], []
-        for aa, bb, x, y in zip(t.column('doc_a').to_pylist(),
-                                t.column('doc_b').to_pylist(),
-                                t.column(f'{text_col}_a').to_pylist(),
-                                t.column(f'{text_col}_b').to_pylist()):
-            sa = sh_of(aa, x)
-            sb = sh_of(bb, y)
-            i = len(sa & sb)
-            if len(sa) > 0 and td * i >= tn * len(sa):
-                oa.append(aa)
-                ob.append(bb)
-                oc.append(sql_round_scalar(i / len(sa), 4))
-        return pa.table({'doc_a': pa.array(oa, pa.int64()),
-                         'doc_b': pa.array(ob, pa.int64()),
-                         'containment': pa.array(oc, pa.float64())})
-
-    return joined.map_batches(verify, batch_format='pyarrow')
-
-
-# ---------------------------------------------------------------------------
-# Winnowing-fingerprint near-dup pairs (MOSS-style)
-# ---------------------------------------------------------------------------
-
-def fingerprint_dup_pairs(ds: ray.data.Dataset, *, min_shared: int = 50,
-                          text_col: str = 'text', id_col: str = 'doc_id'
-                          ) -> ray.data.Dataset:
-    """EXACT near-dup candidate pairs à la MOSS (Schleimer et al. 2003):
-    every unordered pair sharing >= ``min_shared`` DISTINCT winnowing
-    fingerprints (``stages/textstats.winnow_fingerprint``: k=5 char
-    shingles, window=8 masked minima), with the exact shared count.
-
-    Positional fingerprints make this robust to reordering/insertion in a
-    way word-shingle Jaccard is not, and the guarantee is winnowing's: any
-    shared substring of length >= k + window - 1 (12 chars) contributes at
-    least one shared fingerprint.
-
-    LOSSLESS candidate generation via the overlap-predicate prefix filter
-    (Chaudhuri/Ganti/Kaushik SSJoin): under any global total order on the
-    fingerprint universe, two sets with |A∩B| >= F must collide inside
-    BOTH prefixes of length ``m - F + 1`` (if every shared element lay
-    outside A's prefix, A would hold at most F-1 of them).  Ordering the
-    universe by ascending document frequency keeps prefix posting lists
-    short; docs with m < F can't qualify and drop before the shuffle.  A
-    first cut counted ALL shared-fp pair instances and went quadratic on
-    the synthetic small-vocab corpus (every doc pair shares a handful of
-    fps) — the prefix filter bounds pair generation to near-candidates and
-    the exact verify recomputes |A∩B| from the two texts, so the output is
-    unchanged and exact.
-
-    Shape: narrow (doc_id, fp:int64) postings; df via one groupby; prefix
-    marking per doc; candidate pairs from prefix buckets only
-    (packed-int64 dedup); exact verify over broadcast-semi-joined texts —
-    documents never shuffle."""
-
-    from pii_detector_ray.stages.textstats import winnow_fingerprint
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids_out: list[int] = []
-        fp_out: list[int] = []
-        for did, tx in zip(batch.column(id_col).to_pylist(),
-                           batch.column(text_col).to_pylist()):
-            s = set(winnow_fingerprint(tx or ''))
-            if len(s) < min_shared:
-                continue                  # |A∩B| >= F needs m >= F
-            ids_out.extend([did] * len(s))
-            fp_out.extend(s)
-        return pa.table({id_col: pa.array(ids_out, pa.int64()),
-                         'fp': pa.array(fp_out, pa.int64())})
-
-    posting = drop_empty_blocks(ds.map_batches(
-        explode, batch_format='pyarrow')).materialize()
-    empty = pa.table({'doc_a': pa.array([], pa.int64()),
-                      'doc_b': pa.array([], pa.int64()),
-                      'n_shared': pa.array([], pa.int64())})
-    if posting.count() == 0:
-        return ray.data.from_arrow(empty)
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        agg = t.select(['fp']).group_by('fp').aggregate([([], 'count_all')])
-        return agg.rename_columns(['fp', '_df'])
-
-    df_tbl = posting.map_batches(df_partial, batch_format='pyarrow') \
-        .groupby('fp').aggregate(Sum('_df', alias_name='_df'))
-    with_df = hash_join(posting, df_tbl, 'fp',
-                        num_partitions=join_partitions(rows=posting.count()))
-
-    def prefix_rows(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_df', 'fp'], kind='mergesort')
-        p = len(g) - min_shared + 1       # overlap-predicate prefix length
-        keep = g['_df'].to_numpy()[:p] >= 2
-        return pd.DataFrame({'fp': g['fp'].to_numpy()[:p][keep],
-                             id_col: g[id_col].to_numpy()[:p][keep]})
-
-    prefixes = with_df.groupby(id_col).map_groups(prefix_rows,
-                                                  batch_format='pandas')
-
-    mask = bucket_count() - 1
-
-    def bucket(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        fp = t.column('fp').to_numpy(zero_copy_only=False)
-        return t.append_column('_bk', pa.array(fp & mask, pa.int64()))
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['fp', id_col], kind='mergesort')
-        fp = g['fp'].to_numpy()
-        ids = g[id_col].to_numpy()
-        if len(ids) and (ids.min() < 0 or ids.max() >= (1 << 31)):
-            # < 2^31: the packed high half must not reach the sign bit
-            raise AssertionError('pair pack domain exceeded')
-        brk = np.ones(len(g), bool)
-        brk[1:] = fp[1:] != fp[:-1]
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], len(g))
-        lens = ends - starts
-        pks = []
-        for s, e in zip(starts[lens >= 2], ends[lens >= 2]):
-            v = ids[s:e]                  # sorted asc within the run
-            ii, jj = np.triu_indices(e - s, k=1)
-            pks.append((v[ii] << 32) | v[jj])
-        pk = np.unique(np.concatenate(pks)) if pks \
-            else np.empty(0, np.int64)
-        return pd.DataFrame({'_pk': pk.astype('int64')})
-
-    distinct = prefixes.map_batches(bucket, batch_format='pyarrow') \
-        .groupby('_bk').map_groups(bucket_pairs, batch_format='pandas') \
-        .map_batches(lambda t: t.replace_schema_metadata(None),
-                     batch_format='pyarrow') \
-        .groupby('_pk').aggregate(Count(alias_name='_n'))
-
-    def unpack(t: pa.Table) -> pa.Table:
-        pk = t.column('_pk').to_numpy(zero_copy_only=False)
-        return pa.table({'doc_a': pa.array(pk >> 32, pa.int64()),
-                         'doc_b': pa.array(pk & ((1 << 32) - 1),
-                                           pa.int64())})
-
-    pairs = drop_empty_blocks(
-        drop_empty_blocks(distinct).map_batches(unpack,
-                                                batch_format='pyarrow'))
-    cand_ids = _collect_candidate_ids(pairs)
-    if not cand_ids:
-        return ray.data.from_arrow(empty)
-    texts = _semi_join_payload(ds, cand_ids, id_col, text_col)
-    joined = _attach_pair_payloads(
-        pairs, texts, text_col,
-        num_partitions=join_partitions(rows=pairs.count()))
-
-    def verify(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return empty
-        memo: dict[int, frozenset] = {}
-
-        def fp_of(did: int, tx: str) -> frozenset:
-            s = memo.get(did)
-            if s is None:
-                s = frozenset(winnow_fingerprint(tx or ''))
-                memo[did] = s
-            return s
-
-        oa, ob, on = [], [], []
-        for aa, bb, x, y in zip(t.column('doc_a').to_pylist(),
-                                t.column('doc_b').to_pylist(),
-                                t.column(f'{text_col}_a').to_pylist(),
-                                t.column(f'{text_col}_b').to_pylist()):
-            n = len(fp_of(aa, x) & fp_of(bb, y))
-            if n >= min_shared:
-                oa.append(aa)
-                ob.append(bb)
-                on.append(n)
-        return pa.table({'doc_a': pa.array(oa, pa.int64()),
-                         'doc_b': pa.array(ob, pa.int64()),
-                         'n_shared': pa.array(on, pa.int64())})
-
-    return joined.map_batches(verify, batch_format='pyarrow')
+    pairs = ds.map_batches(bucketize, batch_format='pyarrow') \
+        .groupby('bucket').map_groups(verify_bucket, batch_format='pandas')
+    # a pair can surface from several tables — dedupe the (rare) survivors
+    return pairs.groupby(['vec_a', 'vec_b']).aggregate(
+        Min('sim', alias_name='sim'))

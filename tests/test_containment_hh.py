@@ -527,15 +527,3 @@ def test_score_auc_and_ks_rank_nan_as_one_final_value(tmp_path):
     assert got['n_b'].tolist() == want['n_b'].tolist() == [len(b)]
     assert got['ks_stat'].iloc[0] == want['ks_stat'].iloc[0] == \
         pytest.approx(round(ks, 6), abs=1e-9)
-
-
-def test_pair_pack_rejects_sign_bit_ids():
-    # ids in [2^31, 2^32) would corrupt the packed int64's sign bit
-    from pii_detector_ray.stages.dedup import fingerprint_dup_pairs
-    big = 1 << 31
-    ds = ray.data.from_arrow(pa.table({
-        'doc_id': pa.array([big, big + 1], pa.int64()),
-        'text': pa.array(['shared text body here repeated words ' * 5] * 2,
-                         pa.string())}))
-    with pytest.raises(Exception, match='pair pack domain'):
-        fingerprint_dup_pairs(ds, min_shared=5).materialize()

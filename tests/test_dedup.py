@@ -5,13 +5,17 @@ co-bucketed pairs."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data
 
 from pii_detector_ray.stages.dedup import (
     _minhash_params,
+    containment_join,
     embedding_dup_pairs_exact,
     embedding_dup_pairs_lsh,
+    fingerprint_dup_pairs,
     jaccard,
+    jaccard_pairs_prefix,
     minhash_dup_groups,
     minhash_signature,
     ngram_jaccard_pairs,
@@ -172,19 +176,6 @@ def test_ngram_jaccard_narrow_shuffle_matches_round1_pairs():
     assert got == {(0, 1), (0, 3), (1, 3)}
 
 
-def test_embedding_lsh_join_mode_equals_bucket_mode():
-    """Both verify modes (bucket-carry matmul vs narrow-pairs + hash join)
-    return identical pair sets and sims."""
-    ds = _clustered_embeddings()
-    b = embedding_dup_pairs_lsh(ds, threshold=0.95, verify_mode='bucket') \
-        .to_pandas().sort_values(['vec_a', 'vec_b']).reset_index(drop=True)
-    j = embedding_dup_pairs_lsh(ds, threshold=0.95, verify_mode='join') \
-        .to_pandas().sort_values(['vec_a', 'vec_b']).reset_index(drop=True)
-    assert b[['vec_a', 'vec_b']].equals(j[['vec_a', 'vec_b']])
-    import numpy as np
-    assert np.allclose(b['sim'], j['sim'], atol=1e-9)
-
-
 # --- exact prefix-filtered Jaccard join --------------------------------------
 
 def _pf_corpus(n_docs=40, seed=3):
@@ -229,18 +220,98 @@ def test_jaccard_prefix_join_lossless_vs_bruteforce(ray_session):
     assert np.allclose(got['jaccard'], exp['jaccard'], atol=1e-9)
 
 
-def test_jaccard_prefix_join_paths_equal(ray_session):
-    from pii_detector_ray.stages.dedup import jaccard_pairs_prefix
+# the three prefix-filter joins, each with a threshold that finds pairs in
+# the small test corpora
+_PREFIX_JOINS = {
+    'jaccard': lambda ds: jaccard_pairs_prefix(ds, threshold=(7, 10), n=2),
+    'containment': lambda ds: containment_join(ds, threshold=(8, 10), n=2),
+    'fingerprint': lambda ds: fingerprint_dup_pairs(ds, min_shared=5),
+}
+
+
+def _sorted_frame(ds) -> pd.DataFrame:
+    return ds.to_pandas().sort_values(['doc_a', 'doc_b']) \
+        .reset_index(drop=True)
+
+
+@pytest.mark.parametrize('join', sorted(_PREFIX_JOINS))
+def test_prefix_join_paths_equal(join, max_block_size):
+    """Tiny blocks split every doc's postings over several blocks before
+    the prefix step and force Ray's shuffle Join for the payload attach;
+    the pairs equal the default run's."""
     ids, texts = _pf_corpus(seed=11)
     ds = ray.data.from_arrow(pa.table({
         'doc_id': pa.array(ids, pa.int64()),
         'text': pa.array(texts, pa.string())})).repartition(3)
-    kw = dict(threshold=(7, 10), n=2)
-    bc = jaccard_pairs_prefix(ds, **kw).to_pandas() \
-        .sort_values(['doc_a', 'doc_b']).reset_index(drop=True)
-    jn = jaccard_pairs_prefix(ds, broadcast_df_limit=0, **kw).to_pandas() \
-        .sort_values(['doc_a', 'doc_b']).reset_index(drop=True)
-    assert bc.equals(jn)
+    run = _PREFIX_JOINS[join]
+    default = _sorted_frame(run(ds))
+    with max_block_size(1):
+        small = _sorted_frame(run(ds))
+    assert len(default) > 0
+    assert default.equals(small)
+
+
+@pytest.mark.parametrize('join', sorted(_PREFIX_JOINS) + ['ngram'])
+def test_int32_ids_equal_int64_ids(join):
+    ids, texts = _pf_corpus(seed=5)
+    run = _PREFIX_JOINS.get(join) or \
+        (lambda ds: ngram_jaccard_pairs(ds, threshold=0.5))
+
+    def pairs(id_type):
+        return _sorted_frame(run(ray.data.from_arrow(pa.table({
+            'doc_id': pa.array(ids, id_type),
+            'text': pa.array(texts, pa.string())})).repartition(2)))
+
+    want = pairs(pa.int64())
+    assert len(want) > 0
+    assert pairs(pa.int32()).equals(want)
+
+
+_FAR = 'w0 w1 w2 a1 a2', 'w0 w1 w2 b1 b2'      # share 1 of 5 word 3-grams
+
+
+@pytest.mark.parametrize('case', ['empty', 'null_str', 'null_typed',
+                                  'one_doc', 'two_docs_fail'])
+@pytest.mark.parametrize('join', sorted(_PREFIX_JOINS))
+def test_prefix_join_degenerate_inputs(join, case):
+    """0 rows and the typed ``(doc_a, doc_b, <measure>)`` schema.  In
+    ``two_docs_fail`` the docs share tokens but fall below the threshold:
+    at Jaccard (1, 3) the shared 3-gram is in both prefixes, so the pair
+    reaches the verify and fails there; on two docs the containment and
+    fingerprint prefixes are tight and prune the pair first."""
+    text = {'empty': [], 'null_str': [None, None], 'null_typed': [None, None],
+            'one_doc': [' '.join(f'w{i}' for i in range(30))],
+            'two_docs_fail': list(_FAR)}[case]
+    ds = ray.data.from_arrow(pa.table({
+        'doc_id': pa.array(range(len(text)), pa.int64()),
+        'text': pa.array(text, pa.null() if case == 'null_typed'
+                         else pa.string())}))
+    measure, run = {
+        'jaccard': ('jaccard', lambda d: jaccard_pairs_prefix(
+            d, threshold=(1, 3))),
+        'containment': ('containment', lambda d: containment_join(
+            d, threshold=(1, 2))),
+        'fingerprint': ('n_shared', lambda d: fingerprint_dup_pairs(
+            d, min_shared=20)),
+    }[join]
+    out = run(ds).materialize()
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema([
+        ('doc_a', pa.int64()), ('doc_b', pa.int64()),
+        (measure, pa.int64() if measure == 'n_shared' else pa.float64())])
+
+
+@pytest.mark.parametrize('doc_ids', [[1 << 31, (1 << 31) + 1], [-2, -1]],
+                         ids=['sign_bit', 'negative'])
+@pytest.mark.parametrize('join', sorted(_PREFIX_JOINS))
+def test_pair_pack_rejects_sign_bit_ids(join, doc_ids):
+    # ids outside [0, 2^31) would corrupt the packed int64 pair key
+    ds = ray.data.from_arrow(pa.table({
+        'doc_id': pa.array(doc_ids, pa.int64()),
+        'text': pa.array(['shared text body here repeated words ' * 5] * 2,
+                         pa.string())}))
+    with pytest.raises(Exception, match='pair pack domain'):
+        _PREFIX_JOINS[join](ds).materialize()
 
 
 def test_semdedup_nondefault_params_match_oracle(ray_session):
