@@ -111,21 +111,42 @@ def cmd_traindata(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Stop(Exception):
+    """Raised in the main thread by ``cli watch``'s SIGTERM handler."""
+
+
+def _raise_stop(signum, frame):
+    raise _Stop
+
+
 def cmd_watch(args: argparse.Namespace) -> int:
+    """Run watch cycles until ``--max-cycles`` or SIGTERM, which exits 0.
+
+    SIGTERM during the sleep ends the loop at once.  SIGTERM mid-cycle stops
+    the driver where it stands: each partition's manifest and the ledger are
+    committed atomically, so the partition being written is committed or not,
+    and the next invocation resumes the same generation."""
     _ray_init(args.num_cpus)
+    import signal
     import time as _time
 
     from pii_detector_ray.pipelines.watch import watch_once
     cfg = _load_cfg(args)
     cycles = 1 if args.once else args.max_cycles
-    for i in range(cycles):
-        summary = watch_once(args.input, args.output, cfg,
-                             num_partitions=args.partitions,
-                             dedup_urls=args.dedup_urls,
-                             keep_only=args.keep_only)
-        print(json.dumps(summary))
-        if i + 1 < cycles:
-            _time.sleep(args.interval)
+    previous = signal.signal(signal.SIGTERM, _raise_stop)
+    try:
+        for i in range(cycles):
+            summary = watch_once(args.input, args.output, cfg,
+                                 num_partitions=args.partitions,
+                                 dedup_urls=args.dedup_urls,
+                                 keep_only=args.keep_only)
+            print(json.dumps(summary), flush=True)
+            if i + 1 < cycles:
+                _time.sleep(args.interval)
+    except _Stop:
+        print('watch: stopped by SIGTERM', file=sys.stderr)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -1,18 +1,26 @@
 """Resumable partitioned runner for the flagship pipeline.
 
-Execution model (SURVEY.md §4 'Checkpoint / resume'): input files →
-deterministic partitions → for each partition not yet committed, run the
-streaming pipeline over that partition's files, write ``out/part=K/``,
-aggregate partition metrics, then atomically commit the manifest.  A
-partition is read by ``quality_filter.read_pages``: one task per file when
-its files number at least ``min(CPUs, ceil(rows / 1024))``, else its files
-split into ``min(2 x CPUs, ceil(rows / 1024))`` blocks.  So a partition
-of fewer files than CPUs fills the cluster only when its rows make enough
-1,024-row blocks; a one-file partition of at most 1,024 rows is one task.
+Execution model (SURVEY.md §4 'Checkpoint / resume'): input files are
+assigned to deterministic partitions, and each partition not yet committed
+goes through three steps:
+
+1. remove any ``out/part=K/`` left by a crash (output with no manifest);
+2. run the streaming pipeline over the partition's files and write
+   ``out/part=K/`` through ``PartitionSink``, whose write tasks count the
+   rows they write (rows, kept, drop reasons, PII span types);
+3. sum those counts and atomically commit the manifest.
+
+So a partition costs ONE Ray Data execution: its counts come from the write
+pass, not from reading the files back.  A partition is read by
+``quality_filter.read_pages``: one task per file when its files number at
+least ``min(CPUs, ceil(rows / 1024))``, else its files split into
+``min(2 x CPUs, ceil(rows / 1024))`` blocks.  So a partition of fewer files
+than CPUs fills the cluster only when its rows make enough 1,024-row
+blocks; a one-file partition of at most 1,024 rows is one task.
 Serializing over partitions buys exact resume: a killed job re-runs only
-uncommitted partitions (``tests/test_resume.py`` kills between partitions
-and asserts identical final output with no recomputation of committed
-ones).
+uncommitted partitions (``tests/test_resume.py`` kills the driver between
+partitions and inside a write task, and asserts identical final output
+with no recomputation of committed ones).
 """
 
 from __future__ import annotations
@@ -20,12 +28,14 @@ from __future__ import annotations
 import os
 import shutil
 import time
-from typing import Any
+from collections import Counter
+from typing import Any, Iterable
 
 import pyarrow as pa
-import ray.data
-
-from pii_detector_ray.sources.pqread import read_parquet_clean
+import pyarrow.compute as pc
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import Block, BlockAccessor
+from ray.data.datasource.datasink import WriteResult
 
 import pii_detector_ray
 from pii_detector_ray.config import PipelineConfig
@@ -38,50 +48,66 @@ from pii_detector_ray.state.manifest import (
 )
 
 
-def _partition_metrics(part_dir: str) -> dict[str, Any]:
-    """Distributed rollup over the partition's (small) label columns."""
-    # a partition whose rows were ALL filtered writes no files at all
-    # (write_parquet creates nothing for an empty dataset) — commit zeros
-    if not os.path.isdir(part_dir) or not os.listdir(part_dir):
-        return {'rows': 0, 'kept': 0, 'dropped': 0, 'drop_reasons': {},
-                'pii_type_counts': {}, 'pii_findings': 0}
-    ds = read_parquet_clean(part_dir, columns=['keep', 'drop_reason', 'pii_spans'])
+def _tally(t: pa.Table) -> dict[str, Any]:
+    """The manifest's label counts over one table of pipeline output."""
+    def value_counts(values: pa.ChunkedArray) -> Counter[str]:
+        vc = pc.value_counts(values.drop_null())
+        return Counter(dict(zip(vc.field('values').to_pylist(),
+                                vc.field('counts').to_pylist())))
+    return {
+        'rows': t.num_rows,
+        'kept': pc.sum(pc.cast(t.column('keep'), pa.int64())).as_py() or 0,
+        'drop_reasons': value_counts(t.column('drop_reason')),
+        'pii_types': value_counts(pc.struct_field(
+            pc.list_flatten(t.column('pii_spans')), 'type')),
+    }
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = batch.column('keep')
-        reasons = batch.column('drop_reason')
-        span_types = pc.struct_field(pc.list_flatten(batch.column('pii_spans')), 'type') \
-            if len(batch) else pa.array([], pa.string())
-        reason_counts = pa.table({'v': reasons.drop_null()}) \
-            .group_by('v').aggregate([('v', 'count')])
-        type_counts = pa.table({'v': span_types}).group_by('v').aggregate([('v', 'count')])
-        import json as _json
-        return pa.table({
-            'rows': pa.array([len(batch)], pa.int64()),
-            'kept': pa.array([pc.sum(pc.cast(keep, pa.int64())).as_py() or 0], pa.int64()),
-            'reason_json': pa.array([_json.dumps(
-                dict(zip(reason_counts.column('v').to_pylist(),
-                         reason_counts.column('v_count').to_pylist())))], pa.string()),
-            'types_json': pa.array([_json.dumps(
-                dict(zip(type_counts.column('v').to_pylist(),
-                         type_counts.column('v_count').to_pylist())))], pa.string()),
-        })
 
-    import json as _json
-    partials = ds.map_batches(partial, batch_format='pyarrow').take_all()
-    rows = sum(p['rows'] for p in partials)
-    kept = sum(p['kept'] for p in partials)
-    reasons: dict[str, int] = {}
-    types: dict[str, int] = {}
-    for p in partials:
-        for k, v in _json.loads(p['reason_json']).items():
-            reasons[k] = reasons.get(k, 0) + v
-        for k, v in _json.loads(p['types_json']).items():
-            types[k] = types.get(k, 0) + v
+def _sum_tallies(tallies: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    total = {'rows': 0, 'kept': 0, 'drop_reasons': Counter(), 'pii_types': Counter()}
+    for t in tallies:
+        for k, v in t.items():
+            total[k] += v
+    return total
+
+
+class PartitionSink(ParquetDatasink):
+    """``write_parquet``'s sink whose write tasks also count what they write.
+
+    Each write task returns a ``_tally`` of its rows: ``rows``, ``kept``,
+    ``drop_reasons`` and ``pii_types`` (span type -> spans).
+    ``on_write_complete`` keeps the ``WriteResult``, whose
+    ``write_returns`` hold one tally per task.
+
+    Subclasses Ray 2.49's private
+    ``ray.data._internal.datasource.parquet_datasink.ParquetDatasink``,
+    the class ``Dataset.write_parquet`` builds."""
+
+    result: WriteResult | None = None
+
+    def write(self, blocks: Iterable[Block], ctx) -> dict[str, Any]:
+        blocks = list(blocks)
+        super().write(blocks, ctx)
+        tables = (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+        return _sum_tallies(_tally(t) for t in tables if t.num_rows)
+
+    def on_write_complete(self, write_result: WriteResult) -> None:
+        super().on_write_complete(write_result)
+        self.result = write_result
+
+
+def _partition_counts(result: WriteResult) -> dict[str, Any]:
+    """The manifest's counts: the sum of the write tasks' tallies.
+
+    ``bytes_out`` is the Arrow in-memory size of the rows written, as Ray
+    reports it, not the size of the Parquet files."""
+    total = _sum_tallies(result.write_returns)
+    rows, kept, types = total['rows'], total['kept'], total['pii_types']
     return {'rows': rows, 'kept': kept, 'dropped': rows - kept,
-            'drop_reasons': reasons, 'pii_type_counts': types,
-            'pii_findings': sum(types.values())}
+            'drop_reasons': dict(total['drop_reasons']),
+            'pii_type_counts': dict(types), 'pii_findings': sum(types.values()),
+            'write_tasks': len(result.write_returns),
+            'bytes_out': int(result.size_bytes)}
 
 
 def _check_run_manifest(out_dir: str, num_partitions: int, cfg: PipelineConfig,
@@ -158,8 +184,9 @@ def run_partitioned(
             shutil.rmtree(part_dir)   # uncommitted partial output from a crash
         t0 = time.monotonic()
         ds = build_pipeline(read_pages(files), cfg, dedup_urls=dedup_urls, keep_only=keep_only)
-        ds.write_parquet(part_dir)
-        metrics = _partition_metrics(part_dir)
+        sink = PartitionSink(part_dir, dataset_uuid=ds._uuid)
+        ds.write_datasink(sink)
+        metrics = _partition_counts(sink.result)
         write_manifest(out_dir, part_id, {
             'part_id': part_id,
             'engine_version': pii_detector_ray.__version__,

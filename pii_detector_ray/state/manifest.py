@@ -17,7 +17,10 @@ files on the output store:
 
 Each manifest records metrics + lineage: row counts, keep/drop counts,
 drop-reason histogram, PII counts per type, the input file list + byte sizes
-(fingerprint), the config hash, and the engine version.
+(fingerprint), the config hash, and the engine version.  The counts come
+from the partition's write tasks (``pipelines/runner.PartitionSink``), not
+from reading the output back; ``write_tasks`` is how many tasks wrote and
+``bytes_out`` the Arrow in-memory bytes they wrote (not Parquet file bytes).
 """
 
 from __future__ import annotations

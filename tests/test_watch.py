@@ -5,8 +5,14 @@ rescheduler + new-task detection (customer_worker.py:73-91,
 redis_jobs.py:35-108)."""
 
 import glob
+import json
 import os
+import selectors
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 import ray.data
@@ -156,3 +162,82 @@ def test_watch_ledger_records_prerun_fingerprint(
     s2 = watch_once(shards, out, cfg, num_partitions=2)
     assert s2['generation'] == 1
     assert s2['files_new'] == 1 and s2['files_unchanged'] == 2
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _read_json_line(proc, timeout_s):
+    """The first JSON object ``proc`` prints, or None at EOF or timeout."""
+    sel = selectors.DefaultSelector()
+    sel.register(proc.stdout, selectors.EVENT_READ)
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if not sel.select(deadline - time.monotonic()):
+            break
+        line = proc.stdout.readline()
+        if not line:
+            break
+        if line.startswith(b'{'):
+            return json.loads(line)
+    return None
+
+
+def test_cli_watch_sigterm_during_sleep_exits_zero(shards, tmp_path):
+    """SIGTERM while ``cli watch`` sleeps between cycles ends it with exit 0
+    right away, with the finished cycle committed to the ledger."""
+    out = str(tmp_path / 'out')
+    proc = subprocess.Popen(
+        [sys.executable, '-m', 'pii_detector_ray.cli', 'watch',
+         '--input', shards, '--output', out, '--interval', '30',
+         '--max-cycles', '3', '--partitions', '1', '--num-cpus', '1'],
+        env={**os.environ, 'PYTHONPATH': ROOT}, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        summary = _read_json_line(proc, 240)
+        assert summary is not None and summary['generation'] == 0
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=25) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)   # Ray processes it started
+        except ProcessLookupError:
+            pass
+    led = read_ledger(out)
+    assert len(led) == 3 and {e['gen'] for e in led.values()} == {0}
+
+
+def test_cli_watch_sigterm_mid_cycle_resumes_generation(
+        ray_session, shards, tmp_path, monkeypatch, capsys):
+    """SIGTERM right after a cycle's first partition commits stops ``cli
+    watch`` with exit 0 and the ledger not advanced; the next invocation
+    resumes the same generation and skips the committed partition."""
+    import pii_detector_ray.pipelines.runner as runner_mod
+    from pii_detector_ray import cli
+
+    out = str(tmp_path / 'out')
+    argv = ['watch', '--input', shards, '--output', out, '--once',
+            '--partitions', '2']
+    real = runner_mod.write_manifest
+
+    def commit_then_sigterm(*args):
+        real(*args)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(runner_mod, 'write_manifest', commit_then_sigterm)
+    handler = signal.getsignal(signal.SIGTERM)
+    assert cli.main(argv) == 0
+    assert completed_partitions(os.path.join(out, 'gen=00000')) == {0}
+    assert read_ledger(out) == {}
+    assert signal.getsignal(signal.SIGTERM) is handler    # restored
+
+    monkeypatch.setattr(runner_mod, 'write_manifest', real)
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary['generation'] == 0
+    assert summary['partitions_skipped'] == 1 and summary['partitions_run'] == 1
+    assert len(read_ledger(out)) == 3
