@@ -44,12 +44,14 @@ from pii_detector_ray.stages.dedup import (
     join_partitions,
 )
 from pii_detector_ray.stages.ranks import (
+    map_blocks,
     midranks,
     nan_last,
     null_key,
     null_key_value,
     per_part,
     prefix_before,
+    rank_ties,
     run_starts,
     sorted_prefix,
 )
@@ -1072,112 +1074,47 @@ _ORDERS_PUSHDOWN_SQL = (
 )
 
 
-def q_orders_cume_dist(sf_dir: str) -> ray.data.Dataset:
-    """Grouped CUME_DIST window — for every order, the fraction of its
-    priority group with price <= its own — WITHOUT ever co-locating a
-    group: Ray's range-partitioned sort orders (priority, price, key),
-    then the sequence_packing distributed-prefix-sum pattern closes the
-    window: pass 1 folds one summary row per (block, priority) —
-    row count, min/max price, and the tie counts at both edges — the
-    driver derives per-(block, priority) offsets, group totals, and the
-    count of LATER-block rows tied at each block's max price (sortedness
-    means later blocks can only tie the max), and pass 2 finishes each
-    row as offset + within-block searchsorted + boundary ties.  Only
-    (blocks x priorities) summary rows ever reach the driver."""
+def _orders_rank(sf_dir: str, out: str, rank) -> ray.data.Dataset:
+    """``o_orderkey`` and ``out = round(rank(P, g, N), 6)`` for every order,
+    with ``P`` the orders of its priority with a smaller price, ``g`` its
+    run of equal prices and ``N`` its priority's size: the body of the
+    grouped CUME_DIST and PERCENT_RANK windows.
+
+    One ``stages.ranks.sorted_prefix`` sort by (priority, price) with the
+    priority as the part: a tie run never straddles two blocks, so each
+    block finishes its own rows from its per-priority prefix and the
+    priority totals.  Only block summaries reach the driver.  As in the
+    oracle, a NULL priority is its own group, and prices order numbers,
+    then NaN, then NULL (``nan_last``)."""
     import os
-    mat = (read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                              columns=['o_orderkey', 'o_orderpriority',
-                                       'o_totalprice'])
-           .sort(['o_orderpriority', 'o_totalprice', 'o_orderkey'])
-           .materialize())
 
-    def summary(t: pa.Table) -> pa.Table:
-        pri = t.column('o_orderpriority').to_numpy(zero_copy_only=False)
-        prc = t.column('o_totalprice').to_numpy(zero_copy_only=False)
-        okey = t.column('o_orderkey').to_numpy(zero_copy_only=False)
-        if len(t) == 0:
-            return pa.table({'_p0': pa.array([], pa.string()),
-                             '_v0': pa.array([], pa.float64()),
-                             '_k0': pa.array([], pa.int64()),
-                             '_prio': pa.array([], pa.string()),
-                             '_n': pa.array([], pa.int64()),
-                             '_vmin': pa.array([], pa.float64()),
-                             '_vmax': pa.array([], pa.float64()),
-                             '_nmin': pa.array([], pa.int64()),
-                             '_nmax': pa.array([], pa.int64())})
-        rows = []
-        for p in np.unique(pri):
-            m = pri == p
-            v = prc[m]
-            rows.append({'_p0': str(pri[0]), '_v0': float(prc[0]),
-                         '_k0': int(okey[0]), '_prio': str(p),
-                         '_n': int(m.sum()),
-                         '_vmin': float(v[0]), '_vmax': float(v[-1]),
-                         '_nmin': int((v == v[0]).sum()),
-                         '_nmax': int((v == v[-1]).sum())})
-        return pa.Table.from_pylist(rows)
+    def prep(t: pa.Table) -> pa.Table:
+        return pa.table({'o_orderkey': pc.cast(t.column('o_orderkey'),
+                                               pa.int64()),
+                         'prio': null_key(t.column('o_orderpriority')),
+                         **nan_last(t.column('o_totalprice'))})
 
-    summ = mat.map_batches(summary, batch_format='pyarrow',
-                           batch_size=None).to_pandas()
-    # block order = the block's global first row (sort-key order)
-    summ = summ.sort_values(['_p0', '_v0', '_k0'],
-                            kind='mergesort').reset_index(drop=True)
-    totals: dict[str, int] = {}
-    info: dict[tuple, dict[str, tuple]] = {}
-    per_prio: dict[str, list] = {}
-    for _, r in summ.iterrows():
-        per_prio.setdefault(r['_prio'], []).append(r)
-        totals[r['_prio']] = totals.get(r['_prio'], 0) + int(r['_n'])
-    for p, lst in per_prio.items():
-        run = 0
-        for i, r in enumerate(lst):
-            if i and lst[i - 1]['_vmax'] > r['_vmin']:
-                raise AssertionError('blocks are not sort-key-disjoint')
-            extra = 0
-            for nxt in lst[i + 1:]:
-                if nxt['_vmin'] == r['_vmax']:
-                    extra += int(nxt['_nmin'])
-                    if nxt['_vmin'] != nxt['_vmax']:
-                        break
-                else:
-                    break
-            bkey = (r['_p0'], r['_v0'], r['_k0'])
-            info.setdefault(bkey, {})[p] = (run, extra, float(r['_vmax']),
-                                            int(r['_n']))
-            run += int(r['_n'])
-    # a duplicate block key (two blocks sharing a first row — duplicate
-    # input rows) would silently overwrite an info entry; the row-count
-    # reconciliation catches it
-    if sum(n for d in info.values() for (_, _, _, n) in d.values()) != \
-            sum(totals.values()):
-        raise AssertionError('block summary keys collided — input rows '
-                             'are not unique on the sort key')
-    info_ref = ray.put((info, totals))
+    def finish(t: pa.Table, off: dict, totals: dict) -> pa.Table:
+        p, g = rank_ties(t, 'prio', ['_nan', 'value'], off)
+        r = rank(p, g, per_part(t, 'prio', totals))
+        return pa.table({'o_orderkey': t.column('o_orderkey'),
+                         out: pa.array(sql_round_np(r, 6), pa.float64())})
 
-    def finish(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({'o_orderkey': pa.array([], pa.int64()),
-                             'cd': pa.array([], pa.float64())})
-        inf, tot = ray.get(info_ref)
-        pri = t.column('o_orderpriority').to_numpy(zero_copy_only=False)
-        prc = t.column('o_totalprice').to_numpy(zero_copy_only=False)
-        okey = t.column('o_orderkey').to_numpy(zero_copy_only=False)
-        binfo = inf[(str(pri[0]), float(prc[0]), int(okey[0]))]
-        cd = np.empty(len(t), np.float64)
-        for p in np.unique(pri):
-            m = pri == p
-            v = prc[m]
-            off, extra, vmax, n_blk = binfo[p]
-            if int(m.sum()) != n_blk:
-                raise AssertionError('pass-2 batch does not match its '
-                                     'pass-1 block summary')
-            within = np.searchsorted(v, v, side='right')
-            cnt = off + within + np.where(v == vmax, extra, 0)
-            cd[m] = cnt / tot[p]
-        return pa.table({'o_orderkey': pa.array(okey.astype(np.int64)),
-                         'cd': pa.array(sql_round_np(cd, 6), pa.float64())})
+    blocks, totals = sorted_prefix(
+        read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
+                           columns=['o_orderkey', 'o_orderpriority',
+                                    'o_totalprice'])
+        .map_batches(prep, batch_format='pyarrow'),
+        ['prio', '_nan', 'value'], 'prio')
+    return map_blocks(finish, blocks, pa.schema(
+        [('o_orderkey', pa.int64()), (out, pa.float64())]), totals)
 
-    return mat.map_batches(finish, batch_format='pyarrow', batch_size=None)
+
+def q_orders_cume_dist(sf_dir: str) -> ray.data.Dataset:
+    """Grouped CUME_DIST window: for every order, the fraction of its
+    priority group with price <= its own, ``(P + g) / N``
+    (``_orders_rank``)."""
+    return _orders_rank(sf_dir, 'cd', lambda p, g, n: (p + g) / n)
 
 
 _ORDERS_CUME_DIST_SQL = (
@@ -3170,16 +3107,14 @@ def q_sequence_packing(sf_dir: str, bin_tokens: int = 2048
     greedy-concatenation contract, mirrored exactly by the oracle's window
     cumsum).
 
-    Scale shape — a DISTRIBUTED PREFIX SUM: the narrow (doc_id, tok) table
-    materializes once (16 B/row; blocks are doc_id-contiguous ranges off
-    the ordered read and pinned by the materialize); pass 1 reduces each
-    block to one (min, max, sum) summary row, the driver prefix-sums the
-    BLOCK-COUNT-sized summary list into per-block token offsets (asserting
-    the ranges are disjoint), and pass 2 re-maps the same blocks adding
-    offset + within-block cumsum — nothing row-proportional ever reaches
-    the driver, and the result is partitioning-invariant because each
-    doc's global cumulative count is exact regardless of where block
-    boundaries fall."""
+    Scale shape — a DISTRIBUTED PREFIX SUM: one
+    ``stages.ranks.sorted_prefix`` sort of the narrow (doc_id, tok) table
+    (16 B/row) by doc_id, weighted by tok, gives each block the token count
+    of every earlier block; each block adds its within-block cumsum and
+    emits one (bin, docs, tokens) partial per bin it touches, and a groupby
+    sums the partials of bins that span blocks.  Nothing row-proportional
+    reaches the driver, and the result does not depend on the file's row
+    order or on where block boundaries fall."""
     tok_re = _RE2_WORD
 
     def toks(t: pa.Table) -> pa.Table:
@@ -3187,63 +3122,28 @@ def q_sequence_packing(sf_dir: str, bin_tokens: int = 2048
             t.column('text'), tok_re), pa.int64()), 0)
         return pa.table({'doc_id': t.column('doc_id'), '_tok': n})
 
-    mat = (read_documents(sf_dir, ['doc_id', 'text'])
-           .map_batches(toks, batch_format='pyarrow')).materialize()
-
-    def summary(t: pa.Table) -> pa.Table:
-        ids = t.column('doc_id').to_numpy(zero_copy_only=False)
-        tk = t.column('_tok').to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table({'_min': pa.array([], pa.int64()),
-                             '_max': pa.array([], pa.int64()),
-                             '_sum': pa.array([], pa.int64())})
-        return pa.table({'_min': pa.array([int(ids.min())], pa.int64()),
-                         '_max': pa.array([int(ids.max())], pa.int64()),
-                         '_sum': pa.array([int(tk.sum())], pa.int64())})
-
-    summ = sorted(
-        mat.map_batches(summary, batch_format='pyarrow',
-                        batch_size=None).take_all(),
-        key=lambda r: r['_min'])
-    offsets: dict[int, tuple[int, int, int]] = {}
-    run = 0
-    prev_max = None
-    for s in summ:
-        if prev_max is not None and s['_min'] <= prev_max:
-            raise AssertionError('blocks are not doc_id-range-disjoint')
-        prev_max = s['_max']
-        offsets[s['_min']] = (run, s['_max'], s['_sum'])
-        run += s['_sum']
-    off_ref = ray.put(offsets)
-
-    def assign(t: pa.Table) -> pa.Table:
-        ids = t.column('doc_id').to_numpy(zero_copy_only=False)
-        tk = t.column('_tok').to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table({'bin_id': pa.array([], pa.int64()),
-                             '_docs': pa.array([], pa.int64()),
-                             '_toks': pa.array([], pa.int64())})
-        order = np.argsort(ids, kind='stable')
-        tk = tk[order]
-        base, exp_max, exp_sum = ray.get(off_ref)[int(ids.min())]
-        # a pass-2 batch must be exactly one pass-1 block — a merged or
-        # re-split batch would silently corrupt the prefix sum
-        if int(ids.max()) != exp_max or int(tk.sum()) != exp_sum:
-            raise AssertionError('pass-2 batch does not match its '
-                                 'pass-1 block summary')
-        cumb = base + np.concatenate(([0], np.cumsum(tk)))[:-1]
-        bins = cumb // bin_tokens
+    def assign(t: pa.Table, off: dict) -> pa.Table:
+        tk = t.column('_tok').to_numpy()
+        bins = prefix_before(t, None, tk, off) // bin_tokens
         ub, inv = np.unique(bins, return_inverse=True)
         return pa.table({
             'bin_id': pa.array(ub, pa.int64()),
-            '_docs': pa.array(np.bincount(inv), pa.int64()),
-            '_toks': pa.array(np.bincount(inv, weights=tk.astype(np.float64))
-                              .astype(np.int64), pa.int64())})
+            'n_docs': pa.array(np.bincount(inv), pa.int64()),
+            'n_tokens': pa.array(np.bincount(
+                inv, weights=tk.astype(np.float64)).astype(np.int64))})
 
-    return (mat.map_batches(assign, batch_format='pyarrow', batch_size=None)
-            .groupby('bin_id')
-            .aggregate(Sum('_docs', alias_name='n_docs'),
-                       Sum('_toks', alias_name='n_tokens')))
+    blocks, _ = sorted_prefix(
+        read_documents(sf_dir, ['doc_id', 'text'])
+        .map_batches(toks, batch_format='pyarrow'),
+        ['doc_id'], None, weight='_tok')
+    partials = map_blocks(assign, blocks, pa.schema(
+        [('bin_id', pa.int64()), ('n_docs', pa.int64()),
+         ('n_tokens', pa.int64())]))
+    if not blocks:       # Ray's groupby drops the schema of an empty Dataset
+        return partials
+    return partials.groupby('bin_id').aggregate(
+        Sum('n_docs', alias_name='n_docs'),
+        Sum('n_tokens', alias_name='n_tokens'))
 
 
 _TOKEN_BUDGET = 20_000
@@ -3263,12 +3163,11 @@ def q_token_budget_selection(sf_dir: str,
     score, tok) table — the key packs ``(10000 - score*1e4) << 32 |
     doc_id`` into ONE int64 (quality_score is sql-rounded to 4 decimals,
     so the integer quantization is exact on both sides), making the rank
-    order a single ascending int64 sort.  Then the sequence_packing
-    DISTRIBUTED PREFIX SUM: pass 1 reduces each sorted block to one
-    (min-key, max-key, sum-tok) summary, the driver prefix-sums the
-    block-count-sized list (asserting key-range disjointness), pass 2
-    re-maps the same blocks adding offset + within-block cumsum and keeps
-    rows with cum-before < budget.  Nothing row-proportional reaches the
+    order a single ascending int64 sort.  That sort is
+    ``stages.ranks.sorted_prefix``'s, weighted by tok: each block gets the
+    token count of every earlier block, adds its within-block cumsum and
+    keeps rows with cum-before < budget; a block whose prefix already
+    reaches the budget runs no task.  Nothing row-proportional reaches the
     driver; text never survives the scoring pass."""
     from pii_detector_ray.stages.heuristics import heuristics_arrays
     from pii_detector_ray.stages.textstats import quality_score_batch
@@ -3284,62 +3183,24 @@ def q_token_budget_selection(sf_dir: str,
             # the \S+ word count is the token count (RE2 space class)
             '_tok': feat['n_words']})
 
-    mat = (read_documents(sf_dir, ['doc_id', 'text'])
-           .map_batches(feats, batch_format='pyarrow')
-           .sort('_k').materialize())
-
-    def summary(t: pa.Table) -> pa.Table:
-        k = t.column('_k').to_numpy(zero_copy_only=False)
-        tk = t.column('_tok').to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table({c: pa.array([], pa.int64())
-                             for c in ('_min', '_max', '_sum')})
-        return pa.table({'_min': pa.array([int(k.min())], pa.int64()),
-                         '_max': pa.array([int(k.max())], pa.int64()),
-                         '_sum': pa.array([int(tk.sum())], pa.int64())})
-
-    summ = sorted(
-        mat.map_batches(summary, batch_format='pyarrow',
-                        batch_size=None).take_all(),
-        key=lambda r: r['_min'])
-    offsets: dict[int, tuple[int, int, int]] = {}
-    run = 0
-    prev_max = None
-    for s in summ:
-        if prev_max is not None and s['_min'] <= prev_max:
-            raise AssertionError('blocks are not key-range-disjoint')
-        prev_max = s['_max']
-        offsets[s['_min']] = (run, s['_max'], s['_sum'])
-        run += s['_sum']
-    off_ref = ray.put(offsets)
-
-    def select(t: pa.Table) -> pa.Table:
-        k = t.column('_k').to_numpy(zero_copy_only=False)
-        empty = pa.table({'doc_id': pa.array([], pa.int64()),
-                          'quality_score': pa.array([], pa.float64()),
-                          'n_tokens': pa.array([], pa.int64())})
-        if len(k) == 0:
-            return empty
-        order = np.argsort(k, kind='stable')
-        tk = t.column('_tok').to_numpy(zero_copy_only=False)[order]
-        base, exp_max, exp_sum = ray.get(off_ref)[int(k.min())]
-        # a pass-2 batch must be exactly one pass-1 block — a merged or
-        # re-split batch would silently corrupt the prefix sum
-        if int(k.max()) != exp_max or int(tk.sum()) != exp_sum:
-            raise AssertionError('pass-2 batch does not match its '
-                                 'pass-1 block summary')
-        cumb = base + np.concatenate(([0], np.cumsum(tk)))[:-1]
-        keep = cumb < budget
-        ids = t.column('doc_id').to_numpy(zero_copy_only=False)[order]
-        qs = t.column('quality_score').to_numpy(
-            zero_copy_only=False)[order]
+    def select(t: pa.Table, off: dict) -> pa.Table:
+        tk = t.column('_tok').to_numpy()
+        keep = pa.array(prefix_before(t, None, tk, off) < budget)
         return pa.table({
-            'doc_id': pa.array(ids[keep].astype(np.int64)),
-            'quality_score': pa.array(qs[keep], pa.float64()),
-            'n_tokens': pa.array(tk[keep].astype(np.int64))})
+            'doc_id': pc.cast(t.column('doc_id'), pa.int64()),
+            'quality_score': pc.cast(t.column('quality_score'),
+                                     pa.float64()),
+            'n_tokens': pa.array(tk, pa.int64())}).filter(keep)
 
-    return mat.map_batches(select, batch_format='pyarrow',
-                           batch_size=None)
+    blocks, _ = sorted_prefix(
+        read_documents(sf_dir, ['doc_id', 'text'])
+        .map_batches(feats, batch_format='pyarrow'),
+        ['_k'], None, weight='_tok')
+    return map_blocks(
+        select, [(ref, off) for ref, off in blocks
+                 if off.get(None, 0) < budget],
+        pa.schema([('doc_id', pa.int64()), ('quality_score', pa.float64()),
+                   ('n_tokens', pa.int64())]))
 
 
 _SEQUENCE_PACKING_SQL = (
@@ -8996,7 +8857,7 @@ def q_activity_streaks(sf_dir: str) -> ray.data.Dataset:
     that span blocks (2 edge users per block, regardless of data size) and
     emit the merged candidates as a tiny extra table; a final groupby-max
     picks each user's answer.  Sort-disjointness is asserted like
-    orders_cume_dist."""
+    ``stages.ranks.block_prefixes`` does."""
 
     def day_partial(t: pa.Table) -> pa.Table:
         u = t.column('user_id').to_numpy(zero_copy_only=False)
@@ -9804,108 +9665,11 @@ _WAITING_SUPPLIERS_SQL = (
 
 
 def q_orders_percent_rank(sf_dir: str) -> ray.data.Dataset:
-    """Grouped PERCENT_RANK window — (rank-1)/(n-1) with min-rank tie
-    semantics — via the q_orders_cume_dist two-pass distributed-window
-    pattern: range-partitioned sort, one summary row per
-    (block, priority) to the driver, then offset + within-block
-    searchsorted(side='left') closes each row.  The tie correction is
-    the MIRROR of cume_dist's: sortedness means EARLIER blocks can only
-    tie this block's min, so rows at the block vmin subtract the
-    carried earlier-block tie count (cume_dist added later-block vmax
-    ties).  Single-row groups define percent_rank = 0."""
-    import os
-    mat = (read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                              columns=['o_orderkey', 'o_orderpriority',
-                                       'o_totalprice'])
-           .sort(['o_orderpriority', 'o_totalprice', 'o_orderkey'])
-           .materialize())
-
-    def summary(t: pa.Table) -> pa.Table:
-        pri = t.column('o_orderpriority').to_numpy(zero_copy_only=False)
-        prc = t.column('o_totalprice').to_numpy(zero_copy_only=False)
-        okey = t.column('o_orderkey').to_numpy(zero_copy_only=False)
-        if len(t) == 0:
-            return pa.table({'_p0': pa.array([], pa.string()),
-                             '_v0': pa.array([], pa.float64()),
-                             '_k0': pa.array([], pa.int64()),
-                             '_prio': pa.array([], pa.string()),
-                             '_n': pa.array([], pa.int64()),
-                             '_vmin': pa.array([], pa.float64()),
-                             '_vmax': pa.array([], pa.float64()),
-                             '_nmin': pa.array([], pa.int64()),
-                             '_nmax': pa.array([], pa.int64())})
-        rows = []
-        for p in np.unique(pri):
-            m = pri == p
-            v = prc[m]
-            rows.append({'_p0': str(pri[0]), '_v0': float(prc[0]),
-                         '_k0': int(okey[0]), '_prio': str(p),
-                         '_n': int(m.sum()),
-                         '_vmin': float(v[0]), '_vmax': float(v[-1]),
-                         '_nmin': int((v == v[0]).sum()),
-                         '_nmax': int((v == v[-1]).sum())})
-        return pa.Table.from_pylist(rows)
-
-    summ = mat.map_batches(summary, batch_format='pyarrow',
-                           batch_size=None).to_pandas()
-    summ = summ.sort_values(['_p0', '_v0', '_k0'],
-                            kind='mergesort').reset_index(drop=True)
-    totals: dict[str, int] = {}
-    info: dict[tuple, dict[str, tuple]] = {}
-    per_prio: dict[str, list] = {}
-    for _, r in summ.iterrows():
-        per_prio.setdefault(r['_prio'], []).append(r)
-        totals[r['_prio']] = totals.get(r['_prio'], 0) + int(r['_n'])
-    for p, lst in per_prio.items():
-        run = 0
-        for i, r in enumerate(lst):
-            if i and lst[i - 1]['_vmax'] > r['_vmin']:
-                raise AssertionError('blocks are not sort-key-disjoint')
-            # earlier-block rows tied at THIS block's min: walk back
-            # through the (possibly constant-valued) run of predecessors
-            tie_prev = 0
-            for j in range(i - 1, -1, -1):
-                if lst[j]['_vmax'] == r['_vmin']:
-                    tie_prev += int(lst[j]['_nmax'])
-                    if lst[j]['_vmin'] != lst[j]['_vmax']:
-                        break
-                else:
-                    break
-            bkey = (r['_p0'], r['_v0'], r['_k0'])
-            info.setdefault(bkey, {})[p] = (run, tie_prev,
-                                            float(r['_vmin']), int(r['_n']))
-            run += int(r['_n'])
-    if sum(n for d in info.values() for (_, _, _, n) in d.values()) != \
-            sum(totals.values()):
-        raise AssertionError('block summary keys collided — input rows '
-                             'are not unique on the sort key')
-    info_ref = ray.put((info, totals))
-
-    def finish(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({'o_orderkey': pa.array([], pa.int64()),
-                             'pr': pa.array([], pa.float64())})
-        inf, tot = ray.get(info_ref)
-        pri = t.column('o_orderpriority').to_numpy(zero_copy_only=False)
-        prc = t.column('o_totalprice').to_numpy(zero_copy_only=False)
-        okey = t.column('o_orderkey').to_numpy(zero_copy_only=False)
-        binfo = inf[(str(pri[0]), float(prc[0]), int(okey[0]))]
-        pr = np.empty(len(t), np.float64)
-        for p in np.unique(pri):
-            m = pri == p
-            v = prc[m]
-            off, tie_prev, vmin, n_blk = binfo[p]
-            if int(m.sum()) != n_blk:
-                raise AssertionError('pass-2 batch does not match its '
-                                     'pass-1 block summary')
-            within = np.searchsorted(v, v, side='left')
-            smaller = off + within - np.where(v == vmin, tie_prev, 0)
-            denom = tot[p] - 1
-            pr[m] = smaller / denom if denom > 0 else 0.0
-        return pa.table({'o_orderkey': pa.array(okey.astype(np.int64)),
-                         'pr': pa.array(sql_round_np(pr, 6), pa.float64())})
-
-    return mat.map_batches(finish, batch_format='pyarrow', batch_size=None)
+    """Grouped PERCENT_RANK window: ``(rank - 1) / (N - 1)`` with min-rank
+    ties, which is ``P / (N - 1)`` (``_orders_rank``); a one-row group's
+    percent_rank is 0."""
+    return _orders_rank(sf_dir, 'pr', lambda p, g, n: np.where(
+        n > 1, p / np.maximum(n - 1, 1), 0.0))
 
 
 _ORDERS_PERCENT_RANK_SQL = (
@@ -11390,83 +11154,35 @@ def q_user_activity_gini(sf_dir: str) -> pd.DataFrame:
     skew (Gini → 1 means a few mega-users own the stream).
 
     Plan (100 TB shape): one narrow groupby yields (user, count); the
-    rank-weighted sum Σ rank·count the Gini needs is a third flavor of
-    the block-summary DISTRIBUTED PREFIX SUM — counts pack with user_id
-    into one int64 sort key, pass 1 gives each sorted block its global
-    base rank (a prefix COUNT this time), pass 2 computes the exact
-    integer Σ (base + local_rank)·count per block.  Everything is int64
-    until the single driver-side division (domain-asserted: n·total <
-    2^62, which holds to ~10^9 users × 10^9 events)."""
+    rank-weighted sum Σ rank·count the Gini needs comes from one
+    ``stages.ranks.sorted_prefix`` sort by count: each block's row-count
+    prefix is its base rank, and each block returns the exact integer
+    Σ (base + local_rank)·count and Σ count.  Ties in count need no
+    tie-break, since tied rows add the same Σ in any order.  Everything is
+    int64 until the single driver-side division (domain-asserted: n·total
+    < 2^62, which holds to ~10^9 users × 10^9 events).  As in the oracle,
+    a NULL user_id is one user, and no events give gini NULL over 0
+    users."""
     from pii_detector_ray.functions.rounding import sql_round_scalar
 
-    counts = drop_empty_blocks(
+    def wsum(t: pa.Table, off: dict) -> tuple[int, int]:
+        c = t.column('n_ev').to_numpy().astype(np.int64)
+        rk = off.get(None, 0) + np.arange(1, len(c) + 1, dtype=np.int64)
+        return int((rk * c).sum()), int(c.sum())
+
+    blocks, totals = sorted_prefix(
         _events(sf_dir, ['user_id'])
-        .groupby('user_id').aggregate(Count(alias_name='n_ev')))
-
-    def pack(t: pa.Table) -> pa.Table:
-        u = t.column('user_id').to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        c = t.column('n_ev').to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return pa.table({'_k': pa.array(_pack32(c, u), pa.int64()),
-                         '_c': pa.array(c, pa.int64())})
-
-    mat = counts.map_batches(pack, batch_format='pyarrow') \
-        .sort('_k').materialize()
-
-    def summary(t: pa.Table) -> pa.Table:
-        k = t.column('_k').to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table({c: pa.array([], pa.int64())
-                             for c in ('_min', '_max', '_n', '_sum')})
-        c = t.column('_c').to_numpy(zero_copy_only=False)
-        return pa.table({'_min': pa.array([int(k.min())], pa.int64()),
-                         '_max': pa.array([int(k.max())], pa.int64()),
-                         '_n': pa.array([len(k)], pa.int64()),
-                         '_sum': pa.array([int(c.sum())], pa.int64())})
-
-    summ = sorted(
-        mat.map_batches(summary, batch_format='pyarrow',
-                        batch_size=None).take_all(),
-        key=lambda r: r['_min'])
-    empty = pd.DataFrame({'gini': pd.array([], dtype='float64'),
-                          'n_users': pd.array([], dtype='int64')})
-    if not summ:
-        return empty
-    offsets: dict[int, tuple[int, int, int, int]] = {}
-    rank = tot = 0
-    prev_max = None
-    for s in summ:
-        if prev_max is not None and s['_min'] <= prev_max:
-            raise AssertionError('blocks are not key-range-disjoint')
-        prev_max = s['_max']
-        offsets[s['_min']] = (rank, s['_max'], s['_n'], s['_sum'])
-        rank += s['_n']
-        tot += s['_sum']
-    n = rank
+        .groupby('user_id').aggregate(Count(alias_name='n_ev')),
+        ['n_ev'], None)
+    n = totals.get(None, 0)
+    wsum_task = ray.remote(wsum)
+    parts = ray.get([wsum_task.remote(ref, off) for ref, off in blocks])
+    w, tot = sum(p[0] for p in parts), sum(p[1] for p in parts)
     if n * tot >= (1 << 62):
         raise AssertionError('gini rank-weight domain exceeded')
-    off_ref = ray.put(offsets)
-
-    def wsum(t: pa.Table) -> pa.Table:
-        k = t.column('_k').to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table({'_w': pa.array([], pa.int64())})
-        order = np.argsort(k, kind='stable')
-        c = t.column('_c').to_numpy(zero_copy_only=False)[order]
-        base, exp_max, exp_n, exp_sum = ray.get(off_ref)[int(k.min())]
-        if int(k.max()) != exp_max or len(k) != exp_n \
-                or int(c.sum()) != exp_sum:
-            raise AssertionError('pass-2 batch does not match its '
-                                 'pass-1 block summary')
-        rk = base + np.arange(1, len(c) + 1, dtype=np.int64)
-        return pa.table({'_w': pa.array([int((rk * c).sum())], pa.int64())})
-
-    w = mat.map_batches(wsum, batch_format='pyarrow',
-                        batch_size=None).sum('_w')
     # float-then-divide matches the oracle's ::DOUBLE / BIGINT promotion
     gini = sql_round_scalar(float(2 * w - (n + 1) * tot)
-                            / float(n * tot), 6)
+                            / float(n * tot), 6) if n else np.nan
     return pd.DataFrame({'gini': pd.array([gini], dtype='float64'),
                          'n_users': pd.array([n], dtype='int64')})
 

@@ -1,5 +1,7 @@
-"""orders_cume_dist stress: heavy ties spanning many sort blocks must
-match DuckDB's cume_dist exactly (the later-block tie-at-max logic)."""
+"""orders_cume_dist stress: heavy ties in 30 row groups must match
+DuckDB's cume_dist exactly.  Each tie run lives in one block (the
+``stages.ranks`` tie-run invariant), so the 9 (priority, price) runs sit
+in at most 9 blocks."""
 
 import os
 
@@ -15,7 +17,7 @@ from pii_detector_ray.queries import q_orders_cume_dist
 def test_cume_dist_cross_block_ties(ray_session, tmp_path):
     rng = np.random.default_rng(7)
     n = 60_000
-    # only 4 distinct prices x 3 priorities -> every value straddles blocks
+    # 3 distinct prices x 3 priorities: 9 tie runs, one block each
     df = pd.DataFrame({
         'o_orderkey': np.arange(n, dtype=np.int64),
         'o_orderpriority': np.array(['1-URGENT', '2-HIGH', '5-LOW'])[

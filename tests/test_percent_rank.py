@@ -1,7 +1,7 @@
-"""orders_percent_rank stress: heavy ties spanning many sort blocks must
-match DuckDB's percent_rank exactly (the EARLIER-block tie-at-min
-correction — the mirror of cume_dist's later-block logic), plus the
-single-row-group zero edge."""
+"""orders_percent_rank stress: heavy ties in 30 row groups must match
+DuckDB's percent_rank exactly.  Each tie run lives in one block (the
+``stages.ranks`` tie-run invariant), so the 9 (priority, price) runs sit
+in at most 9 blocks.  Plus the single-row-group zero edge."""
 
 import os
 
@@ -27,7 +27,7 @@ def _expected(d):
 def test_percent_rank_cross_block_ties(ray_session, tmp_path):
     rng = np.random.default_rng(11)
     n = 60_000
-    # only 4 distinct prices x 3 priorities -> every value straddles blocks
+    # 3 distinct prices x 3 priorities: 9 tie runs, one block each
     df = pd.DataFrame({
         'o_orderkey': np.arange(n, dtype=np.int64),
         'o_orderpriority': np.array(['1-URGENT', '2-HIGH', '5-LOW'])[

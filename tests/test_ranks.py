@@ -1,6 +1,8 @@
-"""The sorted-prefix primitive (``stages/ranks.py``) and the four rank
-queries built on it: ``value_time_spearman``, ``weighted_median_price``,
-``score_auc`` and ``value_ks_test``."""
+"""The sorted-prefix primitive (``stages/ranks.py``) and the nine queries
+built on it: ``value_time_spearman``, ``weighted_median_price``,
+``score_auc``, ``value_ks_test``, ``orders_cume_dist``,
+``orders_percent_rank``, ``sequence_packing``, ``token_budget_selection``
+and ``user_activity_gini``."""
 
 import duckdb
 import numpy as np
@@ -50,25 +52,35 @@ def test_midranks_equal_pandas_average_rank(ray_session, seed):
     assert [got[i] for i in df['id']] == want.astype(int).tolist()
 
 
-@pytest.mark.parametrize('seed', [3, 4])
-def test_prefixes_equal_serial_cumsum(ray_session, seed):
+@pytest.mark.parametrize('seed,part', [
+    pytest.param(3, 'p', id='3'), pytest.param(4, 'p', id='4'),
+    pytest.param(4, None, id='4-one_part')])
+def test_prefixes_equal_serial_cumsum(ray_session, seed, part):
+    """``part=None``: every row is one part, keyed None, and the keys order
+    ``(p, v)`` across it."""
     df, ds = _tie_heavy(seed)
-    blocks, totals = sorted_prefix(ds, ['p', 'v'], 'p', weight='w')
-    assert totals == df.groupby('p')['w'].sum().to_dict()
+    blocks, totals = sorted_prefix(ds, ['p', 'v'], part, weight='w')
+
+    def sums(d: pd.DataFrame) -> dict:
+        if part:
+            return d.groupby('p')['w'].sum().to_dict()
+        return {None: d['w'].sum()} if len(d) else {}
+    assert totals == sums(df)
     keys = list(zip(df['p'], df['v']))
     for ref, off in blocks:
         t = ray.get(ref)
         first = (t.column('p')[0].as_py(), t.column('v')[0].as_py())
         earlier = df[[k < first for k in keys]]
-        assert off == earlier.groupby('p')['w'].sum().to_dict()
+        assert off == sums(earlier)
         # row by row, the weight of the smaller keys of the row's part is
         # at most prefix_before, and the tie run's weight tops it up
-        before = prefix_before(t, 'p', t.column('w').to_numpy(), off)
+        before = prefix_before(t, part, t.column('w').to_numpy(), off)
         for p, v, b in zip(t.column('p').to_pylist(),
                            t.column('v').to_pylist(), before):
-            part = df[df['p'] == p]
-            assert part.loc[part['v'] < v, 'w'].sum() <= b
-            assert b <= part.loc[part['v'] <= v, 'w'].sum()
+            rows = df[df['p'] == p] if part else df
+            key = list(zip(rows['p'], rows['v']))
+            assert rows['w'][[k < (p, v) for k in key]].sum() <= b
+            assert b <= rows['w'][[k <= (p, v) for k in key]].sum()
 
 
 def test_block_prefixes_rejects_overlapping_ranges():
@@ -86,21 +98,31 @@ def test_block_prefixes_rejects_overlapping_ranges():
 
 
 # ---------------------------------------------------------------------------
-# the four ports: plan guard and degenerate inputs against DuckDB
+# the nine ports: plan guard and degenerate inputs against DuckDB
 # ---------------------------------------------------------------------------
 
 EVENT_QUERIES = ['value_time_spearman', 'score_auc', 'value_ks_test']
-# output dtypes of the four queries, as before the sorted-prefix ports
+ORDERS_QUERIES = ['orders_cume_dist', 'orders_percent_rank']
+DOCUMENTS_QUERIES = ['sequence_packing', 'token_budget_selection']
+# output dtypes of the nine queries, as before the sorted-prefix ports
 DTYPES = {
     'value_time_spearman': {'event_type': 'string', 'spearman': 'float64'},
     'score_auc': {'auc': 'float64', 'n_pos': 'int64', 'n_neg': 'int64'},
     'value_ks_test': {'ks_stat': 'float64', 'n_a': 'int64', 'n_b': 'int64'},
     'weighted_median_price': {'l_returnflag': 'object',
                               'weighted_median_price': 'float64'},
+    'orders_cume_dist': {'o_orderkey': 'int64', 'cd': 'float64'},
+    'orders_percent_rank': {'o_orderkey': 'int64', 'pr': 'float64'},
+    'sequence_packing': {'bin_id': 'int64', 'n_docs': 'int64',
+                         'n_tokens': 'int64'},
+    'token_budget_selection': {'doc_id': 'int64', 'quality_score': 'float64',
+                               'n_tokens': 'int64'},
+    'user_activity_gini': {'gini': 'float64', 'n_users': 'int64'},
 }
 
 
-def _events(value, event_type=None, seed: int = 0) -> pa.Table:
+def _events(value, event_type=None, seed: int = 0,
+            user_id=None) -> pa.Table:
     n = len(value)
     rng = np.random.default_rng(seed)
     if event_type is None:
@@ -108,7 +130,9 @@ def _events(value, event_type=None, seed: int = 0) -> pa.Table:
     return pa.table({
         'ts': pa.array(rng.integers(0, 40, n).astype('datetime64[us]')),
         'event_type': pa.array(event_type, pa.string()),
-        'value': pa.array(value, pa.float64())})
+        'value': pa.array(value, pa.float64()),
+        'user_id': pa.array(rng.integers(0, 30, n) if user_id is None
+                            else user_id, pa.int64())})
 
 
 def _lineitem(price, qty=None, flag=None, seed: int = 0) -> pa.Table:
@@ -120,6 +144,35 @@ def _lineitem(price, qty=None, flag=None, seed: int = 0) -> pa.Table:
         'l_extendedprice': pa.array(price, pa.float64()),
         'l_quantity': pa.array(rng.integers(1, 50, n).astype(float)
                                if qty is None else qty, pa.float64())})
+
+
+def _orders(price, priority=None, seed: int = 0) -> pa.Table:
+    n = len(price)
+    rng = np.random.default_rng(seed)
+    if priority is None:
+        priority = rng.choice(['1-URGENT', '2-HIGH', '3-MEDIUM'], n).tolist()
+    return pa.table({
+        'o_orderkey': pa.array(rng.permutation(n), pa.int64()),
+        'o_orderpriority': pa.array(priority, pa.string()),
+        'o_totalprice': pa.array(price, pa.float64())})
+
+
+WORDS = np.array(['data', 'quality', 'token', 'the', 'a', 'filter', 'x7',
+                  '#', '...', 'Zürich', '42'])
+
+
+def _documents(n: int, seed: int = 0, null_every: int = 0) -> pa.Table:
+    """``n`` documents of 0-399 words, in doc_id order: about 10 bins of
+    2,048 tokens per 100 documents, and the 20,000-token budget reached
+    after about 100."""
+    rng = np.random.default_rng(seed)
+    text = [' '.join(rng.choice(WORDS, rng.integers(0, 400)))
+            for _ in range(n)]
+    if null_every:
+        text[::null_every] = [None] * len(text[::null_every])
+    return pa.table({
+        'doc_id': pa.array(np.arange(n), pa.int64()),
+        'text': pa.array(text, pa.string())})
 
 
 def _values(n: int, seed: int = 0) -> np.ndarray:
@@ -138,6 +191,18 @@ def _infs(n: int) -> np.ndarray:
     return v
 
 
+def _holes(v: np.ndarray, nan_every: int = 0, null_every: int = 0) -> list:
+    """``v`` with every ``nan_every``-th value NaN, then every
+    ``null_every``-th NULL."""
+    out = v.tolist()
+    for i in range(len(out)):
+        if nan_every and i % nan_every == 0:
+            out[i] = np.nan
+        if null_every and i % null_every == 0:
+            out[i] = None
+    return out
+
+
 N = 240
 EVENT_CASES = {
     'empty': (_events([]), None),
@@ -152,6 +217,13 @@ EVENT_CASES = {
     # 1-row row groups: the sort has more input blocks than distinct keys
     'tiny_row_groups': (_events(np.arange(N) % 3 * 1.5), 1),
 }
+USER_CASES = {
+    'empty': (_events([]), None),
+    'null_user_id': (_events(_values(N), user_id=[None, 3, 4, 4] * (N // 4)),
+                     None),
+    'one_user': (_events(_values(N), user_id=[7] * N), None),
+    'tiny_row_groups': (_events(_values(N)), 1),
+}
 LINEITEM_CASES = {
     'empty': (_lineitem([]), None),
     'null_returnflag': (_lineitem(_values(N),
@@ -162,8 +234,33 @@ LINEITEM_CASES = {
     'inf_values': (_lineitem(_infs(N)), None),
     'tiny_row_groups': (_lineitem(np.arange(N) % 3 * 1.5), 1),
 }
-PORTS = [(name, case) for name in EVENT_QUERIES for case in EVENT_CASES] + \
-    [('weighted_median_price', case) for case in LINEITEM_CASES]
+ORDERS_CASES = {
+    'empty': (_orders([]), None),
+    'one_row': (_orders([3.5]), None),
+    'null_priority': (_orders(_infs(N), [None, '1-URGENT', '2-HIGH']
+                              * (N // 3)), None),
+    'nan_price': (_orders(_holes(_infs(N), nan_every=2)), None),
+    'null_price': (_orders(_holes(_values(N), null_every=2)), None),
+    # one group ranks numbers, then inf, then NaN, then NULL
+    'nan_and_null_one_group': (_orders(_holes(_infs(N), 5, 6),
+                                       ['2-HIGH'] * N), None),
+    'one_value_90pct': (_orders(_skewed(N)), None),
+    'tiny_row_groups': (_orders(np.arange(N) % 3 * 1.5), 1),
+}
+DOCUMENTS_CASES = {
+    'empty': (_documents(0), None),
+    'null_text': (_documents(N, null_every=4), None),
+    'tiny_row_groups': (_documents(N), 1),
+}
+TABLES = {
+    **{name: ('events', EVENT_CASES) for name in EVENT_QUERIES},
+    'weighted_median_price': ('lineitem', LINEITEM_CASES),
+    **{name: ('orders', ORDERS_CASES) for name in ORDERS_QUERIES},
+    **{name: ('documents', DOCUMENTS_CASES) for name in DOCUMENTS_QUERIES},
+    'user_activity_gini': ('events', USER_CASES),
+}
+PORTS = [(name, case) for name, (_, cases) in TABLES.items()
+         for case in cases]
 
 
 def _normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -173,24 +270,32 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
         .reset_index(drop=True)
 
 
-def _run(tmp_path, name: str, case: str):
-    """(engine frame, DuckDB oracle frame) of query ``name`` on ``case``."""
-    table, cases = (('lineitem', LINEITEM_CASES)
-                    if name == 'weighted_median_price'
-                    else ('events', EVENT_CASES))
-    tbl, row_group_size = cases[case]
+def _to_frame(got) -> pd.DataFrame:
+    """A query's result as a frame.  Ray's ``to_pandas`` of a Dataset
+    without rows has no columns, so such a Dataset must carry its columns
+    in its schema."""
+    if isinstance(got, pd.DataFrame):
+        return got
+    df = got.to_pandas()
+    if len(df):
+        return df
+    schema = got.schema()
+    assert schema is not None, 'an empty result Dataset without a schema'
+    return schema.base_schema.empty_table().to_pandas()
+
+
+def _run(tmp_path, name: str, tbl: pa.Table, row_group_size=None):
+    """(engine frame, DuckDB oracle frame) of query ``name`` on ``tbl``."""
+    table = TABLES[name][0]
     pq.write_table(tbl, tmp_path / f'{table}.parquet',
                    row_group_size=row_group_size)
     con = duckdb.connect()
     con.register(table, tbl)
-    return q.queries()[name](str(tmp_path)), \
+    return _to_frame(q.queries()[name](str(tmp_path))), \
         con.execute(q.oracle_sql()[name]).df()
 
 
-@pytest.mark.parametrize('name,case', PORTS)
-def test_port_equals_oracle_on_degenerate_input(ray_session, tmp_path,
-                                                name, case):
-    got, want = _run(tmp_path, name, case)
+def _assert_equals_oracle(name: str, got: pd.DataFrame, want: pd.DataFrame):
     assert {c: str(d) for c, d in got.dtypes.items()} == DTYPES[name]
     got, want = _normalize(got), _normalize(want)
     assert list(got.columns) == list(want.columns)
@@ -204,11 +309,39 @@ def test_port_equals_oracle_on_degenerate_input(ray_session, tmp_path,
                 want[c].fillna('<NA>').tolist(), (got, want)
 
 
-@pytest.mark.parametrize('name', EVENT_QUERIES + ['weighted_median_price'])
+@pytest.mark.parametrize('name,case', PORTS)
+def test_port_equals_oracle_on_degenerate_input(ray_session, tmp_path,
+                                                name, case):
+    _assert_equals_oracle(name, *_run(tmp_path, name, *TABLES[name][1][case]))
+
+
+def test_sequence_packing_on_file_not_in_doc_id_order(ray_session, tmp_path):
+    """Documents stored in random doc_id order, in 256-row row groups: the
+    read's blocks hold interleaved doc_id ranges, and the packing still
+    follows doc_id order."""
+    tbl = _documents(5000, seed=3)
+    tbl = tbl.take(np.random.default_rng(0).permutation(tbl.num_rows))
+    _assert_equals_oracle('sequence_packing', *_run(
+        tmp_path, 'sequence_packing', tbl, 256))
+
+
+# (case, sorts, grouped aggregates) of each port: Spearman sorts once per
+# ranked axis, and sequence_packing and user_activity_gini add a groupby
+PLANS = {
+    **{name: ('one_value_90pct', 1, 0) for name in
+       ['score_auc', 'value_ks_test', 'weighted_median_price']
+       + ORDERS_QUERIES},
+    'value_time_spearman': ('one_value_90pct', 2, 0),
+    'sequence_packing': ('tiny_row_groups', 1, 1),
+    'token_budget_selection': ('tiny_row_groups', 1, 0),
+    'user_activity_gini': ('tiny_row_groups', 1, 1),
+}
+
+
+@pytest.mark.parametrize('name', list(PLANS))
 def test_port_plan_is_sorts_only(ray_session, tmp_path, monkeypatch, name):
-    """Each port runs no Dataset.join, no grouped aggregate and no
-    drop_empty_blocks; Spearman sorts twice (one per ranked axis), the
-    others once."""
+    """Each port runs no Dataset.join and no drop_empty_blocks, and exactly
+    the sorts and grouped aggregates of ``PLANS``."""
     calls = {'sort': 0, 'join': 0, 'aggregate': 0, 'drop_empty_blocks': 0}
 
     def counted(owner, attr):
@@ -223,10 +356,11 @@ def test_port_plan_is_sorts_only(ray_session, tmp_path, monkeypatch, name):
     counted(ray.data.Dataset, 'join')
     counted(GroupedData, 'aggregate')
     counted(q, 'drop_empty_blocks')
-    got, want = _run(tmp_path, name, 'one_value_90pct')
+    case, sorts, aggregates = PLANS[name]
+    got, want = _run(tmp_path, name, *TABLES[name][1][case])
     assert len(got) == len(want) > 0
-    assert calls == {'sort': 2 if name == 'value_time_spearman' else 1,
-                     'join': 0, 'aggregate': 0, 'drop_empty_blocks': 0}
+    assert calls == {'sort': sorts, 'join': 0, 'aggregate': aggregates,
+                     'drop_empty_blocks': 0}
 
 
 @pytest.mark.parametrize('name', ['event_transitions', 'events_segment_join',

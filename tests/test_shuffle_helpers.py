@@ -3,10 +3,12 @@
 aggregate).  These tests pin what each helper promises, that their
 shuffle-free paths equal Ray's operators, and that no other module
 hand-rolls either pattern, nor walks a dataset's block refs outside
-``drop_empty_blocks`` and ``stages/ranks.sorted_prefix``."""
+``drop_empty_blocks`` and ``stages/ranks.sorted_prefix``, nor hand-rolls
+the sorted-prefix pattern outside ``stages/ranks.py``."""
 
 import ast
 import contextlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -441,3 +443,30 @@ def test_shuffle_workaround_lives_in_one_place():
     assert sorted(defs) == [('stages/dedup.py', 'bounded_agg'),
                             ('stages/dedup.py', 'drop_empty_blocks'),
                             ('stages/dedup.py', 'hash_join')]
+
+
+def test_sorted_prefix_lives_in_one_place():
+    """No function outside ``stages/ranks.py`` hand-rolls the sorted-prefix
+    pattern: ``ray.put`` of driver-side offsets plus two or more whole-block
+    ``map_batches(batch_size=None)`` passes over one dataset (a summary
+    pass, then a pass that re-reads the same blocks)."""
+    def whole_block(call) -> bool:
+        return any(k.arg == 'batch_size' and isinstance(k.value, ast.Constant)
+                   and k.value.value is None for k in call.keywords)
+
+    copies = []
+    for path in sorted(PKG.rglob('*.py')):
+        rel = path.relative_to(PKG).as_posix()
+        if rel == 'stages/ranks.py':
+            continue
+        puts, passes = set(), Counter()
+        for call, fn in _calls(path):
+            if _method(call, 'put') and isinstance(call.func.value, ast.Name) \
+                    and call.func.value.id == 'ray':
+                puts.add(fn)
+            if _method(call, 'map_batches') and whole_block(call) and \
+                    isinstance(call.func.value, ast.Name):
+                passes[fn, call.func.value.id] += 1
+        copies += [(rel, fn) for (fn, _), k in passes.items()
+                   if k >= 2 and fn in puts]
+    assert copies == []
