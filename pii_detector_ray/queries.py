@@ -91,6 +91,48 @@ def _frame(ds: ray.data.Dataset, schema: pa.Schema) -> pd.DataFrame:
     return df if len(df) else schema.empty_table().to_pandas()
 
 
+def _table(sf_dir: str, name: str, columns: list[str]) -> ray.data.Dataset:
+    """``columns`` of the driver table ``name`` (``<sf_dir>/<name>.parquet``)."""
+    import os
+    return read_parquet_clean(os.path.join(sf_dir, f'{name}.parquet'),
+                              columns=columns)
+
+
+def _dim(sf_dir: str, name: str, columns: list[str]) -> pd.DataFrame:
+    """A tiny dimension table (nation, region) read on the driver: one Ray
+    Data execution costs ~0.1 s (4-vCPU VM), far more than reading its few
+    rows."""
+    import os
+
+    import pyarrow.parquet as pq
+    return pq.read_table(os.path.join(sf_dir, f'{name}.parquet'),
+                         columns=columns).to_pandas()
+
+
+def _sum_by(t: pa.Table, keys: list[str], cols: list[str]) -> pa.Table:
+    """Per-batch partial: the ``cols`` of ``t`` summed per ``keys`` group,
+    under their own names."""
+    return t.group_by(keys).aggregate([(c, 'sum') for c in cols]) \
+        .rename_columns(keys + cols)
+
+
+def _fold(partials: ray.data.Dataset, keys: list[str],
+          schema: pa.Schema) -> pd.DataFrame:
+    """Close BOUNDED per-batch partial sums (a few rows per block, as
+    ``_sum_by`` makes) on the driver: every other column summed per
+    ``keys`` group, rows sorted by key with NULL keys last, columns renamed
+    to ``schema``'s names; ``schema``'s typed empty frame when there is no
+    row.  The result goes to the driver anyway, and ``bounded_agg``'s
+    coalescing repartition cost ~0.5 s more over 45 partial blocks, ~1 s
+    more after a shuffle join (sf0.1 late_shipment_counts, 4-vCPU VM)."""
+    df = partials.to_pandas()
+    if len(df) == 0:
+        return schema.empty_table().to_pandas()
+    df = df.groupby(keys, sort=True, dropna=False, as_index=False).sum()
+    df.columns = schema.names
+    return df
+
+
 def _embeddings(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
     import os
     return read_parquet_clean(os.path.join(sf_dir, 'embeddings.parquet'), columns=columns)
@@ -1042,12 +1084,12 @@ _ORDERS_RANKED_SQL = (
 )
 
 
-def q_orders_pushdown_count(sf_dir: str) -> ray.data.Dataset:
+def q_orders_pushdown_count(sf_dir: str) -> pd.DataFrame:
     """Predicate pushdown at the READ (§2.1 prune-at-the-read): the price
     filter rides into the pyarrow fragment scanner (``arrow_parquet_args
     {'filter': ...}``) so row groups whose min/max excludes the range never
     leave storage; only two columns are materialized.  Per-priority counts
-    over the survivors."""
+    over the survivors (the typed empty frame when none survive)."""
     import os
 
     import pyarrow.dataset as pads
@@ -1064,8 +1106,11 @@ def q_orders_pushdown_count(sf_dir: str) -> ray.data.Dataset:
             .group_by('o_orderpriority').aggregate([([], 'count_all')])
         return agg.rename_columns(['o_orderpriority', '_n'])
 
-    return (ds.map_batches(partial, batch_format='pyarrow')
-            .groupby('o_orderpriority').aggregate(Sum('_n', alias_name='n_orders')))
+    return _frame(ds.map_batches(partial, batch_format='pyarrow')
+                  .groupby('o_orderpriority')
+                  .aggregate(Sum('_n', alias_name='n_orders')),
+                  pa.schema([('o_orderpriority', pa.string()),
+                             ('n_orders', pa.int64())]))
 
 
 _ORDERS_PUSHDOWN_SQL = (
@@ -1661,87 +1706,82 @@ _USER_NTILE_SQL = (
 _PMI_MIN_COUNT = 5
 
 
-def q_bigram_pmi(sf_dir: str, broadcast_vocab_limit: int = 1_000_000
-                 ) -> pd.DataFrame:
+def q_bigram_pmi(sf_dir: str) -> pd.DataFrame:
     """Bigram PMI collocations (the classic phrase-mining signal): top-20
     consecutive term pairs by pointwise mutual information,
     ln((c_xy/N_bi) / ((c_x/N_uni)·(c_y/N_uni))), c_xy ≥ 5.
 
-    Plan: one narrow two-phase count per granularity (bigram, unigram) —
-    shuffle rows are (term-pair, int) / (term, int), vocabulary-bounded;
-    the unigram map broadcasts under ``broadcast_vocab_limit`` (the tfidf
-    guard; above it the final scoring would join on w1/w2 instead —
-    guarded, not silent).  Totals N_bi/N_uni are computed BEFORE the
-    min-count filter, as the formula requires."""
+    Plan: one tokenizing pass and one narrow two-phase count give both
+    granularities — a unigram is the pair (term, '') and no term is empty
+    — so shuffle rows are (term, term-or-'', int), vocabulary-bounded.  The frequent bigrams
+    meet the unigram counts in two ``hash_join``s (on w1, then w2) and
+    every scored block keeps its own top-20.  Totals N_bi/N_uni are
+    computed BEFORE the min-count filter, as the formula requires."""
+    from collections import Counter
+
     from pii_detector_ray.stages.tfidf import doc_terms
 
-    def bigram_partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
+    def term_partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for txt in t.column('text').to_pylist():
             toks = doc_terms(txt)
             c.update(zip(toks, toks[1:]))
+            c.update((w, '') for w in toks)
         return pa.table({
-            'w1': pa.array([k[0] for k in c], pa.string()),
+            'w': pa.array([k[0] for k in c], pa.string()),
             'w2': pa.array([k[1] for k in c], pa.string()),
             '_n': pa.array(list(c.values()), pa.int64())})
 
-    def unigram_partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
-        c: Counter = Counter()
-        for txt in t.column('text').to_pylist():
-            c.update(doc_terms(txt))
-        return pa.table({'w': pa.array(list(c), pa.string()),
-                         '_n': pa.array(list(c.values()), pa.int64())})
+    def is_uni(t: pa.Table) -> pa.Array:
+        return pc.equal(t.column('w2'), '')
 
-    docs = read_documents(sf_dir, ['text'])
-    bi = (docs.map_batches(bigram_partial, batch_format='pyarrow')
-          .groupby(['w1', 'w2']).aggregate(Sum('_n', alias_name='c_xy')))
-    uni = (docs.map_batches(unigram_partial, batch_format='pyarrow')
-           .groupby('w').aggregate(Sum('_n', alias_name='c')))
+    def totals(t: pa.Table) -> pa.Table:
+        uni = is_uni(t)
+        return pa.table({
+            '_nu': [pc.sum(t.column('c').filter(uni)).as_py() or 0],
+            '_nb': [pc.sum(t.column('c').filter(pc.invert(uni))).as_py()
+                    or 0]})
 
-    uni_rows = uni.take_all()
-    if len(uni_rows) > broadcast_vocab_limit:
-        raise ValueError('vocabulary exceeds broadcast_vocab_limit; '
-                         'switch the PMI scoring to the join path')
-    cmap = {r['w']: r['c'] for r in uni_rows}
-    nu = float(sum(cmap.values()))
+    counts = drop_empty_blocks(
+        read_documents(sf_dir, ['text'])
+        .map_batches(term_partial, batch_format='pyarrow')
+        .groupby(['w', 'w2']).aggregate(Sum('_n', alias_name='c')))
+    tot = counts.map_batches(totals, batch_format='pyarrow').to_pandas()
+    nu = float(tot['_nu'].sum()) if len(tot) else 0.0
+    nb = float(tot['_nb'].sum()) if len(tot) else 0.0
+    # the first word of a bigram is named 'w', as in the unigram counts
+    uni = counts.map_batches(
+        lambda t: t.filter(is_uni(t)).select(['w', 'c']),
+        batch_format='pyarrow').materialize()          # joined twice
+    bi = counts.map_batches(
+        lambda t: t.filter(pc.invert(is_uni(t)))
+        .rename_columns(['w', 'w2', 'c_xy']), batch_format='pyarrow')
 
-    bi = drop_empty_blocks(bi)          # consumed twice: total + scoring
-    nb = float(sum(r['c_xy'] for r in bi.map_batches(
-        lambda t: pa.table({'c_xy': pa.array(
-            [pc.sum(t.column('c_xy')).as_py() or 0], pa.int64())}),
-        batch_format='pyarrow').take_all()))
-    cref = ray.put(cmap)
+    def frequent(t: pa.Table) -> pa.Table:
+        # the second word becomes 'w' for the second join
+        return pa.table({'w1': t.column('w'), 'w': t.column('w2'),
+                         'c_xy': t.column('c_xy'), '_c1': t.column('c')}) \
+            .filter(pc.greater_equal(t.column('c_xy'), _PMI_MIN_COUNT))
 
     def score(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater_equal(t.column('c_xy'), _PMI_MIN_COUNT))
-        if len(t) == 0:
-            return pa.table({'w1': pa.array([], pa.string()),
-                             'w2': pa.array([], pa.string()),
-                             'c_xy': pa.array([], pa.int64()),
-                             'pmi': pa.array([], pa.float64())})
-        m = ray.get(cref)
-        w1 = t.column('w1').to_pylist()
-        w2 = t.column('w2').to_pylist()
-        cxy = t.column('c_xy').to_numpy(zero_copy_only=False).astype(np.float64)
-        c1 = np.array([m[w] for w in w1], dtype=np.float64)
-        c2 = np.array([m[w] for w in w2], dtype=np.float64)
+        cxy = t.column('c_xy').to_numpy(zero_copy_only=False) \
+            .astype(np.float64)
+        c1 = t.column('_c1').to_numpy(zero_copy_only=False).astype(np.float64)
+        c2 = t.column('c').to_numpy(zero_copy_only=False).astype(np.float64)
         pmi = np.log((cxy / nb) / ((c1 / nu) * (c2 / nu)))
-        return pa.table({'w1': t.column('w1'), 'w2': t.column('w2'),
-                         'c_xy': t.column('c_xy'),
-                         'pmi': pa.array(sql_round_np(pmi, 4))})
-
-    def partial_top(t: pa.Table) -> pa.Table:
         # per-block partial top-20 — only 20 rows per block reach the
         # driver merge, not the whole filtered bigram table
-        df = t.to_pandas()
-        return pa.Table.from_pandas(
-            df.sort_values(['pmi', 'w1', 'w2'], ascending=[False, True, True],
-                           kind='mergesort').head(20), preserve_index=False)
+        return pa.table({'w1': t.column('w1'), 'w2': t.column('w'),
+                         'c_xy': t.column('c_xy'),
+                         'pmi': pa.array(sql_round_np(pmi, 4))}) \
+            .sort_by([('pmi', 'descending'), ('w1', 'ascending'),
+                      ('w2', 'ascending')]).slice(0, 20)
 
-    scored = (bi.map_batches(score, batch_format='pyarrow')
-              .map_batches(partial_top, batch_format='pyarrow').to_pandas())
+    c1 = hash_join(bi, uni, 'w').map_batches(frequent, batch_format='pyarrow')
+    scored = _frame(hash_join(c1, uni, 'w')
+                    .map_batches(score, batch_format='pyarrow'),
+                    pa.schema([('w1', pa.string()), ('w2', pa.string()),
+                               ('c_xy', pa.int64()), ('pmi', pa.float64())]))
     scored = scored.sort_values(['pmi', 'w1', 'w2'],
                                 ascending=[False, True, True],
                                 kind='mergesort').head(20).reset_index(drop=True)
@@ -2129,100 +2169,65 @@ _NATION_REVENUE_SQL = (
 )
 
 
-def q_shipping_priority(sf_dir: str,
-                        broadcast_order_limit: int = 2_000_000
-                        ) -> pd.DataFrame:
+def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3 shape (3-way join + filtered aggregate + top-k): revenue of
-    undelivered BUILDING-segment orders.  Plan: the segment's custkeys
-    broadcast as a set (small side #1); orders filter by date + segment
-    semi-join map-side.  The surviving (orderkey, orderdate) side is
-    input-PROPORTIONAL (a constant fraction of orders), so it is
-    SIZE-GUARDED: under ``broadcast_order_limit`` it broadcasts as a map
-    and lineitem streams one narrow revenue-partial pass; above it, the
-    qualifying orders stay a Dataset and meet the pre-aggregated lineitem
-    partials in a co-partitioned join on the narrow orderkey (both paths
-    proven equal in tests/test_queries_misc.py).  No all-to-all shuffle
-    ever carries a wide row either way."""
-    import os
+    undelivered BUILDING-segment orders.  Plan: orders filtered by date
+    meet the segment's custkeys in a ``hash_join``; lineitem filtered by
+    ship date projects to narrow (orderkey, revenue) rows that meet the
+    qualifying (orderkey, orderdate) side in a second ``hash_join``.  Each
+    joined batch pre-aggregates revenue per order, one groupby closes it,
+    and every block of that keeps its own top-10 before the driver merges
+    them.  No shuffle ever carries a wide row."""
     cutoff = np.datetime64('1998-06-15T00:00:00')
-    cust = read_parquet_clean(os.path.join(sf_dir, 'customer.parquet'),
-                              columns=['c_custkey', 'c_mktsegment']).to_pandas()
-    seg_keys = ray.put(frozenset(
-        cust.loc[cust['c_mktsegment'] == 'BUILDING', 'c_custkey'].tolist()))
-
-    orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                                columns=['o_orderkey', 'o_custkey',
-                                         'o_orderdate'])
+    seg = _table(sf_dir, 'customer', ['c_custkey', 'c_mktsegment']) \
+        .map_batches(lambda t: pa.table({'o_custkey': t.column('c_custkey')})
+                     .filter(pc.equal(t.column('c_mktsegment'), 'BUILDING')),
+                     batch_format='pyarrow')
 
     def order_side(t: pa.Table) -> pa.Table:
-        keys = ray.get(seg_keys)
-        custs = t.column('o_custkey').to_numpy(zero_copy_only=False)
         dates = t.column('o_orderdate').to_numpy(zero_copy_only=False)
-        mask = pa.array([d < cutoff and int(k) in keys
-                         for k, d in zip(custs, dates)])
-        return pa.table({'o_orderkey': t.column('o_orderkey'),
-                         'o_orderdate': t.column('o_orderdate')}).filter(mask)
+        return t.rename_columns(['l_orderkey', 'o_custkey', 'o_orderdate']) \
+            .filter(pa.array(dates < cutoff))
 
-    qual = orders.map_batches(order_side, batch_format='pyarrow') \
-        .materialize()            # narrow (orderkey, orderdate), reused 2x
-    line = read_parquet_clean(os.path.join(sf_dir, 'lineitem.parquet'),
-                              columns=['l_orderkey', 'l_extendedprice',
+    orders = _table(sf_dir, 'orders',
+                    ['o_orderkey', 'o_custkey', 'o_orderdate'])
+    qual = hash_join(orders.map_batches(order_side, batch_format='pyarrow'),
+                     seg, 'o_custkey') \
+        .select_columns(['l_orderkey', 'o_orderdate'])
+
+    def line_side(t: pa.Table) -> pa.Table:
+        ship = t.column('l_shipdate').to_numpy(zero_copy_only=False)
+        price = t.column('l_extendedprice').to_numpy(zero_copy_only=False)
+        disc = t.column('l_discount').to_numpy(zero_copy_only=False)
+        return pa.table({'l_orderkey': t.column('l_orderkey'),
+                         '_rev': pa.array(price * (1.0 - disc))}) \
+            .filter(pa.array(ship > cutoff))
+
+    line = _table(sf_dir, 'lineitem', ['l_orderkey', 'l_extendedprice',
                                        'l_discount', 'l_shipdate'])
+    keys = ['l_orderkey', 'o_orderdate']
+    per_order = (hash_join(line.map_batches(line_side, batch_format='pyarrow'),
+                           qual, 'l_orderkey')
+                 .map_batches(lambda t: _sum_by(t, keys, ['_rev']),
+                              batch_format='pyarrow')
+                 .groupby(keys).aggregate(Sum('_rev', alias_name='_rev')))
 
-    def rev_partial(keyset_ref):
-        def f(t: pa.Table) -> pa.Table:
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            ship = t.column('l_shipdate').to_numpy(zero_copy_only=False)
-            price = t.column('l_extendedprice').to_numpy(zero_copy_only=False)
-            disc = t.column('l_discount').to_numpy(zero_copy_only=False)
-            keep = ship > cutoff
-            if keyset_ref is not None:
-                om = ray.get(keyset_ref)
-                keep &= np.array([int(k) in om for k in ok])
-            tbl = pa.table({'l_orderkey': pa.array(ok[keep], pa.int64()),
-                            '_rev': pa.array((price * (1.0 - disc))[keep])})
-            agg = tbl.group_by('l_orderkey').aggregate([('_rev', 'sum')])
-            return agg.rename_columns(['l_orderkey', '_rev'])
-        return f
+    def top10(t: pa.Table) -> pa.Table:
+        # the SQL orders by the ROUNDED revenue, then orderkey
+        return pa.table({'l_orderkey': t.column('l_orderkey'),
+                         'revenue': sql_round_pa(t.column('_rev'), 2),
+                         'o_orderdate': t.column('o_orderdate')}) \
+            .sort_by([('revenue', 'descending'), ('l_orderkey', 'ascending')]) \
+            .slice(0, 10)
 
-    if qual.count() <= broadcast_order_limit:
-        omap = {r['o_orderkey']: r['o_orderdate']
-                for b in qual.iter_batches(batch_size=None,
-                                           batch_format='pyarrow')
-                for r in b.to_pylist()}
-        agg = (line.map_batches(rev_partial(ray.put(omap)),
-                                batch_format='pyarrow')
-               .groupby('l_orderkey').aggregate(Sum('_rev', alias_name='_rev')))
-        df = agg.to_pandas()      # one row per qualifying order
-        df['o_orderdate'] = pd.to_datetime(
-            [omap[int(k)] for k in df['l_orderkey']]).astype('datetime64[ns]')
-    else:
-        partials = (line.map_batches(rev_partial(None),
-                                     batch_format='pyarrow')
-                    .groupby('l_orderkey')
-                    .aggregate(Sum('_rev', alias_name='_rev')))
-        qual_k = qual.map_batches(
-            lambda t: t.rename_columns(['l_orderkey', 'o_orderdate']),
-            batch_format='pyarrow')
-        joined = hash_join(partials, qual_k, 'l_orderkey')
-
-        def round_rev(t: pa.Table) -> pa.Table:
-            return t.append_column('revenue',
-                                   sql_round_pa(t.column('_rev'), 2))
-
-        # distributed top-10: sort on the ROUNDED revenue (the SQL order
-        # key) + orderkey tiebreak, limit before anything reaches pandas
-        df = (joined.map_batches(round_rev, batch_format='pyarrow')
-              .sort(['revenue', 'l_orderkey'], descending=[True, False])
-              .limit(10)).to_pandas()
-        df['o_orderdate'] = pd.to_datetime(df['o_orderdate']) \
-            .astype('datetime64[ns]')
-        return df[['l_orderkey', 'revenue',
-                   'o_orderdate']].reset_index(drop=True)
-    df['revenue'] = [sql_round_scalar(float(x), 2) for x in df['_rev']]
-    df = df.sort_values(['revenue', 'l_orderkey'],
-                        ascending=[False, True], kind='mergesort').head(10)
-    return df[['l_orderkey', 'revenue', 'o_orderdate']].reset_index(drop=True)
+    df = _frame(per_order.map_batches(top10, batch_format='pyarrow',
+                                      batch_size=None),
+                pa.schema([('l_orderkey', pa.int64()),
+                           ('revenue', pa.float64()),
+                           ('o_orderdate', pa.timestamp('ns'))]))
+    df['o_orderdate'] = df['o_orderdate'].astype('datetime64[ns]')
+    return df.sort_values(['revenue', 'l_orderkey'], ascending=[False, True],
+                          kind='mergesort').head(10).reset_index(drop=True)
 
 
 _SHIPPING_PRIORITY_SQL = (
@@ -4814,167 +4819,76 @@ def _rev_e4(price: np.ndarray, disc: np.ndarray) -> np.ndarray:
     return cents * dpct
 
 
-def q_local_supplier_volume(sf_dir: str,
-                            broadcast_order_limit: int = 2_000_000
-                            ) -> ray.data.Dataset:
+def _line_rev(t: pa.Table) -> np.ndarray:
+    """A lineitem batch's revenue in integer 1e-4 units (``_rev_e4``)."""
+    return _rev_e4(t.column('l_extendedprice').to_numpy(zero_copy_only=False),
+                   t.column('l_discount').to_numpy(zero_copy_only=False))
+
+
+def _nation_keys(t: pa.Table, column: str, keys, out: list[str]) -> pa.Table:
+    """Rows of ``t`` whose nation ``column`` is in ``keys``, as int64
+    columns renamed ``out``."""
+    col = t.column(column)
+    t = t.filter(pc.is_in(col, value_set=pa.array(keys).cast(col.type)))
+    return pa.table({o: pc.cast(c, pa.int64())
+                     for o, c in zip(out, t.columns)})
+
+
+def q_local_supplier_volume(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q5 shape: 6-table join (customer x orders x lineitem x supplier
     x nation x region) with the co-nation condition
     ``c_nationkey = s_nationkey`` — revenue earned from LOCAL suppliers per
     nation of one region, one order-year.
 
-    Plan (100 TB shape): nation x region resolve driver-side (both tiny);
-    the region's supplier->nationkey map broadcasts once via ``ray.put``
-    (suppliers are ~1e-4 of lineitem rows; a deployment past the broadcast
-    budget shards it like stages/similarity.py's sharded broadcast).  The
-    customer->nationkey lookup and the qualifying-order side are both
-    input-PROPORTIONAL, so they are size-guarded: under
-    ``broadcast_order_limit`` the (orderkey -> cust-nation) map broadcasts
-    and lineitem streams ONE pass of integer-cents partials; above it
-    nothing customer- or order-proportional ever reaches the driver —
-    customer joins orders co-partitioned on custkey, lineitem pre-aggregates
-    per (orderkey, supp-nation) and meets the order side in a second narrow
-    co-partitioned join.  Both paths are frame-equal
-    (tests/test_analytics_paths.py)."""
-    import os
-    d0 = np.datetime64('1996-01-01')
-    d1 = np.datetime64('1997-01-01')
-    nation = read_parquet_clean(os.path.join(sf_dir, 'nation.parquet'),
-                                columns=['n_nationkey', 'n_name',
-                                         'n_regionkey']).to_pandas()
-    regionkey = read_parquet_clean(
-        os.path.join(sf_dir, 'region.parquet'),
-        columns=['r_regionkey', 'r_name']).to_pandas()
-    rk = int(regionkey.loc[regionkey['r_name'] == 'ASIA',
-                           'r_regionkey'].iloc[0])
+    Plan (100 TB shape): nation x region resolve driver-side (both tiny).
+    The year's orders meet the region's customers in a ``hash_join`` on
+    custkey, giving narrow (orderkey, cust-nation) rows; lineitem projects
+    to (orderkey, suppkey, integer-1e-4 revenue), joins that side first
+    (the selective one), then the region's suppliers on the composite key
+    (suppkey, nation) — which IS the co-nation condition.  Each joined
+    batch sums revenue per nation (<= 5 rows) and the driver closes the
+    sums (``_fold``)."""
+    nation = _dim(sf_dir, 'nation', ['n_nationkey', 'n_name', 'n_regionkey'])
+    region = _dim(sf_dir, 'region', ['r_regionkey', 'r_name'])
+    rk = int(region.loc[region['r_name'] == 'ASIA', 'r_regionkey'].iloc[0])
     nat = nation[nation['n_regionkey'] == rk]
-    nat_name = dict(zip(nat['n_nationkey'].astype(int),
-                        nat['n_name']))          # ~5 entries
-
-    supp = read_parquet_clean(os.path.join(sf_dir, 'supplier.parquet'),
-                              columns=['s_suppkey', 's_nationkey'])
-
-    def supp_side(t: pa.Table) -> pa.Table:
-        nk = t.column('s_nationkey').to_numpy(zero_copy_only=False)
-        mask = pa.array(np.isin(nk, np.fromiter(nat_name, np.int64)))
-        return t.filter(mask)
-
-    sd = supp.map_batches(supp_side, batch_format='pyarrow').to_pandas()
-    skeys = np.asarray(sd['s_suppkey'], np.int64)
-    order_s = np.argsort(skeys, kind='stable')
-    skeys = skeys[order_s]
-    snat = np.asarray(sd['s_nationkey'], np.int64)[order_s]
-    supp_ref = ray.put((skeys, snat))
-
-    orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                                columns=['o_orderkey', 'o_custkey',
-                                         'o_orderdate'])
+    nat_name = dict(zip(nat['n_nationkey'].astype(int), nat['n_name']))
+    d0, d1 = np.datetime64('1996-01-01'), np.datetime64('1997-01-01')
 
     def order_side(t: pa.Table) -> pa.Table:
         dt = t.column('o_orderdate').to_numpy(zero_copy_only=False)
-        mask = pa.array((dt >= d0) & (dt < d1))
-        return pa.table({'o_orderkey': t.column('o_orderkey'),
-                         'o_custkey': t.column('o_custkey')}).filter(mask)
+        return pa.table({'l_orderkey': t.column('o_orderkey'),
+                         'o_custkey': t.column('o_custkey')}) \
+            .filter(pa.array((dt >= d0) & (dt < d1)))
 
-    qual = orders.map_batches(order_side, batch_format='pyarrow') \
-        .materialize()            # narrow (orderkey, custkey), reused
-
-    cust = read_parquet_clean(os.path.join(sf_dir, 'customer.parquet'),
-                              columns=['c_custkey', 'c_nationkey'])
-
-    def cust_side(t: pa.Table) -> pa.Table:
-        nk = t.column('c_nationkey').to_numpy(zero_copy_only=False)
-        mask = pa.array(np.isin(nk, np.fromiter(nat_name, np.int64)))
-        return t.filter(mask)
-
-    cust_nat = cust.map_batches(cust_side, batch_format='pyarrow')
-
-    def li_partial(onat_ref):
-        """onat_ref None -> emit (l_orderkey, s_nat) partials for the join
-        path; else a broadcast (okey->c_nat) lookup closes the query in one
-        pass."""
-        def f(t: pa.Table) -> pa.Table:
-            sk, sn = ray.get(supp_ref)
-            lk = t.column('l_suppkey').to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(sk, lk)
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            if len(sk) == 0:
-                keep = np.zeros(len(lk), bool)
-                s_nat = np.zeros(len(lk), np.int64)
-            else:
-                keep = sk[np.minimum(idx, len(sk) - 1)] == lk
-                s_nat = sn[np.minimum(idx, len(sk) - 1)]
-            if onat_ref is not None:
-                okeys, onat = ray.get(onat_ref)
-                oidx = np.searchsorted(okeys, ok)
-                if len(okeys):
-                    oidx2 = np.minimum(oidx, len(okeys) - 1)
-                    keep &= (okeys[oidx2] == ok) & (onat[oidx2] == s_nat)
-                else:
-                    keep &= False
-                tbl = pa.table({'_nat': pa.array(s_nat[keep], pa.int64()),
-                                '_rev': pa.array(rev[keep], pa.int64())})
-                agg = tbl.group_by('_nat').aggregate([('_rev', 'sum')])
-                return agg.rename_columns(['_nat', '_rev'])
-            tbl = pa.table({'o_orderkey': pa.array(ok[keep], pa.int64()),
-                            '_nat': pa.array(s_nat[keep], pa.int64()),
-                            '_rev': pa.array(rev[keep], pa.int64())})
-            agg = tbl.group_by(['o_orderkey', '_nat']) \
-                .aggregate([('_rev', 'sum')])
-            return agg.rename_columns(['o_orderkey', '_nat', '_rev'])
-        return f
-
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_orderkey', 'l_suppkey', 'l_extendedprice', 'l_discount'])
-
-    n_qual = qual.count()
-    if n_qual <= broadcast_order_limit:
-        cmap = {int(r['c_custkey']): int(r['c_nationkey'])
-                for b in cust_nat.iter_batches(batch_size=None,
-                                               batch_format='pyarrow')
-                for r in b.to_pylist()}
-        oks, onats = [], []
-        for b in qual.iter_batches(batch_size=None, batch_format='pyarrow'):
-            for r in b.to_pylist():
-                nk = cmap.get(int(r['o_custkey']))
-                if nk is not None:
-                    oks.append(int(r['o_orderkey']))
-                    onats.append(nk)
-        okeys = np.asarray(oks, np.int64)
-        o_ord = np.argsort(okeys, kind='stable')
-        onat_ref = ray.put((okeys[o_ord],
-                            np.asarray(onats, np.int64)[o_ord]))
-        # partials are bounded (<=1 row per region nation per batch)
-        agg = bounded_agg(
-            line.map_batches(li_partial(onat_ref), batch_format='pyarrow'),
-            '_nat', Sum('_rev', alias_name='_rev'))
-    else:
-        cnat_k = cust_nat.map_batches(
-            lambda t: t.rename_columns(['o_custkey', '_cnat']),
-            batch_format='pyarrow')
-        onat = hash_join(qual, cnat_k, 'o_custkey') \
-            .select_columns(['o_orderkey', '_cnat'])
-        partials = (line.map_batches(li_partial(None), batch_format='pyarrow')
-                    .groupby(['o_orderkey', '_nat'])
-                    .aggregate(Sum('_rev', alias_name='_rev')))
-        joined = hash_join(partials, onat, 'o_orderkey')
-
-        def local_only(t: pa.Table) -> pa.Table:
-            return t.filter(pc.equal(t.column('_nat'), t.column('_cnat')))
-
-        agg = (joined.map_batches(local_only, batch_format='pyarrow')
-               .groupby('_nat').aggregate(Sum('_rev', alias_name='_rev')))
-
-    def fin(t: pa.Table) -> pa.Table:
-        nats = t.column('_nat').to_numpy(zero_copy_only=False)
-        rev = t.column('_rev').to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table({
-            'n_name': pa.array([nat_name[int(n)] for n in nats], pa.string()),
-            'revenue': sql_round_pa(pa.array(rev / 10000.0), 2)})
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+    cust = _table(sf_dir, 'customer', ['c_custkey', 'c_nationkey']) \
+        .map_batches(lambda t: _nation_keys(t, 'c_nationkey', list(nat_name),
+                                            ['o_custkey', '_nat']),
+                     batch_format='pyarrow')
+    onat = hash_join(_table(sf_dir, 'orders',
+                            ['o_orderkey', 'o_custkey', 'o_orderdate'])
+                     .map_batches(order_side, batch_format='pyarrow'),
+                     cust, 'o_custkey').select_columns(['l_orderkey', '_nat'])
+    supp = _table(sf_dir, 'supplier', ['s_suppkey', 's_nationkey']) \
+        .map_batches(lambda t: _nation_keys(t, 's_nationkey', list(nat_name),
+                                            ['l_suppkey', '_nat']),
+                     batch_format='pyarrow')
+    line = _table(sf_dir, 'lineitem', ['l_orderkey', 'l_suppkey',
+                                       'l_extendedprice', 'l_discount']) \
+        .map_batches(lambda t: pa.table({
+            'l_orderkey': t.column('l_orderkey'),
+            'l_suppkey': t.column('l_suppkey'),
+            '_rev': pa.array(_line_rev(t))}), batch_format='pyarrow')
+    local = hash_join(hash_join(line, onat, 'l_orderkey'), supp,
+                      ('l_suppkey', '_nat'))
+    df = _fold(local.map_batches(lambda t: _sum_by(t, ['_nat'], ['_rev']),
+                                 batch_format='pyarrow'),
+               ['_nat'], pa.schema([('_nat', pa.int64()),
+                                    ('_rev', pa.int64())]))
+    return pd.DataFrame({
+        'n_name': df['_nat'].map(nat_name).astype(object),
+        'revenue': sql_round_np(df['_rev'].to_numpy(np.float64) / 10000.0,
+                                2)})
 
 
 _LOCAL_SUPPLIER_VOLUME_SQL = (
@@ -4994,99 +4908,37 @@ _LOCAL_SUPPLIER_VOLUME_SQL = (
 )
 
 
-def q_late_shipment_counts(sf_dir: str,
-                           broadcast_order_limit: int = 2_000_000
-                           ) -> ray.data.Dataset:
+def q_late_shipment_counts(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q12 shape: per-order-priority counts of lineitems shipped more
     than 60 days after the order date.  The comparison needs each line's
     OWN order date, so there is no pre-aggregation that avoids pairing them.
 
-    Plan: under ``broadcast_order_limit`` the (orderkey -> date, priority)
-    arrays broadcast once (sorted int64 keys + ns timestamps + a 5-entry
-    priority dictionary) and lineitem streams one pass emitting <=5 partial
-    rows per batch via ``np.bincount``; above it the two NARROW sides (2 and
-    3 columns) meet in a co-partitioned hash join and the same conditional
-    partial runs post-join.  Both paths frame-equal
-    (tests/test_analytics_paths.py)."""
-    import os
-    lag_ns = np.int64(60) * 86_400_000_000_000
-    orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                                columns=['o_orderkey', 'o_orderdate',
-                                         'o_orderpriority'])
-    line = read_parquet_clean(os.path.join(sf_dir, 'lineitem.parquet'),
-                              columns=['l_orderkey', 'l_shipdate'])
-
-    def cond_partial(keys_ref):
-        def f(t: pa.Table) -> pa.Table:
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            ship = t.column('l_shipdate').to_numpy(zero_copy_only=False) \
-                .astype('datetime64[ns]').astype(np.int64)
-            keys, dates, pcode, prios = ray.get(keys_ref)
-            if len(keys) == 0:
-                return pa.table({'o_orderpriority': pa.array([], pa.string()),
-                                 '_late': pa.array([], pa.int64()),
-                                 '_n': pa.array([], pa.int64())})
-            idx = np.minimum(np.searchsorted(keys, ok), len(keys) - 1)
-            hit = keys[idx] == ok
-            late = hit & (ship > dates[idx] + lag_ns)
-            codes = pcode[idx]
-            n_all = np.bincount(codes[hit], minlength=len(prios))
-            n_late = np.bincount(codes[late], minlength=len(prios))
-            nz = n_all > 0
-            return pa.table({
-                'o_orderpriority': pa.array(
-                    [prios[i] for i in np.flatnonzero(nz)], pa.string()),
-                '_late': pa.array(n_late[nz], pa.int64()),
-                '_n': pa.array(n_all[nz], pa.int64())})
-        return f
-
-    n_orders = orders.count()
-    if n_orders <= broadcast_order_limit:
-        ot = pa.concat_tables(
-            orders.iter_batches(batch_size=None, batch_format='pyarrow'))
-        keys = ot.column('o_orderkey').to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.argsort(keys, kind='stable')
-        keys = keys[order]
-        dates = ot.column('o_orderdate').to_numpy(zero_copy_only=False) \
-            .astype('datetime64[ns]').astype(np.int64)[order]
-        pr = np.asarray(ot.column('o_orderpriority').to_pylist())[order]
-        prios = sorted(set(pr.tolist()))
-        pmap = {p: i for i, p in enumerate(prios)}
-        pcode = np.asarray([pmap[p] for p in pr], np.int64)
-        keys_ref = ray.put((keys, dates, pcode, prios))
-        agg = (line.map_batches(cond_partial(keys_ref),
-                                batch_format='pyarrow')
-               .groupby('o_orderpriority')
-               .aggregate(Sum('_late', alias_name='n_late'),
-                          Sum('_n', alias_name='n_lines')))
-    else:
-        o_narrow = orders.map_batches(
-            lambda t: t.rename_columns(['l_orderkey', '_odate', '_oprio']),
+    Plan: the narrow (orderkey, shipdate) lineitem side meets the narrow
+    (orderkey, date, priority) orders side in a ``hash_join``; each joined
+    batch counts its lines and late lines per priority (<= 5 rows) and the
+    driver closes the counts (``_fold``)."""
+    lag = np.timedelta64(60, 'D')
+    orders = _table(sf_dir, 'orders',
+                    ['o_orderkey', 'o_orderdate', 'o_orderpriority']) \
+        .map_batches(lambda t: t.rename_columns(
+            ['l_orderkey', '_odate', 'o_orderpriority']),
             batch_format='pyarrow')
-        joined = hash_join(line, o_narrow, 'l_orderkey',
-                           num_partitions=join_partitions(rows=n_orders))
+    line = _table(sf_dir, 'lineitem', ['l_orderkey', 'l_shipdate'])
 
-        def post(t: pa.Table) -> pa.Table:
-            ship = t.column('l_shipdate').to_numpy(zero_copy_only=False) \
-                .astype('datetime64[ns]').astype(np.int64)
-            od = t.column('_odate').to_numpy(zero_copy_only=False) \
-                .astype('datetime64[ns]').astype(np.int64)
-            late = (ship > od + lag_ns).astype(np.int64)
-            tbl = pa.table({'o_orderpriority': t.column('_oprio'),
-                            '_late': pa.array(late, pa.int64())})
-            agg_t = tbl.group_by('o_orderpriority').aggregate(
-                [('_late', 'sum'), ([], 'count_all')])
-            return pa.table({
-                'o_orderpriority': agg_t.column('o_orderpriority'),
-                '_late': pc.cast(agg_t.column('_late_sum'), pa.int64()),
-                '_n': pc.cast(agg_t.column('count_all'), pa.int64())})
+    def partial(t: pa.Table) -> pa.Table:
+        ship = t.column('l_shipdate').to_numpy(zero_copy_only=False)
+        od = t.column('_odate').to_numpy(zero_copy_only=False)
+        return _sum_by(pa.table({
+            'o_orderpriority': t.column('o_orderpriority'),
+            '_late': pa.array((ship > od + lag).astype(np.int64)),
+            '_n': pa.array(np.ones(len(t), np.int64))}),
+            ['o_orderpriority'], ['_late', '_n'])
 
-        agg = (joined.map_batches(post, batch_format='pyarrow')
-               .groupby('o_orderpriority')
-               .aggregate(Sum('_late', alias_name='n_late'),
-                          Sum('_n', alias_name='n_lines')))
-    return agg
+    return _fold(hash_join(line, orders, 'l_orderkey')
+                 .map_batches(partial, batch_format='pyarrow'),
+                 ['o_orderpriority'],
+                 pa.schema([('o_orderpriority', pa.string()),
+                            ('n_late', pa.int64()), ('n_lines', pa.int64())]))
 
 
 _LATE_SHIPMENT_SQL = (
@@ -5098,91 +4950,43 @@ _LATE_SHIPMENT_SQL = (
 )
 
 
-def q_promo_revenue(sf_dir: str,
-                    broadcast_part_limit: int = 5_000_000) -> pd.DataFrame:
+def q_promo_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q14 shape: promotional revenue share for one ship-month.
 
-    Plan: the PROMO partkey set broadcasts once under
-    ``broadcast_part_limit`` and lineitem streams a single pass emitting TWO
-    int64 scalars per batch; above the guard lineitem pre-aggregates
-    revenue per partkey inside the month (narrow, part-bounded) and meets
-    the (p_partkey, is_promo) table in a co-partitioned join.  Revenue uses
-    integer 1e-4 units throughout; the final ratio divides the exact
-    integers the same way the oracle does."""
-    import os
-    d0 = np.datetime64('1997-09-01')
-    d1 = np.datetime64('1997-10-01')
-    part = read_parquet_clean(os.path.join(sf_dir, 'part.parquet'),
-                              columns=['p_partkey', 'p_type'])
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_partkey', 'l_extendedprice', 'l_discount', 'l_shipdate'])
-    n_part = part.count()
-    if n_part <= broadcast_part_limit:
-        promo = part.filter(expr="p_type == 'PROMO'") \
-            .select_columns(['p_partkey']).to_pandas()
-        promo_ref = ray.put(np.sort(
-            np.asarray(promo['p_partkey'], np.int64)))
+    Plan: lineitem filtered to the month projects to narrow (partkey,
+    integer-1e-4 revenue) rows that meet the narrow (partkey, is-promo)
+    part side in a ``hash_join``; each joined batch emits two int64 sums
+    and the driver adds them.  The final ratio divides the exact integers
+    the same way the oracle does."""
+    d0, d1 = np.datetime64('1997-09-01'), np.datetime64('1997-10-01')
+    part = _table(sf_dir, 'part', ['p_partkey', 'p_type']).map_batches(
+        lambda t: pa.table({'l_partkey': t.column('p_partkey'),
+                            '_promo': pc.fill_null(
+                                pc.equal(t.column('p_type'), 'PROMO'), False)}),
+        batch_format='pyarrow')
 
-        def partial(t: pa.Table) -> pa.Table:
-            sd = t.column('l_shipdate').to_numpy(zero_copy_only=False)
-            m = (sd >= d0) & (sd < d1)
-            pk = t.column('l_partkey').to_numpy(zero_copy_only=False)[m]
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False)[m],
-                t.column('l_discount').to_numpy(zero_copy_only=False)[m])
-            pset = ray.get(promo_ref)
-            if len(pset):
-                idx = np.minimum(np.searchsorted(pset, pk), len(pset) - 1)
-                is_promo = pset[idx] == pk
-            else:
-                is_promo = np.zeros(len(pk), bool)
-            return pa.table({'_promo': pa.array([int(rev[is_promo].sum())],
-                                                pa.int64()),
-                             '_total': pa.array([int(rev.sum())], pa.int64())})
+    def month(t: pa.Table) -> pa.Table:
+        sd = t.column('l_shipdate').to_numpy(zero_copy_only=False)
+        return pa.table({'l_partkey': t.column('l_partkey'),
+                         '_rev': pa.array(_line_rev(t))}) \
+            .filter(pa.array((sd >= d0) & (sd < d1)))
 
-        tot = (line.map_batches(partial, batch_format='pyarrow')
-               .groupby(None).aggregate(Sum('_promo', alias_name='_promo'),
-                                        Sum('_total', alias_name='_total'))
-               .to_pandas())
-        promo_e4 = int(tot['_promo'].iloc[0]) if len(tot) else 0
-        total_e4 = int(tot['_total'].iloc[0]) if len(tot) else 0
-    else:
-        def pk_partial(t: pa.Table) -> pa.Table:
-            sd = t.column('l_shipdate').to_numpy(zero_copy_only=False)
-            m = (sd >= d0) & (sd < d1)
-            pk = t.column('l_partkey').to_numpy(zero_copy_only=False)[m]
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False)[m],
-                t.column('l_discount').to_numpy(zero_copy_only=False)[m])
-            tbl = pa.table({'p_partkey': pa.array(pk, pa.int64()),
-                            '_rev': pa.array(rev, pa.int64())})
-            agg_t = tbl.group_by('p_partkey').aggregate([('_rev', 'sum')])
-            return agg_t.rename_columns(['p_partkey', '_rev'])
+    def fold(t: pa.Table) -> pa.Table:
+        rev = t.column('_rev').to_numpy(zero_copy_only=False)
+        promo = t.column('_promo').to_numpy(zero_copy_only=False)
+        return pa.table({'_promo': [int(rev[promo].sum())],
+                         '_total': [int(rev.sum())]})
 
-        partials = (line.map_batches(pk_partial, batch_format='pyarrow')
-                    .groupby('p_partkey').aggregate(
-                        Sum('_rev', alias_name='_rev')))
-        joined = hash_join(partials, part, 'p_partkey')
-
-        def fold(t: pa.Table) -> pa.Table:
-            rev = t.column('_rev').to_numpy(zero_copy_only=False)
-            promo_m = pc.equal(t.column('p_type'), 'PROMO') \
-                .to_numpy(zero_copy_only=False)
-            return pa.table({'_promo': pa.array([int(rev[promo_m].sum())],
-                                                pa.int64()),
-                             '_total': pa.array([int(rev.sum())], pa.int64())})
-
-        tot = (joined.map_batches(fold, batch_format='pyarrow')
-               .groupby(None).aggregate(Sum('_promo', alias_name='_promo'),
-                                        Sum('_total', alias_name='_total'))
-               .to_pandas())
-        promo_e4 = int(tot['_promo'].iloc[0]) if len(tot) else 0
-        total_e4 = int(tot['_total'].iloc[0]) if len(tot) else 0
-    if total_e4 == 0:
+    line = _table(sf_dir, 'lineitem', ['l_partkey', 'l_extendedprice',
+                                       'l_discount', 'l_shipdate'])
+    tot = hash_join(line.map_batches(month, batch_format='pyarrow'), part,
+                    'l_partkey').map_batches(fold, batch_format='pyarrow') \
+        .to_pandas()
+    if len(tot) == 0 or int(tot['_total'].sum()) == 0:
         return pd.DataFrame({'promo_revenue': [np.nan],
                              'total_revenue': [np.nan],
                              'promo_pct': [np.nan]})
+    promo_e4, total_e4 = int(tot['_promo'].sum()), int(tot['_total'].sum())
     return pd.DataFrame({
         'promo_revenue': [sql_round_scalar(promo_e4 / 10000.0, 2)],
         'total_revenue': [sql_round_scalar(total_e4 / 10000.0, 2)],
@@ -5204,112 +5008,48 @@ _PROMO_REVENUE_SQL = (
 )
 
 
-def q_small_quantity_revenue(sf_dir: str,
-                             broadcast_part_limit: int = 5_000_000
-                             ) -> pd.DataFrame:
+def q_small_quantity_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q17 shape (correlated average subquery): yearly revenue lost if
     one brand's small orders — quantity below 20% of that part's average —
     were dropped.
 
-    Plan: pass 1 computes each brand-part's (sum_qty, n) sufficient
-    statistics via a two-phase narrow aggregate; the comparison
-    ``qty < 0.2 * avg`` rewrites to the EXACT integer predicate
-    ``5 * qty * n < sum_qty`` (quantities are integral — TESTDATA domains),
-    so no float average is ever materialized.  Pass 2 streams lineitem once
-    more with the stats broadcast (brand-part-proportional, size-guarded;
-    above the guard the narrow sides meet in a co-partitioned join).  Both
-    paths frame-equal (tests/test_analytics_paths.py)."""
-    import os
+    Plan: lineitem's narrow (partkey, quantity, cents) rows meet the
+    brand's partkeys in a ``hash_join``; one groupby on partkey then hands
+    each brand part's lines to one call, which decorrelates the subquery
+    in place: ``qty < 0.2 * avg`` is the EXACT integer predicate
+    ``5 * qty * n < sum_qty`` over the part's own lines (quantities are
+    integral — TESTDATA domains), so no float average is ever
+    materialized.  Each part emits its int64 cents sum and line count and
+    the driver adds them (no line at all is SQL's NULL sum)."""
     brand = 'Brand#23'
-    part = read_parquet_clean(os.path.join(sf_dir, 'part.parquet'),
-                              columns=['p_partkey', 'p_brand'])
-    bkeys = np.sort(np.asarray(
-        part.filter(expr=f"p_brand == '{brand}'")
-        .select_columns(['p_partkey']).to_pandas()['p_partkey'], np.int64))
-    bkeys_ref = ray.put(bkeys)
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_partkey', 'l_quantity', 'l_extendedprice'])
+    bparts = _table(sf_dir, 'part', ['p_partkey', 'p_brand']).map_batches(
+        lambda t: t.select(['p_partkey']).filter(
+            pc.equal(t.column('p_brand'), brand)), batch_format='pyarrow')
 
-    def stat_partial(t: pa.Table) -> pa.Table:
-        pk = t.column('l_partkey').to_numpy(zero_copy_only=False)
-        bk = ray.get(bkeys_ref)
-        if len(bk) == 0:
-            keep = np.zeros(len(pk), bool)
-        else:
-            idx = np.minimum(np.searchsorted(bk, pk), len(bk) - 1)
-            keep = bk[idx] == pk
-        q = np.rint(t.column('l_quantity').to_numpy(zero_copy_only=False)
-                    [keep]).astype(np.int64)
-        tbl = pa.table({'p_partkey': pa.array(pk[keep], pa.int64()),
-                        '_q': pa.array(q, pa.int64()),
-                        '_one': pa.array(np.ones(len(q), np.int64))})
-        agg_t = tbl.group_by('p_partkey').aggregate(
-            [('_q', 'sum'), ('_one', 'sum')])
-        return agg_t.rename_columns(['p_partkey', '_q', '_n'])
+    def narrow(t: pa.Table) -> pa.Table:
+        qty = t.column('l_quantity').to_numpy(zero_copy_only=False)
+        price = t.column('l_extendedprice').to_numpy(zero_copy_only=False)
+        return pa.table({'p_partkey': t.column('l_partkey'),
+                         '_q': pa.array(np.rint(qty).astype(np.int64)),
+                         '_cents': pa.array(np.rint(price * 100.0)
+                                            .astype(np.int64))})
 
-    stats = (line.map_batches(stat_partial, batch_format='pyarrow')
-             .groupby('p_partkey').aggregate(Sum('_q', alias_name='_sumq'),
-                                             Sum('_n', alias_name='_cnt')))
+    def small(t: pa.Table) -> pa.Table:
+        q = t.column('_q').to_numpy(zero_copy_only=False)
+        cents = t.column('_cents').to_numpy(zero_copy_only=False)
+        cents = cents[5 * q * len(q) < q.sum()]
+        return pa.table({'_cents': [int(cents.sum())], '_n': [len(cents)]})
 
-    if len(bkeys) <= broadcast_part_limit:
-        st = stats.to_pandas()
-        sk = np.asarray(st['p_partkey'], np.int64)
-        order = np.argsort(sk, kind='stable')
-        sk = sk[order]
-        sumq = np.asarray(st['_sumq'], np.int64)[order]
-        cnt = np.asarray(st['_cnt'], np.int64)[order]
-        stats_ref = ray.put((sk, sumq, cnt))
-
-        def rev_partial(t: pa.Table) -> pa.Table:
-            pk = t.column('l_partkey').to_numpy(zero_copy_only=False)
-            skk, sq, cn = ray.get(stats_ref)
-            if len(skk) == 0:
-                return pa.table({'_cents': pa.array([0], pa.int64())})
-            idx = np.minimum(np.searchsorted(skk, pk), len(skk) - 1)
-            hit = skk[idx] == pk
-            q = np.rint(t.column('l_quantity')
-                        .to_numpy(zero_copy_only=False)).astype(np.int64)
-            keep = hit & (5 * q * cn[idx] < sq[idx])
-            cents = np.rint(t.column('l_extendedprice')
-                            .to_numpy(zero_copy_only=False)[keep]
-                            * 100.0).astype(np.int64)
-            return pa.table({'_cents': pa.array([int(cents.sum())],
-                                                pa.int64())})
-
-        tot = (line.map_batches(rev_partial, batch_format='pyarrow')
-               .groupby(None).aggregate(Sum('_cents', alias_name='_cents'))
-               .to_pandas())
-    else:
-        narrow = line.map_batches(
-            lambda t: pa.table({
-                'p_partkey': pc.cast(t.column('l_partkey'), pa.int64()),
-                '_q': pa.array(np.rint(
-                    t.column('l_quantity').to_numpy(zero_copy_only=False))
-                    .astype(np.int64)),
-                '_cents': pa.array(np.rint(
-                    t.column('l_extendedprice')
-                    .to_numpy(zero_copy_only=False) * 100.0)
-                    .astype(np.int64))}),
-            batch_format='pyarrow')
-        joined = hash_join(
-            narrow, stats, 'p_partkey',
-            num_partitions=join_partitions(rows=len(bkeys) * 40))
-
-        def fold(t: pa.Table) -> pa.Table:
-            keep = (5 * t.column('_q').to_numpy(zero_copy_only=False)
-                    * t.column('_cnt').to_numpy(zero_copy_only=False)
-                    < t.column('_sumq').to_numpy(zero_copy_only=False))
-            cents = t.column('_cents').to_numpy(zero_copy_only=False)[keep]
-            return pa.table({'_cents': pa.array([int(cents.sum())],
-                                                pa.int64())})
-
-        tot = (joined.map_batches(fold, batch_format='pyarrow')
-               .groupby(None).aggregate(Sum('_cents', alias_name='_cents'))
-               .to_pandas())
-    cents = int(tot['_cents'].iloc[0]) if len(tot) else 0
+    line = _table(sf_dir, 'lineitem',
+                  ['l_partkey', 'l_quantity', 'l_extendedprice'])
+    tot = hash_join(line.map_batches(narrow, batch_format='pyarrow'),
+                    bparts, 'p_partkey') \
+        .groupby('p_partkey').map_groups(small, batch_format='pyarrow') \
+        .to_pandas()
+    if len(tot) == 0 or int(tot['_n'].sum()) == 0:
+        return pd.DataFrame({'avg_yearly': [np.nan]})     # SQL sum of none
     return pd.DataFrame({'avg_yearly': [sql_round_scalar(
-        (float(cents) / 100.0) / 7.0, 2)]})
+        (float(tot['_cents'].sum()) / 100.0) / 7.0, 2)]})
 
 
 _SMALL_QUANTITY_SQL = (
@@ -5466,130 +5206,72 @@ _ORDER_SHIP_DAILY_SQL = (
 )
 
 
-def q_returned_item_customers(sf_dir: str,
-                              broadcast_order_limit: int = 2_000_000
-                              ) -> pd.DataFrame:
+def q_returned_item_customers(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q10 shape: revenue lost to RETURNED items per customer in one
     quarter, top-20 customers by that revenue.
 
     Plan: the quarter's orders reduce to a NARROW (orderkey, custkey) side;
-    lineitem filters ``l_returnflag = 'R'`` and pre-aggregates integer-1e-4
-    revenue per orderkey inside each batch.  Under ``broadcast_order_limit``
-    the order side broadcasts as sorted int64 arrays and lineitem closes the
-    custkey attribution in ONE pass; above it the two narrow sides meet in a
-    co-partitioned hash join.  The per-customer aggregate is
-    input-proportional, so the top-20 head folds under the 50M-row guard and
-    otherwise runs a distributed sort+limit; only then do the <=20 custkeys
-    broadcast to fetch names."""
-    import os
-    d0 = np.datetime64('1996-07-01')
-    d1 = np.datetime64('1996-10-01')
-
-    orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                                columns=['o_orderkey', 'o_custkey',
-                                         'o_orderdate'])
+    lineitem filters ``l_returnflag = 'R'`` to narrow (orderkey,
+    integer-1e-4 revenue) rows that meet it in a ``hash_join``, and each
+    joined batch pre-aggregates revenue per customer.  The per-customer
+    aggregate is input-proportional, so the top-20 head folds under the
+    50M-row guard and otherwise runs a distributed sort+limit; only then
+    do the <= 20 customers meet customer in a ``hash_join`` for their
+    names.  A NULL custkey matches no customer, so it is dropped first."""
+    d0, d1 = np.datetime64('1996-07-01'), np.datetime64('1996-10-01')
 
     def order_side(t: pa.Table) -> pa.Table:
         dt = t.column('o_orderdate').to_numpy(zero_copy_only=False)
-        mask = pa.array((dt >= d0) & (dt < d1))
-        return pa.table({'o_orderkey': t.column('o_orderkey'),
-                         '_cust': t.column('o_custkey')}).filter(mask)
+        keep = pc.and_(pa.array((dt >= d0) & (dt < d1)),
+                       pc.is_valid(t.column('o_custkey')))
+        return pa.table({'l_orderkey': t.column('o_orderkey'),
+                         'c_custkey': t.column('o_custkey')}).filter(keep)
 
-    qual = orders.map_batches(order_side, batch_format='pyarrow') \
-        .materialize()
+    def returned(t: pa.Table) -> pa.Table:
+        return pa.table({'l_orderkey': t.column('l_orderkey'),
+                         '_rev': pa.array(_line_rev(t))}) \
+            .filter(pc.equal(t.column('l_returnflag'), 'R'))
 
-    def li_partial(ocust_ref):
-        """ocust_ref None -> (l_orderkey, _rev) partials for the join path;
-        else the broadcast (okey -> custkey) lookup closes attribution."""
-        def f(t: pa.Table) -> pa.Table:
-            flag = t.column('l_returnflag')
-            t = t.filter(pc.equal(flag, 'R'))
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            if ocust_ref is not None:
-                okeys, ocust = ray.get(ocust_ref)
-                if len(okeys):
-                    idx = np.minimum(np.searchsorted(okeys, ok),
-                                     len(okeys) - 1)
-                    keep = okeys[idx] == ok
-                    cust, rev = ocust[idx][keep], rev[keep]
-                else:
-                    cust, rev = np.zeros(0, np.int64), rev[:0]
-                tbl = pa.table({'_cust': pa.array(cust, pa.int64()),
-                                '_rev': pa.array(rev, pa.int64())})
-                return tbl.group_by('_cust').aggregate([('_rev', 'sum')]) \
-                    .rename_columns(['_cust', '_rev'])
-            tbl = pa.table({'o_orderkey': pa.array(ok, pa.int64()),
-                            '_rev': pa.array(rev, pa.int64())})
-            return tbl.group_by('o_orderkey').aggregate([('_rev', 'sum')]) \
-                .rename_columns(['o_orderkey', '_rev'])
-        return f
-
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_orderkey', 'l_returnflag', 'l_extendedprice',
-                 'l_discount'])
-
-    if qual.count() <= broadcast_order_limit:
-        oks, ocs = [], []
-        for b in qual.iter_batches(batch_size=None, batch_format='pyarrow'):
-            oks.append(b.column('o_orderkey').to_numpy(zero_copy_only=False))
-            ocs.append(b.column('_cust').to_numpy(zero_copy_only=False))
-        okeys = np.concatenate(oks) if oks else np.zeros(0, np.int64)
-        ocust = np.concatenate(ocs) if ocs else np.zeros(0, np.int64)
-        order_o = np.argsort(okeys, kind='stable')
-        ocust_ref = ray.put((okeys[order_o].astype(np.int64),
-                             ocust[order_o].astype(np.int64)))
-        per_cust = drop_empty_blocks(
-            line.map_batches(li_partial(ocust_ref),
-                             batch_format='pyarrow'))
-    else:
-        partials = (line.map_batches(li_partial(None),
-                                     batch_format='pyarrow')
-                    .groupby('o_orderkey')
-                    .aggregate(Sum('_rev', alias_name='_rev')))
-        joined = hash_join(partials, qual, 'o_orderkey')
-        per_cust = drop_empty_blocks(joined.select_columns(
-            ['_cust', '_rev']))
-
-    # per_cust is an UNGROUPED partial stream — the per-customer close and
-    # the top-20 head share one bounded fold (the big_order pattern); above
-    # the fold limit a distributed groupby + sort/limit runs instead.
+    orders = _table(sf_dir, 'orders',
+                    ['o_orderkey', 'o_custkey', 'o_orderdate'])
+    line = _table(sf_dir, 'lineitem', ['l_orderkey', 'l_returnflag',
+                                       'l_extendedprice', 'l_discount'])
+    # an UNGROUPED partial stream — the per-customer close and the top-20
+    # head share one bounded fold (the big_order pattern); above the fold
+    # limit a distributed groupby + sort/limit runs instead.
     # materialize: count() + fold both consume it (expensive upstream)
-    per_cust = per_cust.materialize()
+    per_cust = hash_join(
+        line.map_batches(returned, batch_format='pyarrow'),
+        orders.map_batches(order_side, batch_format='pyarrow'),
+        'l_orderkey').map_batches(
+            lambda t: _sum_by(t, ['c_custkey'], ['_rev']),
+            batch_format='pyarrow').materialize()
     if per_cust.count() <= 50_000_000:
         def fold_top(t: pa.Table) -> pa.Table:
-            cu = t.column('_cust').to_numpy(zero_copy_only=False)
+            cu = t.column('c_custkey').to_numpy(zero_copy_only=False)
             rv = t.column('_rev').to_numpy(zero_copy_only=False)
             uc, inv = np.unique(cu, return_inverse=True)
             sums = np.bincount(inv, weights=rv.astype(np.float64)) \
                 .astype(np.int64)
             order_t = np.lexsort((uc, -sums))[:20]
-            return pa.table({'_cust': pa.array(uc[order_t], pa.int64()),
+            return pa.table({'c_custkey': pa.array(uc[order_t], pa.int64()),
                              '_rev': pa.array(sums[order_t], pa.int64())})
-        top = (per_cust.repartition(1)
-               .map_batches(fold_top, batch_format='pyarrow',
-                            batch_size=None).to_pandas())
+        top = per_cust.repartition(1).map_batches(
+            fold_top, batch_format='pyarrow', batch_size=None)
     else:
-        top = (per_cust.groupby('_cust')
+        top = (per_cust.groupby('c_custkey')
                .aggregate(Sum('_rev', alias_name='_rev'))
-               .sort(['_rev', '_cust'], descending=[True, False])
-               .limit(20).to_pandas())
+               .sort(['_rev', 'c_custkey'], descending=[True, False])
+               .limit(20))
 
-    ckeys_ref = ray.put(pa.array(sorted(top['_cust'].astype(int)),
-                                 pa.int64()))
-    cust = read_parquet_clean(os.path.join(sf_dir, 'customer.parquet'),
-                              columns=['c_custkey', 'c_name'])
-    cd = cust.map_batches(
-        lambda t: t.filter(pc.is_in(t.column('c_custkey'),
-                                    value_set=ray.get(ckeys_ref))),
-        batch_format='pyarrow').to_pandas()
-    df = top.merge(cd, left_on='_cust', right_on='c_custkey')
+    cust = _table(sf_dir, 'customer', ['c_custkey', 'c_name'])
+    df = _frame(hash_join(top, cust, 'c_custkey'),
+                pa.schema([('c_custkey', pa.int64()), ('_rev', pa.int64()),
+                           ('c_name', pa.string())]))
+    df = df.sort_values(['_rev', 'c_custkey'], ascending=[False, True],
+                        kind='mergesort').reset_index(drop=True)
     df['revenue'] = sql_round_np(df['_rev'].to_numpy(np.int64) / 10000.0, 2)
-    df['c_custkey'] = df['c_custkey'].astype(np.int64)
-    return df[['c_custkey', 'c_name', 'revenue']].reset_index(drop=True)
+    return df[['c_custkey', 'c_name', 'revenue']]
 
 
 _RETURNED_ITEM_SQL = (
@@ -6504,104 +6186,76 @@ _TOKEN_BUDGET_SQL = (
 # Product-analytics operators over the event stream: sequential funnel,
 # set-difference audience, cohort retention.  All shuffles carry narrow
 # (user_id, int64) rows; the funnel's "first B after first A" recurrence is
-# solved by ITERATIVE conditional aggregation (filter → co-partitioned join
-# with the previous stage's per-user threshold → two-phase min) instead of
+# solved by ITERATIVE conditional aggregation (filter → ``hash_join`` with
+# the previous stage's per-user threshold → two-phase min) instead of
 # per-user state, so no task ever holds one user's full event list.
 # ---------------------------------------------------------------------------
 
 _FUNNEL_STAGES = ('view', 'click', 'purchase')
 
 
-def _typed_ts(etype: str):
-    """Narrow (user_id, ts-as-int64) projection of one event type."""
+def _typed_ts(sf_dir: str, etypes: tuple[str, ...]) -> ray.data.Dataset:
+    """Narrow (user_id, event_type, ts-as-int64) rows of the events of
+    ``etypes``, materialized once: every funnel stage reads them."""
     def f(t: pa.Table) -> pa.Table:
-        sel = t.filter(pc.equal(t.column('event_type'), etype))
+        sel = t.filter(pc.is_in(t.column('event_type'),
+                                value_set=pa.array(etypes, pa.string())))
         return pa.table({'user_id': sel.column('user_id'),
+                         'event_type': sel.column('event_type'),
                          '_ts': pc.cast(sel.column('ts'), pa.int64())})
-    return f
+    return _events(sf_dir, ['user_id', 'event_type', 'ts']) \
+        .map_batches(f, batch_format='pyarrow').materialize()
 
 
-def _premin_user(t: pa.Table) -> pa.Table:
-    return t.group_by('user_id').aggregate([('_ts', 'min')]) \
+def _premin_user(t: pa.Table, etype: str) -> pa.Table:
+    """Per-batch partial: per-user min ts of the ``etype`` rows of ``t``."""
+    return t.filter(pc.equal(t.column('event_type'), etype)) \
+        .group_by('user_id').aggregate([('_ts', 'min')]) \
         .rename_columns(['user_id', '_ts'])
 
 
-def _first_min(ev: ray.data.Dataset, etype: str) -> ray.data.Dataset:
+def _first_min(typed: ray.data.Dataset, etype: str) -> ray.data.Dataset:
     """Per-user min ts of ``etype`` as (user_id, _prev) — funnel stage 0."""
     return drop_empty_blocks(
-        ev.map_batches(_typed_ts(etype), batch_format='pyarrow')
-          .map_batches(_premin_user, batch_format='pyarrow')
-          .groupby('user_id').aggregate(Min('_ts', alias_name='_prev')))
+        typed.map_batches(lambda t: _premin_user(t, etype),
+                          batch_format='pyarrow')
+        .groupby('user_id').aggregate(Min('_ts', alias_name='_prev')))
 
 
-def _min_after(ev: ray.data.Dataset, etype: str, stage: ray.data.Dataset,
-               broadcast_user_limit: int) -> ray.data.Dataset:
+def _min_after(typed: ray.data.Dataset, etype: str,
+               stage: ray.data.Dataset) -> ray.data.Dataset:
     """Per-user min ts of ``etype`` STRICTLY AFTER the per-user threshold in
-    ``stage`` (user_id, _prev).  Threshold table size-guarded: broadcast
-    under the limit (one shuffle-free map), co-partitioned narrow join
-    above it — both paths frame-equal (tests/test_analytics_paths.py)."""
+    ``stage`` (user_id, _prev): the typed events meet the threshold table
+    in a ``hash_join`` (a NULL user matches none), each joined batch keeps
+    the later ``etype`` rows and pre-aggregates their per-user min, and one
+    groupby closes it."""
+    def later(t: pa.Table) -> pa.Table:
+        return _premin_user(
+            t.filter(pc.greater(t.column('_ts'), t.column('_prev'))), etype)
 
-    n_prev = stage.count()
-    cand = ev.map_batches(_typed_ts(etype), batch_format='pyarrow')
-    if n_prev == 0:
-        return ray.data.from_arrow(pa.schema(
-            [('user_id', pa.int64()), ('_prev', pa.int64())]).empty_table())
-    if n_prev <= broadcast_user_limit:
-        tmap = {r['user_id']: r['_prev']
-                for b in stage.iter_batches(batch_size=None,
-                                            batch_format='pyarrow')
-                for r in b.to_pylist()}
-        tref = ray.put(tmap)
-
-        def later_bc(t: pa.Table) -> pa.Table:
-            m = ray.get(tref)
-            users = t.column('user_id').to_numpy(zero_copy_only=False)
-            ts = t.column('_ts').to_numpy(zero_copy_only=False)
-            thr = np.fromiter((m.get(int(u), np.iinfo(np.int64).max)
-                               for u in users),
-                              dtype=np.int64, count=len(users))
-            keep = ts > thr
-            return _premin_user(pa.table({
-                'user_id': pa.array(users[keep], pa.int64()),
-                '_ts': pa.array(ts[keep], pa.int64())}))
-
-        filtered = cand.map_batches(later_bc, batch_format='pyarrow')
-    else:
-        # cand is the narrow 16 B/row (user_id, ts) projection, never the
-        # payload
-        joined = hash_join(cand, stage, 'user_id')
-
-        def later_join(t: pa.Table) -> pa.Table:
-            sel = t.filter(pc.greater(t.column('_ts'), t.column('_prev')))
-            return _premin_user(pa.table({'user_id': sel.column('user_id'),
-                                          '_ts': sel.column('_ts')}))
-
-        filtered = joined.map_batches(later_join, batch_format='pyarrow')
-    return drop_empty_blocks(filtered.groupby('user_id')
-                             .aggregate(Min('_ts', alias_name='_prev')))
+    return drop_empty_blocks(
+        hash_join(typed, stage, 'user_id')
+        .map_batches(later, batch_format='pyarrow')
+        .groupby('user_id').aggregate(Min('_ts', alias_name='_prev')))
 
 
-def q_funnel_stages(sf_dir: str,
-                    broadcast_user_limit: int = 2_000_000) -> pd.DataFrame:
+def q_funnel_stages(sf_dir: str) -> pd.DataFrame:
     """3-stage conversion funnel: users whose first 'view' precedes a
     'click' that precedes a 'purchase' (strict ts order, SQL-mirrored).
 
     Stage k's per-user threshold t_k = min event ts of stage-k's type
-    STRICTLY AFTER t_{k-1}.  Stage 1 is a plain two-phase min; each later
-    stage filters the event stream to one type (narrow (user_id, ts)
-    projection), applies the previous stage's per-user threshold, drops
-    rows at-or-before it and re-aggregates.  The threshold table is
-    SIZE-GUARDED (the shipping_priority pattern): under
-    ``broadcast_user_limit`` survivors it broadcasts once via ``ray.put``
-    and the stage is one shuffle-free map; above it, it stays a Dataset
-    and meets the typed events in a co-partitioned narrow join (both paths
-    proven frame-equal in tests).  No per-user event list is ever
-    co-located, so a mega-user costs nothing beyond its rows."""
-    ev = _events(sf_dir, ['user_id', 'event_type', 'ts'])
-    stage = _first_min(ev, _FUNNEL_STAGES[0])
+    STRICTLY AFTER t_{k-1}.  The funnel's events are read once into a
+    narrow (user_id, type, ts) projection.  Stage 1 is a plain two-phase
+    min; each later stage is ``_min_after``: that projection meets the
+    previous stage's per-user thresholds in a ``hash_join``, keeps the
+    stage type's rows after them and re-aggregates.  No per-user event
+    list is ever co-located, so a mega-user costs nothing beyond its
+    rows."""
+    typed = _typed_ts(sf_dir, _FUNNEL_STAGES)
+    stage = _first_min(typed, _FUNNEL_STAGES[0])
     stages = [stage]
     for etype in _FUNNEL_STAGES[1:]:
-        stage = _min_after(ev, etype, stage, broadcast_user_limit)
+        stage = _min_after(typed, etype, stage)
         stages.append(stage)
     n = [s.count() for s in stages]
     return pd.DataFrame({'n_viewed': pd.array([n[0]], dtype='int64'),
@@ -6624,68 +6278,31 @@ _FUNNEL_SQL = (
 )
 
 
-def q_conversion_latency(sf_dir: str,
-                         broadcast_user_limit: int = 2_000_000
-                         ) -> ray.data.Dataset:
+def q_conversion_latency(sf_dir: str) -> pd.DataFrame:
     """Time-to-convert histogram: hours between a user's FIRST 'view' and
     their first 'purchase' strictly after it, bucketed per hour — the
-    funnel's _min_after building block composed into a distribution.  Two
-    narrow passes + one two-phase count; nothing event-proportional on the
-    driver beyond the size-guarded threshold map."""
+    funnel's _min_after building block composed into a distribution.  The
+    per-user purchase threshold meets the per-user first view in a
+    ``hash_join``; each joined batch counts its users per hour and the
+    driver closes the counts (``_fold``).  Nothing event-proportional
+    reaches the driver."""
+    def bucket(t: pa.Table) -> pa.Table:
+        hours = (t.column('_prev').to_numpy(zero_copy_only=False)
+                 - t.column('_v').to_numpy(zero_copy_only=False)) \
+            // 3_600_000_000
+        return pa.table({'latency_hours': pa.array(hours, pa.int64())}) \
+            .group_by('latency_hours').aggregate([([], 'count_all')]) \
+            .rename_columns(['latency_hours', '_n'])
 
-    def _empty() -> ray.data.Dataset:
-        return ray.data.from_arrow(pa.schema(
-            [('latency_hours', pa.int64()),
-             ('n_users', pa.int64())]).empty_table())
-
-    def bucket_partial(hours: np.ndarray) -> pa.Table:
-        agg = pa.table({'latency_hours': pa.array(hours, pa.int64())}) \
-            .group_by('latency_hours').aggregate([([], 'count_all')])
-        return pa.table({'latency_hours': agg.column('latency_hours'),
-                         '_n': pc.cast(agg.column('count_all'), pa.int64())})
-
-    ev = _events(sf_dir, ['user_id', 'event_type', 'ts'])
-    first_view = _first_min(ev, 'view')
-    n_view = first_view.count()
-    first_purchase = _min_after(ev, 'purchase', first_view,
-                                broadcast_user_limit) \
-        if n_view else None
-    # empty funnels (no views, or no purchase after a view) return an
-    # empty histogram like the oracle, not a schema error from Ray's
-    # fn-skipping empty blocks
-    if first_purchase is None or first_purchase.count() == 0:
-        return _empty()
-    # latency needs both mins per user; first_view is the size-guarded
-    # small side again (same limit) — broadcast it into the bucket map
-    if n_view <= broadcast_user_limit:
-        vref = ray.put({r['user_id']: r['_prev']
-                        for b in first_view.iter_batches(
-                            batch_size=None, batch_format='pyarrow')
-                        for r in b.to_pylist()})
-
-        def bucket_bc(t: pa.Table) -> pa.Table:
-            m = ray.get(vref)
-            users = t.column('user_id').to_numpy(zero_copy_only=False)
-            tp = t.column('_prev').to_numpy(zero_copy_only=False)
-            tv = np.fromiter((m[int(u)] for u in users), dtype=np.int64,
-                             count=len(users))
-            return bucket_partial((tp - tv) // 3_600_000_000)
-
-        parts = first_purchase.map_batches(bucket_bc, batch_format='pyarrow')
-    else:
-        renamed = first_view.map_batches(
-            lambda t: t.rename_columns(['user_id', '_v']),
-            batch_format='pyarrow')
-        both = hash_join(first_purchase, renamed, 'user_id')
-
-        def bucket_join(t: pa.Table) -> pa.Table:
-            tp = t.column('_prev').to_numpy(zero_copy_only=False)
-            tv = t.column('_v').to_numpy(zero_copy_only=False)
-            return bucket_partial((tp - tv) // 3_600_000_000)
-
-        parts = both.map_batches(bucket_join, batch_format='pyarrow')
-    return (parts.groupby('latency_hours')
-            .aggregate(Sum('_n', alias_name='n_users')))
+    typed = _typed_ts(sf_dir, ('view', 'purchase'))
+    first_view = _first_min(typed, 'view')
+    views = first_view.map_batches(
+        lambda t: t.rename_columns(['user_id', '_v']), batch_format='pyarrow')
+    both = hash_join(_min_after(typed, 'purchase', first_view), views,
+                     'user_id')
+    return _fold(both.map_batches(bucket, batch_format='pyarrow'),
+                 ['latency_hours'], pa.schema([('latency_hours', pa.int64()),
+                                               ('n_users', pa.int64())]))
 
 
 _CONVERSION_LATENCY_SQL = (
@@ -6841,9 +6458,7 @@ _CLICK_PURCHASE_SQL = (
 )
 
 
-def q_above_avg_orders(sf_dir: str,
-                       broadcast_cust_limit: int = 2_000_000
-                       ) -> ray.data.Dataset:
+def q_above_avg_orders(sf_dir: str) -> pd.DataFrame:
     """Correlated scalar subquery, decorrelated: per market segment, how
     many orders exceed 1.2x THEIR OWN customer's average order value.
     The comparison is INTEGER-exact — ``cents * 5 * n > 6 * sum_cents``
@@ -6851,105 +6466,41 @@ def q_above_avg_orders(sf_dir: str,
     flip it (1.2 = 6/5; prices are 2-decimal).
 
     Plan: per-customer (sum_cents, n) closes in one narrow two-phase
-    groupby; under ``broadcast_cust_limit`` that table plus the
-    customer->segment map broadcast as sorted arrays and orders stream one
-    vectorized filter+count pass; above it the per-order filter runs after
-    a co-partitioned join, pre-aggregates to per-customer counts, and
-    meets customer in a second narrow join.  Both paths frame-equal
-    (tests/test_analytics_paths.py)."""
-    import os
-
-    orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                                columns=['o_custkey', 'o_totalprice'])
-
-    def cents_partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(t.column('o_totalprice')
-                        .to_numpy(zero_copy_only=False) * 100.0) \
-            .astype(np.int64)
-        tbl = pa.table({'o_custkey': t.column('o_custkey'),
-                        '_s': pa.array(cents),
-                        '_n': pa.array(np.ones(len(t), np.int64))})
-        return tbl.group_by('o_custkey') \
-            .aggregate([('_s', 'sum'), ('_n', 'sum')]) \
-            .rename_columns(['o_custkey', '_s', '_n'])
-
-    per_cust = (orders.map_batches(cents_partial, batch_format='pyarrow')
-                .groupby('o_custkey')
-                .aggregate(Sum('_s', alias_name='_s'),
-                           Sum('_n', alias_name='_n'))).materialize()
-
-    cust = read_parquet_clean(os.path.join(sf_dir, 'customer.parquet'),
-                              columns=['c_custkey', 'c_mktsegment'])
-
-    if per_cust.count() <= broadcast_cust_limit:
-        pc_df = per_cust.to_pandas().sort_values('o_custkey')
-        ck = pc_df['o_custkey'].to_numpy(np.int64)
-        cs = pc_df['_s'].to_numpy(np.int64)
-        cn = pc_df['_n'].to_numpy(np.int64)
-        cu_df = cust.to_pandas().sort_values('c_custkey')
-        segs = sorted(cu_df['c_mktsegment'].unique())
-        seg_idx = {s: i for i, s in enumerate(segs)}
-        sk = cu_df['c_custkey'].to_numpy(np.int64)
-        sv = np.asarray([seg_idx[s] for s in cu_df['c_mktsegment']],
-                        np.int64)
-        side_ref = ray.put((ck, cs, cn, sk, sv, len(segs)))
-
-        def count_partial(t: pa.Table) -> pa.Table:
-            ck_, cs_, cn_, sk_, sv_, nseg = ray.get(side_ref)
-            if len(sk_) == 0 or len(ck_) == 0:
-                return pa.table({'c_mktsegment': pa.array([], pa.string()),
-                                 '_n': pa.array([], pa.int64())})
-            cust_k = t.column('o_custkey').to_numpy(zero_copy_only=False)
-            cents = np.rint(t.column('o_totalprice')
-                            .to_numpy(zero_copy_only=False) * 100.0) \
-                .astype(np.int64)
-            i1 = np.searchsorted(ck_, cust_k)
-            keep = cents * 5 * cn_[i1] > 6 * cs_[i1]   # every cust present
-            i2 = np.minimum(np.searchsorted(sk_, cust_k[keep]),
-                            len(sk_) - 1)
-            ok = sk_[i2] == cust_k[keep]
-            cnt = np.bincount(sv_[i2][ok], minlength=nseg).astype(np.int64)
-            return pa.table({'c_mktsegment': pa.array(segs, pa.string()),
-                             '_n': pa.array(cnt)})
-
-        return bounded_agg(
-            orders.map_batches(count_partial, batch_format='pyarrow'),
-            'c_mktsegment', Sum('_n', alias_name='n_above')) \
-            .filter(expr='n_above > 0')
-
-    cents = orders.map_batches(
-        lambda t: pa.table({
+    groupby and meets customer's segment in a ``hash_join``; the narrow
+    (custkey, cents) orders meet that customer-sized side in a second
+    ``hash_join``, each joined batch counts its above-average orders per
+    segment and the driver closes the counts (``_fold``)."""
+    orders = _table(sf_dir, 'orders', ['o_custkey', 'o_totalprice']) \
+        .map_batches(lambda t: pa.table({
             'o_custkey': t.column('o_custkey'),
             '_cents': pa.array(np.rint(
                 t.column('o_totalprice').to_numpy(zero_copy_only=False)
                 * 100.0).astype(np.int64))}),
-        batch_format='pyarrow')
-    joined = hash_join(cents, per_cust, 'o_custkey')
+            batch_format='pyarrow').materialize()     # consumed twice
+    per_cust = orders.map_batches(
+        lambda t: _sum_by(t.append_column(
+            '_n', pa.array(np.ones(len(t), np.int64))),
+            ['o_custkey'], ['_cents', '_n']),
+        batch_format='pyarrow').groupby('o_custkey').aggregate(
+            Sum('_cents', alias_name='_s'), Sum('_n', alias_name='_n'))
+    seg = _table(sf_dir, 'customer', ['c_custkey', 'c_mktsegment']) \
+        .map_batches(lambda t: t.rename_columns(['o_custkey',
+                                                 'c_mktsegment']),
+                     batch_format='pyarrow')
 
-    def above_partial(t: pa.Table) -> pa.Table:
-        cents = t.column('_cents').to_numpy(zero_copy_only=False)
-        s = t.column('_s').to_numpy(zero_copy_only=False)
-        n = t.column('_n').to_numpy(zero_copy_only=False)
-        keep = cents * 5 * n > 6 * s
-        ck_ = t.column('o_custkey').to_numpy(zero_copy_only=False)[keep]
-        uc, cnt = np.unique(ck_, return_counts=True)
-        return pa.table({'c_custkey': pa.array(uc.astype(np.int64)),
-                         '_n': pa.array(cnt.astype(np.int64))})
-
-    counts = (joined.map_batches(above_partial, batch_format='pyarrow')
-              .groupby('c_custkey').aggregate(Sum('_n', alias_name='_n')))
-    seg_join = hash_join(counts, cust, 'c_custkey')
-
-    def seg_partial(t: pa.Table) -> pa.Table:
-        tbl = pa.table({'c_mktsegment': t.column('c_mktsegment'),
-                        '_n': t.column('_n')})
-        return tbl.group_by('c_mktsegment').aggregate([('_n', 'sum')]) \
+    def count(t: pa.Table) -> pa.Table:
+        keep = (t.column('_cents').to_numpy(zero_copy_only=False) * 5
+                * t.column('_n').to_numpy(zero_copy_only=False)
+                > 6 * t.column('_s').to_numpy(zero_copy_only=False))
+        return t.filter(pa.array(keep)).group_by('c_mktsegment') \
+            .aggregate([([], 'count_all')]) \
             .rename_columns(['c_mktsegment', '_n'])
 
-    return bounded_agg(
-        seg_join.map_batches(seg_partial, batch_format='pyarrow'),
-        'c_mktsegment', Sum('_n', alias_name='n_above')) \
-        .filter(expr='n_above > 0')
+    return _fold(hash_join(orders, hash_join(per_cust, seg, 'o_custkey'),
+                           'o_custkey').map_batches(count,
+                                                    batch_format='pyarrow'),
+                 ['c_mktsegment'], pa.schema([('c_mktsegment', pa.string()),
+                                              ('n_above', pa.int64())]))
 
 
 _ABOVE_AVG_SQL = (
@@ -7531,18 +7082,16 @@ def _semdedup_sql(k: int = 4, iters: int = 3, dim: int = 64,
 _SEMDEDUP_SQL = _semdedup_sql()
 
 
-def q_cohort_retention(sf_dir: str,
-                       broadcast_user_limit: int = 2_000_000
-                       ) -> ray.data.Dataset:
+def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
     """Cohort retention triangle: users grouped by first-active epoch-week,
     distinct active users per (cohort_week, week_offset).  Plan: distinct
     (user, week) pairs via per-batch Arrow dedup + one narrow groupby
     (materialized once, consumed twice); per-user cohort via a second
-    two-phase min over those pairs; the cohort table stamps each pair —
-    broadcast once under ``broadcast_user_limit`` users (shuffle-free map),
-    co-partitioned narrow join above it (both paths frame-equal in tests);
-    final two-phase count.  Every shuffle row is two int64s — the event
-    payload never moves."""
+    two-phase min over those pairs; the pairs meet the cohort table in a
+    ``hash_join`` (a NULL user matches none, as in the oracle), and each
+    joined batch counts its pairs per (cohort, offset) and the driver
+    closes the counts (``_fold``).  Every shuffle row is two int64s — the
+    event payload never moves."""
 
     week_us = 604_800_000_000
 
@@ -7570,36 +7119,17 @@ def q_cohort_retention(sf_dir: str,
             'cohort_week': t.column('cohort_week'),
             'week_offset': pc.subtract(t.column('week'),
                                        t.column('cohort_week'))})
-        agg = tbl.group_by(['cohort_week', 'week_offset']).aggregate(
-            [([], 'count_all')])
-        return pa.table({'cohort_week': agg.column('cohort_week'),
-                         'week_offset': agg.column('week_offset'),
-                         '_n': pc.cast(agg.column('count_all'), pa.int64())})
+        return tbl.group_by(['cohort_week', 'week_offset']) \
+            .aggregate([([], 'count_all')]) \
+            .rename_columns(['cohort_week', 'week_offset', '_n'])
 
-    if cohort.count() <= broadcast_user_limit:
-        cmap = {r['user_id']: r['cohort_week']
-                for b in cohort.iter_batches(batch_size=None,
-                                             batch_format='pyarrow')
-                for r in b.to_pylist()}
-        cref = ray.put(cmap)
-
-        def stamp(t: pa.Table) -> pa.Table:
-            m = ray.get(cref)
-            users = t.column('user_id').to_numpy(zero_copy_only=False)
-            cw = np.fromiter((m[int(u)] for u in users),
-                             dtype=np.int64, count=len(users))
-            return off(pa.table({'week': t.column('week'),
-                                 'cohort_week': pa.array(cw, pa.int64())}))
-
-        stamped = pairs.map_batches(stamp, batch_format='pyarrow')
-    else:
-        joined = hash_join(pairs, cohort, 'user_id')
-        stamped = joined.map_batches(off, batch_format='pyarrow')
-
-    # stamped is bounded per-batch partials (one row per (cohort, offset,
-    # batch))
-    return bounded_agg(stamped, ['cohort_week', 'week_offset'],
-                       Sum('_n', alias_name='n_users'))
+    # bounded per-batch partials: one row per (cohort, offset, batch)
+    stamped = hash_join(pairs, cohort, 'user_id').map_batches(
+        off, batch_format='pyarrow')
+    return _fold(stamped, ['cohort_week', 'week_offset'],
+                 pa.schema([('cohort_week', pa.int64()),
+                            ('week_offset', pa.int64()),
+                            ('n_users', pa.int64())]))
 
 
 def q_token_edit_pairs(sf_dir: str) -> ray.data.Dataset:
@@ -7903,163 +7433,69 @@ _COHORT_RETENTION_SQL = (
 _TRADE_NATIONS = ('NATION_7', 'NATION_12')
 
 
-def q_nation_trade_volume(sf_dir: str,
-                          broadcast_order_limit: int = 2_000_000
-                          ) -> ray.data.Dataset:
+def q_nation_trade_volume(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q7 shape: bilateral shipping volume between two nations per
     ship-year — lineitem x supplier x orders x customer x nation(2), keeping
     only line items where the supplier sits in one of the two nations and
     the ordering customer in the other.
 
-    Plan (100 TB shape): the two nations' supplier->nationkey map broadcasts
-    once via ``ray.put`` (suppliers are ~1e-4 of lineitem rows).  The
-    customer and order sides are input-proportional and size-guarded like
-    Q5: under ``broadcast_order_limit`` the (orderkey -> cust-nation) arrays
-    broadcast and lineitem closes the query in ONE pass emitting <=
-    2 pairs x 2 years bounded partials; above it orders joins customers
-    co-partitioned on custkey and lineitem pre-aggregates per
-    (orderkey, supp-nation, year) before a second narrow co-partitioned
-    join — nothing order-proportional ever reaches the driver."""
-    import os
-    d0 = np.datetime64('1996-01-01')
-    d1 = np.datetime64('1998-01-01')
-    nation = read_parquet_clean(os.path.join(sf_dir, 'nation.parquet'),
-                                columns=['n_nationkey', 'n_name']).to_pandas()
+    Plan (100 TB shape): the nation names resolve driver-side (tiny).
+    Orders meet the two nations' customers in a ``hash_join``, giving a
+    narrow (orderkey, cust-nation) side; lineitem filtered to the ship
+    years projects to (orderkey, suppkey, year, integer-1e-4 revenue)
+    rows that meet the two nations' suppliers, then that order side, in
+    two more ``hash_join``s.  Each joined batch keeps the cross-nation
+    lines and sums them per (supp-nation, cust-nation, year) — at most
+    2 pairs x 2 years — and the driver closes the sums (``_fold``)."""
+    d0, d1 = np.datetime64('1996-01-01'), np.datetime64('1998-01-01')
+    nation = _dim(sf_dir, 'nation', ['n_nationkey', 'n_name'])
     name_by_key = dict(zip(nation['n_nationkey'].astype(int),
                            nation['n_name']))
-    pair_keys = np.fromiter(
-        (k for k, v in name_by_key.items() if v in _TRADE_NATIONS),
-        np.int64)
+    pair_keys = [k for k, v in name_by_key.items() if v in _TRADE_NATIONS]
+    supp = _table(sf_dir, 'supplier', ['s_suppkey', 's_nationkey']) \
+        .map_batches(lambda t: _nation_keys(t, 's_nationkey', pair_keys,
+                                            ['l_suppkey', 'supp_nat']),
+                     batch_format='pyarrow')
+    cust = _table(sf_dir, 'customer', ['c_custkey', 'c_nationkey']) \
+        .map_batches(lambda t: _nation_keys(t, 'c_nationkey', pair_keys,
+                                            ['o_custkey', 'cust_nat']),
+                     batch_format='pyarrow')
+    orders = _table(sf_dir, 'orders', ['o_orderkey', 'o_custkey']) \
+        .map_batches(lambda t: t.rename_columns(['l_orderkey', 'o_custkey']),
+                     batch_format='pyarrow')
+    onat = hash_join(orders, cust, 'o_custkey') \
+        .select_columns(['l_orderkey', 'cust_nat'])
 
-    supp = read_parquet_clean(os.path.join(sf_dir, 'supplier.parquet'),
-                              columns=['s_suppkey', 's_nationkey'])
-    sd = supp.map_batches(
-        lambda t: t.filter(pa.array(np.isin(
-            t.column('s_nationkey').to_numpy(zero_copy_only=False),
-            pair_keys))),
-        batch_format='pyarrow').to_pandas()
-    skeys = np.asarray(sd['s_suppkey'], np.int64)
-    s_ord = np.argsort(skeys, kind='stable')
-    supp_ref = ray.put((skeys[s_ord],
-                        np.asarray(sd['s_nationkey'], np.int64)[s_ord]))
-
-    cust = read_parquet_clean(
-        os.path.join(sf_dir, 'customer.parquet'),
-        columns=['c_custkey', 'c_nationkey']).map_batches(
-            lambda t: t.filter(pa.array(np.isin(
-                t.column('c_nationkey').to_numpy(zero_copy_only=False),
-                pair_keys))),
-            batch_format='pyarrow')
-    orders = read_parquet_clean(os.path.join(sf_dir, 'orders.parquet'),
-                                columns=['o_orderkey', 'o_custkey'])
-
-    def li_partial(onat_ref, per_order: bool):
-        def f(t: pa.Table) -> pa.Table:
-            sk, sn = ray.get(supp_ref)
-            dt = t.column('l_shipdate').to_numpy(zero_copy_only=False)
-            keep = (dt >= d0) & (dt < d1)
-            lk = t.column('l_suppkey').to_numpy(zero_copy_only=False)
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            year = dt.astype('datetime64[Y]').astype(np.int64) + 1970
-            if len(sk):
-                idx = np.minimum(np.searchsorted(sk, lk), len(sk) - 1)
-                keep &= sk[idx] == lk
-                s_nat = sn[idx]
-            else:
-                keep &= False
-                s_nat = np.zeros(len(lk), np.int64)
-            if per_order:
-                tbl = pa.table({
-                    'o_orderkey': pa.array(ok[keep], pa.int64()),
-                    'supp_nat': pa.array(s_nat[keep], pa.int64()),
-                    'l_year': pa.array(year[keep], pa.int64()),
-                    '_rev': pa.array(rev[keep], pa.int64())})
-                agg = tbl.group_by(['o_orderkey', 'supp_nat', 'l_year']) \
-                    .aggregate([('_rev', 'sum')])
-                return agg.rename_columns(
-                    ['o_orderkey', 'supp_nat', 'l_year', '_rev'])
-            okeys, onat = ray.get(onat_ref)
-            if len(okeys):
-                oidx = np.minimum(np.searchsorted(okeys, ok), len(okeys) - 1)
-                c_nat = onat[oidx]
-                keep &= (okeys[oidx] == ok) & (c_nat != s_nat)
-            else:
-                keep &= False
-                c_nat = np.zeros(len(ok), np.int64)
-            tbl = pa.table({'supp_nat': pa.array(s_nat[keep], pa.int64()),
-                            'cust_nat': pa.array(c_nat[keep], pa.int64()),
-                            'l_year': pa.array(year[keep], pa.int64()),
-                            '_rev': pa.array(rev[keep], pa.int64())})
-            agg = tbl.group_by(['supp_nat', 'cust_nat', 'l_year']) \
-                .aggregate([('_rev', 'sum')])
-            return agg.rename_columns(
-                ['supp_nat', 'cust_nat', 'l_year', '_rev'])
-        return f
-
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_orderkey', 'l_suppkey', 'l_shipdate',
-                 'l_extendedprice', 'l_discount'])
-
-    n_orders = orders.count()
-    if n_orders <= broadcast_order_limit:
-        cmap = {int(r['c_custkey']): int(r['c_nationkey'])
-                for b in cust.iter_batches(batch_size=None,
-                                           batch_format='pyarrow')
-                for r in b.to_pylist()}
-        oks, onats = [], []
-        for b in orders.iter_batches(batch_size=None,
-                                     batch_format='pyarrow'):
-            for r in b.to_pylist():
-                nk = cmap.get(int(r['o_custkey']))
-                if nk is not None:
-                    oks.append(int(r['o_orderkey']))
-                    onats.append(nk)
-        okeys = np.asarray(oks, np.int64)
-        o_ord = np.argsort(okeys, kind='stable')
-        onat_ref = ray.put((okeys[o_ord],
-                            np.asarray(onats, np.int64)[o_ord]))
-        # bounded partials (<= 2 pairs x 2 years per batch)
-        agg = bounded_agg(line.map_batches(li_partial(onat_ref, False),
-                                           batch_format='pyarrow'),
-                          ['supp_nat', 'cust_nat', 'l_year'],
-                          Sum('_rev', alias_name='_rev'))
-    else:
-        cnat = cust.map_batches(
-            lambda t: t.rename_columns(['o_custkey', 'cust_nat']),
-            batch_format='pyarrow')
-        onat = hash_join(orders, cnat, 'o_custkey',
-                         num_partitions=join_partitions(rows=n_orders)) \
-            .select_columns(['o_orderkey', 'cust_nat'])
-        partials = (line.map_batches(li_partial(None, True),
-                                     batch_format='pyarrow')
-                    .groupby(['o_orderkey', 'supp_nat', 'l_year'])
-                    .aggregate(Sum('_rev', alias_name='_rev')))
-        joined = hash_join(partials, onat, 'o_orderkey',
-                           num_partitions=join_partitions(rows=n_orders))
-        agg = (joined.map_batches(
-            lambda t: t.filter(pc.not_equal(t.column('supp_nat'),
-                                            t.column('cust_nat'))),
-            batch_format='pyarrow')
-            .groupby(['supp_nat', 'cust_nat', 'l_year'])
-            .aggregate(Sum('_rev', alias_name='_rev')))
-
-    def fin(t: pa.Table) -> pa.Table:
-        sn = t.column('supp_nat').to_numpy(zero_copy_only=False)
-        cn = t.column('cust_nat').to_numpy(zero_copy_only=False)
-        rev = t.column('_rev').to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
+    def ship_years(t: pa.Table) -> pa.Table:
+        dt = t.column('l_shipdate').to_numpy(zero_copy_only=False)
         return pa.table({
-            'supp_nation': pa.array([name_by_key[int(k)] for k in sn],
-                                    pa.string()),
-            'cust_nation': pa.array([name_by_key[int(k)] for k in cn],
-                                    pa.string()),
-            'l_year': t.column('l_year'),
-            'revenue': sql_round_pa(pa.array(rev / 10000.0), 2)})
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+            'l_orderkey': t.column('l_orderkey'),
+            'l_suppkey': t.column('l_suppkey'),
+            'l_year': pa.array(dt.astype('datetime64[Y]').astype(np.int64)
+                               + 1970),
+            '_rev': pa.array(_line_rev(t))}) \
+            .filter(pa.array((dt >= d0) & (dt < d1)))
+
+    def partial(t: pa.Table) -> pa.Table:
+        return _sum_by(t.filter(pc.not_equal(t.column('supp_nat'),
+                                             t.column('cust_nat'))),
+                       keys, ['_rev'])
+
+    line = _table(sf_dir, 'lineitem',
+                  ['l_orderkey', 'l_suppkey', 'l_shipdate',
+                   'l_extendedprice', 'l_discount']) \
+        .map_batches(ship_years, batch_format='pyarrow')
+    keys = ['supp_nat', 'cust_nat', 'l_year']
+    df = _fold(hash_join(hash_join(line, supp, 'l_suppkey'), onat,
+                         'l_orderkey').map_batches(partial,
+                                                   batch_format='pyarrow'),
+               keys, pa.schema([(k, pa.int64()) for k in keys + ['_rev']]))
+    return pd.DataFrame({
+        'supp_nation': df['supp_nat'].map(name_by_key).astype(object),
+        'cust_nation': df['cust_nat'].map(name_by_key).astype(object),
+        'l_year': df['l_year'],
+        'revenue': sql_round_np(df['_rev'].to_numpy(np.float64) / 10000.0,
+                                2)})
 
 
 _NATION_TRADE_SQL = (
@@ -8082,218 +7518,82 @@ _NATION_TRADE_SQL = (
 )
 
 
-def q_region_market_share(sf_dir: str,
-                          broadcast_limit: int = 2_000_000
-                          ) -> ray.data.Dataset:
+def q_region_market_share(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q8 shape: a nation's market share — the fraction of revenue on
     'ECONOMY'-type parts sold into the EUROPE customer region that came from
     NATION_3 suppliers, per order-year.
 
     Plan: numerator and denominator are both exact int64 1e-4-unit sums
     carried per year (2 rows of state), divided ONCE at the end — partial
-    order can never flip the rounding.  The full supplier->nationkey map
-    broadcasts (supplier ~1e-4 of lineitem; past the broadcast budget it
-    shards like stages/similarity.py).  The part and order sides are
-    input-proportional: under ``broadcast_limit`` qualifying partkeys and
-    the (orderkey -> year) arrays broadcast and lineitem closes the query
-    in one pass; above it both sides meet lineitem in co-partitioned
-    narrow joins."""
-    import os
-    d0 = np.datetime64('1996-01-01')
-    d1 = np.datetime64('1998-01-01')
-    nation = read_parquet_clean(
-        os.path.join(sf_dir, 'nation.parquet'),
-        columns=['n_nationkey', 'n_name', 'n_regionkey']).to_pandas()
-    region = read_parquet_clean(
-        os.path.join(sf_dir, 'region.parquet'),
-        columns=['r_regionkey', 'r_name']).to_pandas()
-    rk = int(region.loc[region['r_name'] == 'EUROPE',
-                        'r_regionkey'].iloc[0])
-    mkt_nations = np.asarray(
-        nation.loc[nation['n_regionkey'] == rk, 'n_nationkey'], np.int64)
+    order can never flip the rounding.  Nation and region resolve
+    driver-side (tiny).  The order-years meet the region's customers in a
+    ``hash_join``, giving a narrow (orderkey, year) side; lineitem's
+    narrow (orderkey, partkey, suppkey, revenue) rows meet that side (the
+    selective one), the ECONOMY partkeys and the (suppkey, is-NATION_3)
+    supplier side in three ``hash_join``s, and each joined batch sums its
+    revenue per year; the driver closes the sums (``_fold``)."""
+    d0, d1 = np.datetime64('1996-01-01'), np.datetime64('1998-01-01')
+    nation = _dim(sf_dir, 'nation', ['n_nationkey', 'n_name', 'n_regionkey'])
+    region = _dim(sf_dir, 'region', ['r_regionkey', 'r_name'])
+    rk = int(region.loc[region['r_name'] == 'EUROPE', 'r_regionkey'].iloc[0])
+    mkt_nations = nation.loc[nation['n_regionkey'] == rk,
+                             'n_nationkey'].tolist()
     target = int(nation.loc[nation['n_name'] == 'NATION_3',
                             'n_nationkey'].iloc[0])
 
-    sd = read_parquet_clean(os.path.join(sf_dir, 'supplier.parquet'),
-                            columns=['s_suppkey', 's_nationkey']).to_pandas()
-    skeys = np.asarray(sd['s_suppkey'], np.int64)
-    s_ord = np.argsort(skeys, kind='stable')
-    supp_ref = ray.put((skeys[s_ord],
-                        np.asarray(sd['s_nationkey'], np.int64)[s_ord]))
-
-    parts = read_parquet_clean(
-        os.path.join(sf_dir, 'part.parquet'),
-        columns=['p_partkey', 'p_type']).map_batches(
-            lambda t: t.select(['p_partkey']).filter(
-                pc.equal(t.column('p_type'), 'ECONOMY')),
-            batch_format='pyarrow').materialize()
-
-    cust = read_parquet_clean(
-        os.path.join(sf_dir, 'customer.parquet'),
-        columns=['c_custkey', 'c_nationkey']).map_batches(
-            lambda t: t.select(['c_custkey']).filter(pa.array(np.isin(
-                t.column('c_nationkey').to_numpy(zero_copy_only=False),
-                mkt_nations))),
-            batch_format='pyarrow')
-    orders = read_parquet_clean(
-        os.path.join(sf_dir, 'orders.parquet'),
-        columns=['o_orderkey', 'o_custkey', 'o_orderdate']).map_batches(
-            lambda t: t.select(['o_orderkey', 'o_custkey']).append_column(
-                'o_year', pa.array(
-                    t.column('o_orderdate').to_numpy(zero_copy_only=False)
-                    .astype('datetime64[Y]').astype(np.int64) + 1970,
-                    pa.int64())).filter(pa.array(
-                        (t.column('o_orderdate')
-                         .to_numpy(zero_copy_only=False) >= d0) &
-                        (t.column('o_orderdate')
-                         .to_numpy(zero_copy_only=False) < d1))),
-            batch_format='pyarrow').materialize()
-
-    def li_pass(pk_ref, oy_ref, per_order: bool):
-        def f(t: pa.Table) -> pa.Table:
-            sk, sn = ray.get(supp_ref)
-            pk = ray.get(pk_ref)
-            lp = t.column('l_partkey').to_numpy(zero_copy_only=False)
-            ls = t.column('l_suppkey').to_numpy(zero_copy_only=False)
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            if len(pk):
-                pidx = np.minimum(np.searchsorted(pk, lp), len(pk) - 1)
-                keep = pk[pidx] == lp
-            else:
-                keep = np.zeros(len(lp), bool)
-            if len(sk):
-                sidx = np.minimum(np.searchsorted(sk, ls), len(sk) - 1)
-                keep &= sk[sidx] == ls
-                s_nat = sn[sidx]
-            else:
-                keep &= False
-                s_nat = np.zeros(len(ls), np.int64)
-            if per_order:
-                tbl = pa.table({
-                    'o_orderkey': pa.array(ok[keep], pa.int64()),
-                    '_num': pa.array(
-                        np.where(s_nat[keep] == target, rev[keep], 0),
-                        pa.int64()),
-                    '_den': pa.array(rev[keep], pa.int64())})
-                agg = tbl.group_by('o_orderkey').aggregate(
-                    [('_num', 'sum'), ('_den', 'sum')])
-                return agg.rename_columns(['o_orderkey', '_num', '_den'])
-            oky, oyr = ray.get(oy_ref)
-            if len(oky):
-                oidx = np.minimum(np.searchsorted(oky, ok), len(oky) - 1)
-                keep &= oky[oidx] == ok
-                year = oyr[oidx]
-            else:
-                keep &= False
-                year = np.zeros(len(ok), np.int64)
-            tbl = pa.table({
-                'o_year': pa.array(year[keep], pa.int64()),
-                '_num': pa.array(
-                    np.where(s_nat[keep] == target, rev[keep], 0),
-                    pa.int64()),
-                '_den': pa.array(rev[keep], pa.int64())})
-            agg = tbl.group_by('o_year').aggregate(
-                [('_num', 'sum'), ('_den', 'sum')])
-            return agg.rename_columns(['o_year', '_num', '_den'])
-        return f
-
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_orderkey', 'l_partkey', 'l_suppkey',
-                 'l_extendedprice', 'l_discount'])
-
-    n_parts = parts.count()
-    n_orders = orders.count()
-    if n_parts <= broadcast_limit and n_orders <= broadcast_limit:
-        pks = np.sort(np.concatenate(
-            [b.column('p_partkey').to_numpy(zero_copy_only=False)
-             for b in parts.iter_batches(batch_size=None,
-                                         batch_format='pyarrow')] or
-            [np.empty(0, np.int64)]).astype(np.int64))
-        pk_ref = ray.put(pks)
-        cset = {int(r['c_custkey'])
-                for b in cust.iter_batches(batch_size=None,
-                                           batch_format='pyarrow')
-                for r in b.to_pylist()}
-        oks, oys = [], []
-        for b in orders.iter_batches(batch_size=None,
-                                     batch_format='pyarrow'):
-            for r in b.to_pylist():
-                if int(r['o_custkey']) in cset:
-                    oks.append(int(r['o_orderkey']))
-                    oys.append(int(r['o_year']))
-        okeys = np.asarray(oks, np.int64)
-        o_ord = np.argsort(okeys, kind='stable')
-        oy_ref = ray.put((okeys[o_ord], np.asarray(oys, np.int64)[o_ord]))
-        agg = bounded_agg(line.map_batches(li_pass(pk_ref, oy_ref, False),
-                                           batch_format='pyarrow'),
-                          'o_year', Sum('_num', alias_name='_num'),
-                          Sum('_den', alias_name='_den'))
-    else:
-        # join path: lineitem pre-aggregates per orderkey against the
-        # broadcast supplier+part maps... part side instead joins when the
-        # qualifying-part set is over budget
-        pk_ref = ray.put(np.empty(0, np.int64))
-        liq = line.map_batches(
-            lambda t: t.select(['l_orderkey', 'l_partkey', 'l_suppkey',
-                                'l_extendedprice', 'l_discount']),
-            batch_format='pyarrow')
-        pkeys = parts.map_batches(
-            lambda t: t.rename_columns(['l_partkey']), batch_format='pyarrow')
-        liq = hash_join(liq, pkeys, 'l_partkey',
-                        num_partitions=join_partitions(rows=n_parts))
-
-        def li_nat(t: pa.Table) -> pa.Table:
-            sk, sn = ray.get(supp_ref)
-            ls = t.column('l_suppkey').to_numpy(zero_copy_only=False)
-            ok = t.column('l_orderkey').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            if len(sk):
-                sidx = np.minimum(np.searchsorted(sk, ls), len(sk) - 1)
-                keep = sk[sidx] == ls
-                s_nat = sn[sidx]
-            else:
-                keep = np.zeros(len(ls), bool)
-                s_nat = np.zeros(len(ls), np.int64)
-            tbl = pa.table({
-                'o_orderkey': pa.array(ok[keep], pa.int64()),
-                '_num': pa.array(
-                    np.where(s_nat[keep] == target, rev[keep], 0),
-                    pa.int64()),
-                '_den': pa.array(rev[keep], pa.int64())})
-            agg = tbl.group_by('o_orderkey').aggregate(
-                [('_num', 'sum'), ('_den', 'sum')])
-            return agg.rename_columns(['o_orderkey', '_num', '_den'])
-
-        partials = (liq.map_batches(li_nat, batch_format='pyarrow')
-                    .groupby('o_orderkey')
-                    .aggregate(Sum('_num', alias_name='_num'),
-                               Sum('_den', alias_name='_den')))
-        ckeys = cust.map_batches(
-            lambda t: t.rename_columns(['o_custkey']), batch_format='pyarrow')
-        qual = hash_join(orders, ckeys, 'o_custkey',
-                         num_partitions=join_partitions(rows=n_orders)) \
-            .select_columns(['o_orderkey', 'o_year'])
-        joined = hash_join(partials, qual, 'o_orderkey',
-                           num_partitions=join_partitions(rows=n_orders))
-        agg = (joined.groupby('o_year')
-               .aggregate(Sum('_num', alias_name='_num'),
-                          Sum('_den', alias_name='_den')))
-
-    def fin(t: pa.Table) -> pa.Table:
-        num = t.column('_num').to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        den = t.column('_den').to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
+    def order_side(t: pa.Table) -> pa.Table:
+        dt = t.column('o_orderdate').to_numpy(zero_copy_only=False)
         return pa.table({
-            'o_year': t.column('o_year'),
-            'mkt_share': sql_round_pa(pa.array(num / den), 6)})
-    return drop_empty_blocks(agg).map_batches(fin, batch_format='pyarrow')
+            'l_orderkey': t.column('o_orderkey'),
+            'o_custkey': t.column('o_custkey'),
+            'o_year': pa.array(dt.astype('datetime64[Y]').astype(np.int64)
+                               + 1970)}) \
+            .filter(pa.array((dt >= d0) & (dt < d1)))
+
+    cust = _table(sf_dir, 'customer', ['c_custkey', 'c_nationkey']) \
+        .map_batches(lambda t: _nation_keys(t, 'c_nationkey', mkt_nations,
+                                            ['o_custkey', '_cnat']),
+                     batch_format='pyarrow')
+    oyear = hash_join(_table(sf_dir, 'orders',
+                             ['o_orderkey', 'o_custkey', 'o_orderdate'])
+                      .map_batches(order_side, batch_format='pyarrow'),
+                      cust, 'o_custkey').select_columns(['l_orderkey',
+                                                         'o_year'])
+    parts = _table(sf_dir, 'part', ['p_partkey', 'p_type']).map_batches(
+        lambda t: pa.table({'l_partkey': t.column('p_partkey')})
+        .filter(pc.equal(t.column('p_type'), 'ECONOMY')),
+        batch_format='pyarrow')
+    supp = _table(sf_dir, 'supplier', ['s_suppkey', 's_nationkey']) \
+        .map_batches(lambda t: pa.table({
+            'l_suppkey': t.column('s_suppkey'),
+            '_target': pc.fill_null(
+                pc.equal(t.column('s_nationkey'), target), False)}),
+            batch_format='pyarrow')
+    line = _table(sf_dir, 'lineitem',
+                  ['l_orderkey', 'l_partkey', 'l_suppkey',
+                   'l_extendedprice', 'l_discount']) \
+        .map_batches(lambda t: pa.table({
+            'l_orderkey': t.column('l_orderkey'),
+            'l_partkey': t.column('l_partkey'),
+            'l_suppkey': t.column('l_suppkey'),
+            '_den': pa.array(_line_rev(t))}), batch_format='pyarrow')
+
+    def partial(t: pa.Table) -> pa.Table:
+        den = t.column('_den').to_numpy(zero_copy_only=False)
+        num = np.where(t.column('_target').to_numpy(zero_copy_only=False),
+                       den, 0)
+        return _sum_by(t.append_column('_num', pa.array(num)),
+                       ['o_year'], ['_num', '_den'])
+
+    joined = hash_join(hash_join(hash_join(line, oyear, 'l_orderkey'),
+                                 parts, 'l_partkey'), supp, 'l_suppkey')
+    df = _fold(joined.map_batches(partial, batch_format='pyarrow'), ['o_year'],
+               pa.schema([('o_year', pa.int64()), ('_num', pa.int64()),
+                          ('_den', pa.int64())]))
+    return pd.DataFrame({
+        'o_year': df['o_year'],
+        'mkt_share': sql_round_np(df['_num'].to_numpy(np.float64)
+                                  / df['_den'].to_numpy(np.float64), 6)})
 
 
 _MARKET_SHARE_SQL = (
@@ -8415,91 +7715,46 @@ _DISJ_CLAUSES = (
 )
 
 
-def q_disjunctive_revenue(sf_dir: str,
-                          broadcast_part_limit: int = 2_000_000
-                          ) -> pd.DataFrame:
+def q_disjunctive_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q19 shape: revenue from lineitem x part under a DISJUNCTION of
     three (brand, size-range, quantity-range) clauses.
 
     Plan: the part side of each clause folds into ONE bitmask per
-    qualifying part (which clauses' brand+size matched), broadcast as
-    sorted arrays under ``broadcast_part_limit`` or met in a co-partitioned
-    narrow join above it; lineitem evaluates the quantity windows against
-    the mask vectorized and emits one int64 partial per batch."""
-    import os
-
+    qualifying part (which clauses' brand+size matched); lineitem's narrow
+    (partkey, quantity, revenue) rows meet those parts in a ``hash_join``,
+    and each joined batch evaluates the quantity windows against the mask
+    vectorized and emits one int64 partial; the driver adds them."""
     def part_mask(t: pa.Table) -> pa.Table:
         brand = t.column('p_brand').to_numpy(zero_copy_only=False)
         size = t.column('p_size').to_numpy(zero_copy_only=False)
         mask = np.zeros(len(brand), np.int64)
         for i, (b, smax, _, _) in enumerate(_DISJ_CLAUSES):
             mask |= ((brand == b) & (size >= 1) & (size <= smax)) << i
-        keep = mask != 0
-        return pa.table({'p_partkey': t.column('p_partkey')
-                         .filter(pa.array(keep)),
-                         '_mask': pa.array(mask[keep], pa.int64())})
+        return pa.table({'l_partkey': t.column('p_partkey'),
+                         '_mask': pa.array(mask)}).filter(pa.array(mask != 0))
 
-    parts = read_parquet_clean(
-        os.path.join(sf_dir, 'part.parquet'),
-        columns=['p_partkey', 'p_brand', 'p_size']).map_batches(
-            part_mask, batch_format='pyarrow').materialize()
-    line = read_parquet_clean(
-        os.path.join(sf_dir, 'lineitem.parquet'),
-        columns=['l_partkey', 'l_quantity', 'l_extendedprice',
-                 'l_discount'])
-
-    def qty_keep(qty: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def li(t: pa.Table) -> pa.Table:
+        qty = t.column('l_quantity').to_numpy(zero_copy_only=False)
+        mask = t.column('_mask').to_numpy(zero_copy_only=False)
         keep = np.zeros(len(qty), bool)
         for i, (_, _, qlo, qhi) in enumerate(_DISJ_CLAUSES):
             keep |= ((mask >> i) & 1).astype(bool) \
                 & (qty >= qlo) & (qty <= qhi)
-        return keep
+        rev = t.column('_rev').to_numpy(zero_copy_only=False)
+        return pa.table({'_rev': [int(rev[keep].sum())]})
 
-    n_parts = parts.count()
-    if n_parts <= broadcast_part_limit:
-        pd_parts = parts.to_pandas()
-        pks = np.asarray(pd_parts['p_partkey'], np.int64)
-        p_ord = np.argsort(pks, kind='stable')
-        pk_ref = ray.put((pks[p_ord],
-                          np.asarray(pd_parts['_mask'], np.int64)[p_ord]))
-
-        def li(t: pa.Table) -> pa.Table:
-            pk, pm = ray.get(pk_ref)
-            lp = t.column('l_partkey').to_numpy(zero_copy_only=False)
-            qty = t.column('l_quantity').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            if len(pk):
-                idx = np.minimum(np.searchsorted(pk, lp), len(pk) - 1)
-                keep = (pk[idx] == lp) & qty_keep(qty, pm[idx])
-            else:
-                keep = np.zeros(len(lp), bool)
-            return pa.table({'_rev': pa.array([int(rev[keep].sum())],
-                                              pa.int64())})
-
-        total = line.map_batches(li, batch_format='pyarrow').sum('_rev')
-    else:
-        lkeys = line.map_batches(
-            lambda t: t.rename_columns(
-                ['p_partkey', 'l_quantity', 'l_extendedprice',
-                 'l_discount']),
-            batch_format='pyarrow')
-        joined = hash_join(lkeys, parts, 'p_partkey')
-
-        def li2(t: pa.Table) -> pa.Table:
-            qty = t.column('l_quantity').to_numpy(zero_copy_only=False)
-            mask = t.column('_mask').to_numpy(zero_copy_only=False)
-            rev = _rev_e4(
-                t.column('l_extendedprice').to_numpy(zero_copy_only=False),
-                t.column('l_discount').to_numpy(zero_copy_only=False))
-            keep = qty_keep(qty, mask)
-            return pa.table({'_rev': pa.array([int(rev[keep].sum())],
-                                              pa.int64())})
-
-        total = joined.map_batches(li2, batch_format='pyarrow').sum('_rev')
-    revenue = (np.nan if total is None
-               else sql_round_scalar(float(total) / 10000.0, 2))
+    parts = _table(sf_dir, 'part', ['p_partkey', 'p_brand', 'p_size']) \
+        .map_batches(part_mask, batch_format='pyarrow')
+    line = _table(sf_dir, 'lineitem', ['l_partkey', 'l_quantity',
+                                       'l_extendedprice', 'l_discount']) \
+        .map_batches(lambda t: pa.table({
+            'l_partkey': t.column('l_partkey'),
+            'l_quantity': t.column('l_quantity'),
+            '_rev': pa.array(_line_rev(t))}), batch_format='pyarrow')
+    tot = hash_join(line, parts, 'l_partkey') \
+        .map_batches(li, batch_format='pyarrow').to_pandas()
+    revenue = (sql_round_scalar(float(tot['_rev'].sum()) / 10000.0, 2)
+               if len(tot) else np.nan)
     return pd.DataFrame({'revenue': [revenue]})
 
 
@@ -10823,27 +10078,22 @@ def _pack32(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (hi << 32) | lo
 
 
-def q_part_triangles(sf_dir: str,
-                     broadcast_edge_limit: int = 2_000_000
-                     ) -> pd.DataFrame:
+def q_part_triangles(sf_dir: str) -> pd.DataFrame:
     """Distributed triangle counting (node-iterator, ordered orientation)
     over the co-purchase part graph — the verified ``part_pairs_count``
     edge set, so the oracle composes that query's SQL.
 
     Plan (100 TB shape): edges arrive oriented low->high partkey, so a
     triangle a<b<c is exactly ONE wedge (a-b, a-c with b<c) whose closing
-    edge (b,c) exists.  Wedges come from a co-partitioned SELF equi-join of
-    the narrow materialized edge table on the low endpoint (input-sized
-    aggregator fleet); the closing-edge membership test packs (b<<32 | c)
-    into one int64 and broadcasts the sorted edge keyset under the guard —
-    above it the packed wedge and edge keys meet in a second co-partitioned
-    join instead, so nothing edge-proportional reaches the driver.  Both
-    paths frame-equal (tests/test_analytics_paths.py).  Skew note: ordered
-    orientation bounds wedge fan-out by per-node degree; a power-law graph
-    would swap in degree-ordered orientation (edge points at the
-    higher-degree endpoint), capping out-degree at O(sqrt(m)) — the
-    standard mitigation, unneeded for this basket graph."""
-
+    edge (b,c) exists.  Wedges come from a SELF ``hash_join`` of the
+    narrow materialized edge table on the low endpoint; the closing-edge
+    test packs (b<<32 | c) into one int64 and meets the packed edge keys
+    in a second ``hash_join``, so nothing edge-proportional reaches the
+    driver.  Skew note: ordered orientation bounds wedge fan-out by
+    per-node degree; a power-law graph would swap in degree-ordered
+    orientation (edge points at the higher-degree endpoint), capping
+    out-degree at O(sqrt(m)) — the standard mitigation, unneeded for this
+    basket graph."""
     edges = drop_empty_blocks(
         q_part_pairs_count(sf_dir).select_columns(['part_a', 'part_b']))
     n_edges = edges.count()
@@ -10856,46 +10106,24 @@ def q_part_triangles(sf_dir: str,
     wedges = hash_join(edges, right, 'part_a',
                        num_partitions=join_partitions(rows=n_edges))
 
-    if n_edges <= broadcast_edge_limit:
-        ep = edges.to_pandas()                      # edge-bounded, guarded
-        ekeys = np.sort(_pack32(np.asarray(ep['part_a'], np.int64),
-                                np.asarray(ep['part_b'], np.int64)))
-        ekeys_ref = ray.put(ekeys)
+    def pack_wedge(t: pa.Table) -> pa.Table:
+        b = t.column('part_b').to_numpy(zero_copy_only=False)
+        c = t.column('part_c').to_numpy(zero_copy_only=False)
+        keep = b < c
+        return pa.table({'_k': pa.array(_pack32(b[keep], c[keep]),
+                                        pa.int64())})
 
-        def close_count(t: pa.Table) -> pa.Table:
-            b = t.column('part_b').to_numpy(zero_copy_only=False)
-            c = t.column('part_c').to_numpy(zero_copy_only=False)
-            keep = b < c
-            k = _pack32(b[keep], c[keep])
-            ek = ray.get(ekeys_ref)
-            idx = np.minimum(np.searchsorted(ek, k), len(ek) - 1)
-            n = int(np.count_nonzero(ek[idx] == k)) if len(k) else 0
-            return pa.table({'_n': pa.array([n], pa.int64())})
+    def pack_edge(t: pa.Table) -> pa.Table:
+        a = t.column('part_a').to_numpy(zero_copy_only=False)
+        b = t.column('part_b').to_numpy(zero_copy_only=False)
+        return pa.table({'_k': pa.array(_pack32(a, b), pa.int64())})
 
-        tot = (wedges.map_batches(close_count, batch_format='pyarrow')
-               .groupby(None)
-               .aggregate(Sum('_n', alias_name='n_triangles')).to_pandas())
-        n_tri = int(tot['n_triangles'].iloc[0]) if len(tot) else 0
-    else:
-        def pack_wedge(t: pa.Table) -> pa.Table:
-            b = t.column('part_b').to_numpy(zero_copy_only=False)
-            c = t.column('part_c').to_numpy(zero_copy_only=False)
-            keep = b < c
-            return pa.table({'_k': pa.array(_pack32(b[keep], c[keep]),
-                                            pa.int64())})
-
-        def pack_edge(t: pa.Table) -> pa.Table:
-            a = t.column('part_a').to_numpy(zero_copy_only=False)
-            b = t.column('part_b').to_numpy(zero_copy_only=False)
-            return pa.table({'_k': pa.array(_pack32(a, b), pa.int64())})
-
-        wk = wedges.map_batches(pack_wedge, batch_format='pyarrow')
-        ek = drop_empty_blocks(
-            edges.map_batches(pack_edge, batch_format='pyarrow'))
-        # edge keys are unique (group keys) and wedges are unique per
-        # (a,b,c), so the inner join emits exactly one row per triangle
-        n_tri = hash_join(wk, ek, '_k',
-                          num_partitions=join_partitions(rows=n_edges)).count()
+    # edge keys are unique (group keys) and wedges are unique per (a,b,c),
+    # so the inner join emits exactly one row per triangle
+    n_tri = hash_join(wedges.map_batches(pack_wedge, batch_format='pyarrow'),
+                      edges.map_batches(pack_edge, batch_format='pyarrow'),
+                      '_k', num_partitions=join_partitions(rows=n_edges)) \
+        .count()
     return pd.DataFrame({'n_triangles': pd.array([n_tri], dtype='int64')})
 
 
@@ -11199,22 +10427,18 @@ _USER_GINI_SQL = (
 )
 
 
-def q_degree_assortativity(sf_dir: str,
-                           broadcast_node_limit: int = 5_000_000
-                           ) -> pd.DataFrame:
+def q_degree_assortativity(sf_dir: str) -> pd.DataFrame:
     """Degree assortativity of the co-purchase part graph: the Pearson
     correlation of endpoint degrees over the symmetric edge list — the
     "do hubs connect to hubs" diagnostic that decides whether a power-law
     mitigation (degree-ordered orientation, hot-key salting) is needed.
 
     Plan (100 TB shape): degrees are one narrow groupby over the edge
-    list; attaching them to both endpoints is the triangles-style
-    size-guarded choice — broadcast the sorted (node, degree) arrays
-    under the limit (one shuffle-free pass), two co-partitioned joins
-    above it.  All five sufficient statistics are INTEGER sums (exact
-    int64, order-independent on both sides); only the final correlation
-    arithmetic is float, computed once on the driver in the same
-    expression shape as the oracle."""
+    list, attached to both endpoints by two ``hash_join``s.  All five
+    sufficient statistics are INTEGER sums (exact int64,
+    order-independent); only the final correlation arithmetic is float,
+    computed once on the driver in the same expression shape as the
+    oracle."""
     from pii_detector_ray.functions.rounding import sql_round_scalar
 
     oriented = drop_empty_blocks(
@@ -11247,38 +10471,15 @@ def q_degree_assortativity(sf_dir: str,
             '_sjj': pa.array([int((j * j).sum())], pa.int64()),
             '_skk': pa.array([int((kk * kk).sum())], pa.int64())})
 
-    n_nodes = deg.count()
-    if n_nodes <= broadcast_node_limit:
-        dp = deg.to_pandas()                     # node-bounded, guarded
-        nodes = dp['a'].to_numpy(np.int64)
-        order = np.argsort(nodes, kind='stable')
-        nodes = nodes[order]
-        degv = dp['deg'].to_numpy(np.int64)[order]
-        dref = ray.put((nodes, degv))
-
-        def attach(t: pa.Table) -> pa.Table:
-            nd, dg = ray.get(dref)
-            a = t.column('a').to_numpy(zero_copy_only=False)
-            b = t.column('b').to_numpy(zero_copy_only=False)
-            # every endpoint appears in deg (built from these edges)
-            return stats(pa.table({
-                '_j': pa.array(dg[np.searchsorted(nd, a)], pa.int64()),
-                '_k': pa.array(dg[np.searchsorted(nd, b)], pa.int64())}))
-
-        parts = edges.map_batches(attach, batch_format='pyarrow') \
-            .to_pandas()
-    else:
-        nparts = join_partitions(rows=n_edges)
-        degb = deg.map_batches(
-            lambda t: t.rename_columns(['b', 'degb']),
-            batch_format='pyarrow')
-        jk = hash_join(hash_join(edges, deg, 'a', num_partitions=nparts),
-                       degb, 'b', num_partitions=nparts)
-        parts = jk.map_batches(
-            lambda t: stats(pa.table({'_j': t.column('deg'),
-                                      '_k': t.column('degb')})),
-            batch_format='pyarrow').to_pandas()
-
+    nparts = join_partitions(rows=n_edges)
+    degb = deg.map_batches(lambda t: t.rename_columns(['b', 'degb']),
+                           batch_format='pyarrow')
+    jk = hash_join(hash_join(edges, deg, 'a', num_partitions=nparts),
+                   degb, 'b', num_partitions=nparts)
+    parts = jk.map_batches(
+        lambda t: stats(pa.table({'_j': t.column('deg'),
+                                  '_k': t.column('degb')})),
+        batch_format='pyarrow').to_pandas()
     tot = parts.sum()
     m, sj, sk = int(tot['_m']), int(tot['_sj']), int(tot['_sk'])
     sjk, sjj, skk = int(tot['_sjk']), int(tot['_sjj']), int(tot['_skk'])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 
 import pytest
 import ray
+import ray.data
 from ray.data.context import DataContext
 
 
@@ -34,6 +36,41 @@ def max_block_size():
         finally:
             ctx.target_max_block_size = old
     return set_to
+
+
+@pytest.fixture
+def both_join_paths(monkeypatch):
+    """``both_join_paths(fn)`` returns ``(fn(), fn())``: the first run with
+    the default join plans, the second with ``BROADCAST_BUILD_BYTES`` 0, so
+    that every ``hash_join`` with rows on both sides takes Ray's shuffle
+    ``Join``.  Asserts that the first run made at least one
+    ``broadcast_join`` and the second at least one ``Dataset.join``."""
+    from pii_detector_ray.stages import dedup
+    calls = Counter()
+    broadcast_join, join = dedup.broadcast_join, ray.data.Dataset.join
+
+    def counted_broadcast_join(*args, **kwargs):
+        calls['broadcast_join'] += 1
+        return broadcast_join(*args, **kwargs)
+
+    def counted_join(self, *args, **kwargs):
+        calls['join'] += 1
+        return join(self, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, 'broadcast_join', counted_broadcast_join)
+    monkeypatch.setattr(ray.data.Dataset, 'join', counted_join)
+
+    def run(fn):
+        calls.clear()
+        default = fn()
+        assert calls['broadcast_join'] >= 1, calls
+        with monkeypatch.context() as m:
+            m.setattr(dedup, 'BROADCAST_BUILD_BYTES', 0)
+            calls.clear()
+            shuffled = fn()
+        assert calls['join'] >= 1, calls
+        return default, shuffled
+    return run
 
 
 @pytest.fixture(scope='session')

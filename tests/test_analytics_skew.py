@@ -70,15 +70,15 @@ def test_latency_empty_funnel_returns_empty(ray_session, tmp_path):
         'props': pa.array([''] * n, pa.string())}),
         os.path.join(tmp_path, 'events.parquet'))
     out = q_conversion_latency(str(tmp_path))
-    assert out.count() == 0
-    assert set(out.schema().names) == {'latency_hours', 'n_users'}
+    assert len(out) == 0
+    assert set(out.columns) == {'latency_hours', 'n_users'}
 
 
-def test_latency_on_mega_user_both_paths(ray_session, skewed_dir):
+def test_latency_on_mega_user_both_paths(ray_session, skewed_dir,
+                                        both_join_paths):
     exp = _con(skewed_dir).execute(
         oracle_sql()['conversion_latency']).fetchdf() \
         .sort_values('latency_hours').reset_index(drop=True)
-    for limit in (2_000_000, 0):     # broadcast and join paths
-        got = q_conversion_latency(skewed_dir, broadcast_user_limit=limit) \
-            .to_pandas().sort_values('latency_hours').reset_index(drop=True)
-        assert got.astype('int64').equals(exp.astype('int64')), limit
+    for got in both_join_paths(lambda: q_conversion_latency(skewed_dir)):
+        got = got.sort_values('latency_hours').reset_index(drop=True)
+        assert got.astype('int64').equals(exp.astype('int64'))

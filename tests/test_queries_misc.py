@@ -1,4 +1,5 @@
-"""Guarded-path equivalence checks for queries with size-dependent plans."""
+"""Join-path equivalence checks (broadcast vs Ray's shuffle ``Join``) and
+the skyline kernel and oracle checks."""
 
 import pandas as pd
 
@@ -7,9 +8,8 @@ from pii_detector_ray.queries import q_shipping_priority
 SF = '/root/testdata/sf0.001'
 
 
-def test_shipping_priority_paths_equal(ray_session):
-    broadcast = q_shipping_priority(SF)
-    joined = q_shipping_priority(SF, broadcast_order_limit=0)
+def test_shipping_priority_paths_equal(ray_session, both_join_paths):
+    broadcast, joined = both_join_paths(lambda: q_shipping_priority(SF))
     pd.testing.assert_frame_equal(broadcast, joined)
 
 
@@ -56,8 +56,7 @@ def test_skyline_window_oracle_matches_not_exists():
     pd.testing.assert_frame_equal(win, ne)
 
 
-def test_assortativity_paths_equal(ray_session):
+def test_assortativity_paths_equal(ray_session, both_join_paths):
     from pii_detector_ray.queries import q_degree_assortativity
-    broadcast = q_degree_assortativity(SF)
-    joined = q_degree_assortativity(SF, broadcast_node_limit=0)
+    broadcast, joined = both_join_paths(lambda: q_degree_assortativity(SF))
     pd.testing.assert_frame_equal(broadcast, joined)

@@ -8,6 +8,7 @@ the sorted-prefix pattern outside ``stages/ranks.py``."""
 
 import ast
 import contextlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -443,6 +444,19 @@ def test_shuffle_workaround_lives_in_one_place():
     assert sorted(defs) == [('stages/dedup.py', 'bounded_agg'),
                             ('stages/dedup.py', 'drop_empty_blocks'),
                             ('stages/dedup.py', 'hash_join')]
+
+
+def test_queries_take_no_broadcast_limit():
+    """Broadcast vs shuffle is chosen in one place, ``dedup.broadcasts``,
+    from measured bytes: no function in ``queries.py`` takes a row-count
+    ``broadcast...limit`` parameter that picks a plan of its own."""
+    tree = ast.parse((PKG / 'queries.py').read_text())
+    forks = [(fn.name, a.arg) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for a in (fn.args.posonlyargs + fn.args.args
+                       + fn.args.kwonlyargs)
+             if re.search(r'broadcast\w*limit', a.arg)]
+    assert forks == []
 
 
 def test_sorted_prefix_lives_in_one_place():
