@@ -44,6 +44,9 @@ from pii_detector_ray.stages.dedup import (
     join_partitions,
 )
 from pii_detector_ray.stages.ranks import (
+    cumulative_sum,
+    event_deltas,
+    event_transitions,
     map_blocks,
     midranks,
     nan_last,
@@ -52,6 +55,7 @@ from pii_detector_ray.stages.ranks import (
     per_part,
     prefix_before,
     rank_ties,
+    rolling_sum,
     run_starts,
     sorted_prefix,
 )
@@ -757,12 +761,10 @@ _EVENTS_PIVOT_SQL = (
 
 def q_event_deltas(sf_dir: str) -> ray.data.Dataset:
     """lag() window: per event, microseconds since the user's previous event
-    (first event per user dropped).  Per-user map_groups with a vectorized
-    diff over the (ts, event_id)-sorted stream; mega-users route through the
-    day-bucketed salted variant (stages/skew.py)."""
-    from pii_detector_ray.stages.skew import event_deltas
-    return event_deltas(_events(sf_dir, ['user_id', 'event_id', 'ts']),
-                        hot_key_threshold=_events_hot_threshold(sf_dir))
+    (first event per user dropped).  One ``stages.ranks.sorted_sequences``
+    sort by (user, ts, event_id) and a shifted compare per block; a user
+    spanning several blocks continues from the carried last row."""
+    return event_deltas(_events(sf_dir, ['user_id', 'event_id', 'ts']))
 
 
 def _events_hot_threshold(sf_dir: str) -> int | None:
@@ -802,21 +804,18 @@ def q_user_cumulative(sf_dir: str) -> ray.data.Dataset:
     """Running-total window (sum OVER ROWS UNBOUNDED PRECEDING): per event,
     the user's cumulative spend so far in (ts, event_id) order.  Value is
     converted to integer cents (DuckDB half-away rounding,
-    functions/rounding.py) so the distributed re-association is exact;
-    mega-users route through the day-bucketed salted variant
-    (stages/skew.py, VERDICT r2 #4 pattern)."""
-    from pii_detector_ray.stages.skew import cumulative_sum
-    return cumulative_sum(_events_cents(sf_dir), val_col='cents',
-                          hot_key_threshold=_events_hot_threshold(sf_dir))
+    functions/rounding.py) so the distributed re-association is exact.
+    One ``stages.ranks.sorted_sequences`` sort; a user spanning several
+    blocks continues from the carried sum of its earlier blocks."""
+    return cumulative_sum(_events_cents(sf_dir), val_col='cents')
 
 
 def q_user_rolling3(sf_dir: str) -> ray.data.Dataset:
     """Rolling 3-event window sum per user (ROWS BETWEEN 2 PRECEDING AND
-    CURRENT ROW) — integer cents for distributed exactness, mega-users via
-    the bounded tail-carry salted variant (stages/skew.rolling_sum)."""
-    from pii_detector_ray.stages.skew import rolling_sum
-    return rolling_sum(_events_cents(sf_dir), val_col='cents', window=3,
-                       hot_key_threshold=_events_hot_threshold(sf_dir))
+    CURRENT ROW) — integer cents for distributed exactness.  One
+    ``stages.ranks.sorted_sequences`` sort; a user spanning several blocks
+    is completed by the carried last 2 rows of its earlier blocks."""
+    return rolling_sum(_events_cents(sf_dir), val_col='cents', window=3)
 
 
 _USER_ROLLING3_SQL = (
@@ -5812,18 +5811,12 @@ _RESERVOIR_SAMPLE_SQL = (
 def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     """First-order Markov transition counts over the event stream: how
     often each event_type follows each other type within a user's
-    (ts, event_id)-ordered history.  Mega-users route through the
-    day-bucketed salted variant (stages/skew.event_transitions_salted);
-    the final aggregate is (type x type)-bounded, so partials coalesce to
-    one block first (``bounded_agg``)."""
-    from pii_detector_ray.stages.skew import event_transitions
-    partials = event_transitions(
-        _events(sf_dir, ['user_id', 'event_id', 'ts', 'event_type']),
-        hot_key_threshold=_events_hot_threshold(sf_dir))
-    return _frame(bounded_agg(partials, ['prev_type', 'next_type'],
-                              Sum('_n', alias_name='n_transitions')),
-                  pa.schema([('prev_type', pa.string()), ('next_type', pa.string()),
-                             ('n_transitions', pa.int64())]))
+    (ts, event_id)-ordered history.  One ``stages.ranks.sorted_sequences``
+    sort; each block counts its (type x type)-bounded pairs, and the driver
+    sums the per-block counts."""
+    return event_transitions(
+        _events(sf_dir, ['user_id', 'event_id', 'ts', 'event_type'])) \
+        .to_pandas()
 
 
 _EVENT_TRANSITIONS_SQL = (
@@ -12920,9 +12913,10 @@ def q_event_markov2(sf_dir: str) -> pd.DataFrame:
     (DuckDB round semantics on both sides), and the composition
     ``w2(a,c) = Σ_b q(a,b)·q(b,c)`` is then a pure INTEGER matrix product —
     no float summation order anywhere.  Scale shape: the distributed work
-    is the existing transition-count machinery (salted for mega-users);
-    the composition runs on the TYPE-ALPHABET-bounded count table (T²
-    rows), driver-side by construction."""
+    is ``q_event_transitions``' one sort; the composition runs on the
+    TYPE-ALPHABET-bounded count table (T² rows), driver-side by
+    construction.  A NULL next type is its own state, and comes back as
+    None like DuckDB's NULL."""
     trans = q_event_transitions(sf_dir)
     out_n = trans.groupby('prev_type', dropna=False)['n_transitions'] \
         .transform('sum').to_numpy(np.int64)
@@ -12935,7 +12929,7 @@ def q_event_markov2(sf_dir: str) -> pd.DataFrame:
         .groupby(['a', 'c'], as_index=False, dropna=False)['w2'].sum()
     return pd.DataFrame({
         'prev_type': p2['a'].astype(object),
-        'next2_type': p2['c'].astype(object),
+        'next2_type': p2['c'].astype(object).where(p2['c'].notna(), None),
         'w2': p2['w2'].astype('int64'),
         'prob2': pd.Series(sql_round_np(p2['w2'].to_numpy(np.int64) / 1e12,
                                         6), dtype='float64')})

@@ -39,7 +39,7 @@ def sessionize(ds: ray.data.Dataset, *, gap_minutes: int = 30,
 
     def prep(t: pa.Table) -> pa.Table:
         # cast ts->int64 MICROSECONDS on the arrow side, like every other
-        # per-key operator (skew.sessionize_salted, event_deltas, ...): a
+        # per-key operator (skew.sessionize_salted, ranks.event_deltas): a
         # pandas astype('int64') inside map_groups would silently yield
         # NANOseconds on any stack where to_pandas coerces the us unit,
         # making the gap cut 1000x too aggressive and the plain/salted

@@ -1,15 +1,15 @@
-"""Mega-key (skew) handling for the per-key window operators.
+"""Mega-key (skew) handling for the operators that still group by key.
 
-``sessionize`` / ``asof_join`` / ``event_deltas`` / ``cumulative_sum`` /
-``rolling_sum`` co-partition by a key and process each key in ONE
-``map_groups`` task — fine for per-user event streams, fatal for a
-mega-key (one user holding 10^8 events is one task's memory).  This
-module supplies the standard mitigation (VERDICT r2 #4),
-the same time-bucket-salt + boundary-carry pattern as ``stages/hostagg.py``:
+``sessionize``, ``debounce_counts`` and ``asof_join`` process each key in
+ONE ``map_groups`` task: fine for per-user event streams, fatal for a
+mega-key (one user holding 10^8 events is one task's memory).  This module
+supplies their mitigation, the time-bucket-salt + boundary-carry pattern
+of ``stages/hostagg.py``:
 
 1. :func:`hot_keys` — a NARROW two-phase count (per-batch ``group_by``
    partial, one int row per key per batch crosses the shuffle) finds keys
    above a row-count threshold; the resulting set is tiny by definition.
+   ``stages/joins.skew_join`` uses it and :func:`split_by_keys` as well.
 2. The caller routes hot keys through a salted variant — groups become
    ``(key, ts // bucket_us)`` so no task ever holds more than one bucket of
    one key — and merges bucket-boundary state in a second, BOUNDED pass
@@ -18,6 +18,10 @@ the same time-bucket-salt + boundary-carry pattern as ``stages/hostagg.py``:
 
 All salted variants are EXACT (asserted against the plain path in
 ``tests/test_skew.py``); salting only changes the shuffle/group shape.
+
+The lag, transition, running-sum and rolling-sum operators need no salt:
+they run on one global sort (``stages/ranks.sorted_sequences``), which
+range-partitions a mega-key over several blocks by itself.
 """
 
 from __future__ import annotations
@@ -262,198 +266,6 @@ def sessionize_salted(ds: ray.data.Dataset, *, gap_us: int,
     return interior.union(border)
 
 
-# ---------------------------------------------------------------------------
-# Salted lag(): per-(user, day-bucket) local diffs; one boundary-summary row
-# per bucket (first event's id+ts, last event's ts) feeds a per-user pass
-# that resolves the cross-bucket deltas.
-# ---------------------------------------------------------------------------
-
-def event_deltas_salted(ds: ray.data.Dataset, *,
-                        bucket_us: int = DEFAULT_BUCKET_US) -> ray.data.Dataset:
-    """Exact per-user lag deltas with bounded per-task memory.  Input
-    columns: user_id, event_id, ts.  Output matches the plain path:
-    event_id, delta_us (first event per user dropped)."""
-    def prep(t: pa.Table) -> pa.Table:
-        ts = pc.cast(t.column('ts'), pa.int64())
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'), '_ts': ts,
-                         '_bucket': pc.divide(ts, bucket_us)})
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        ts = g['_ts'].to_numpy()
-        eid = g['event_id'].astype('int64').to_numpy()
-        d = np.diff(ts)
-        # interior deltas are final (_b = -1); the boundary row carries
-        # (first event id+ts, last ts) for the per-user cross-bucket pass
-        out = pd.DataFrame({'event_id': eid[1:], 'delta_us': d,
-                            '_last_ts': np.int64(0), '_b': np.int64(-1)})
-        head = pd.DataFrame({'event_id': eid[:1], 'delta_us': ts[:1],
-                             '_last_ts': ts[-1:],
-                             '_b': g['_bucket'].iloc[:1].astype('int64')})
-        out = pd.concat([head, out], ignore_index=True)
-        out.insert(0, 'user_id', g['user_id'].iloc[0])
-        return out
-
-    local = ds.map_batches(prep, batch_format='pyarrow') \
-        .groupby(['user_id', '_bucket']) \
-        .map_groups(per_bucket, batch_format='pandas')
-
-    interior = local.filter(expr='_b == -1') \
-        .select_columns(['event_id', 'delta_us'])
-
-    def merge_user(g: pd.DataFrame) -> pd.DataFrame:
-        # one row per bucket: delta_us holds the bucket's FIRST ts here
-        g = g.sort_values('_b', kind='mergesort')
-        first_ts = g['delta_us'].to_numpy()
-        last_ts = g['_last_ts'].to_numpy()
-        eid = g['event_id'].astype('int64').to_numpy()
-        return pd.DataFrame({'event_id': eid[1:],
-                             'delta_us': first_ts[1:] - last_ts[:-1]})
-
-    border = local.filter(expr='_b >= 0') \
-        .groupby('user_id').map_groups(merge_user, batch_format='pandas') \
-        .select_columns(['event_id', 'delta_us'])
-    return interior.union(border)
-
-
-def event_deltas(ds: ray.data.Dataset, *,
-                 hot_key_threshold: int | None = 1_000_000,
-                 bucket_us: int = DEFAULT_BUCKET_US) -> ray.data.Dataset:
-    """lag() window: per event, microseconds since the user's previous
-    event in (ts, event_id) order (first event per user dropped).  Input
-    columns: user_id, event_id, ts.  Plain path: one per-user
-    ``map_groups`` with a vectorized diff; mega-keys route through
-    :func:`event_deltas_salted` (VERDICT r2 #4)."""
-    hot_parts, (ds,) = split_hot([ds], 'user_id', hot_key_threshold)
-    salted = None
-    if hot_parts is not None:
-        salted = event_deltas_salted(hot_parts[0], bucket_us=bucket_us)
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'),
-                         '_ts': pc.cast(t.column('ts'), pa.int64())})
-
-    def deltas(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        d = g['_ts'].diff()
-        out = pd.DataFrame({'event_id': g['event_id'].astype('int64'),
-                            'delta_us': d})
-        out = out[out['delta_us'].notna()]
-        out['delta_us'] = out['delta_us'].astype('int64')
-        return out
-
-    plain = (ds.map_batches(prep, batch_format='pyarrow')
-             .groupby('user_id').map_groups(deltas, batch_format='pandas'))
-    return plain.union(salted) if salted is not None else plain
-
-
-def event_transitions(ds: ray.data.Dataset, *,
-                      hot_key_threshold: int | None = 1_000_000,
-                      bucket_us: int = DEFAULT_BUCKET_US
-                      ) -> ray.data.Dataset:
-    """First-order Markov transition partials: per user, consecutive
-    (prev event_type, next event_type) pairs in (ts, event_id) order,
-    pre-counted per group.  Input columns: user_id, event_id, ts,
-    event_type.  Output: (prev_type, next_type, _n) PARTIALS — the caller
-    closes the (type x type)-bounded aggregate.  Mega-users route through
-    :func:`event_transitions_salted` (the event_deltas hot-key contract)."""
-    hot_parts, (ds,) = split_hot([ds], 'user_id', hot_key_threshold)
-    salted = None
-    if hot_parts is not None:
-        salted = event_transitions_salted(hot_parts[0], bucket_us=bucket_us)
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'),
-                         'event_type': t.column('event_type'),
-                         '_ts': pc.cast(t.column('ts'), pa.int64())})
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        tp = g['event_type'].to_numpy()
-        if len(tp) < 2:
-            return pd.DataFrame({'prev_type': [], 'next_type': [],
-                                 '_n': []}).astype(
-                {'prev_type': 'object', 'next_type': 'object',
-                 '_n': 'int64'})
-        return _pair_counts(tp[:-1], tp[1:])
-
-    plain = (ds.map_batches(prep, batch_format='pyarrow')
-             .groupby('user_id').map_groups(pairs, batch_format='pandas'))
-    return plain.union(salted) if salted is not None else plain
-
-
-def _pair_counts(prev: np.ndarray, nxt: np.ndarray) -> pd.DataFrame:
-    """(prev_type, next_type, _n) counts under the transition operators'
-    NULL contract (the `_EVENT_TRANSITIONS_SQL` oracle): a pair whose
-    PREV type is NULL never counts (`WHERE prev_type IS NOT NULL` — it
-    conflates lag-at-first-row with a genuinely NULL-typed prev event),
-    while a NULL NEXT type forms its own group (SQL GROUP BY emits the
-    NULL group; pandas' default dropna=True silently dropped it — the
-    debounce NULL-group divergence class, ADVICE r5)."""
-    keep = pd.notna(prev)
-    return pd.DataFrame({'prev_type': prev[keep], 'next_type': nxt[keep]}) \
-        .groupby(['prev_type', 'next_type'], sort=False, dropna=False) \
-        .size().rename('_n').reset_index()
-
-
-def event_transitions_salted(ds: ray.data.Dataset, *,
-                             bucket_us: int = DEFAULT_BUCKET_US
-                             ) -> ray.data.Dataset:
-    """Exact per-user transition pairs with bounded per-task memory:
-    per-(user, day-bucket) local pairs, plus one boundary row per bucket
-    carrying the bucket's FIRST and LAST event types (with the first
-    (ts, event_id) for ordering); the per-user pass adds the cross-bucket
-    (last of k, first of k+1) pairs.  Output matches the plain path:
-    (prev_type, next_type, _n) partials."""
-    def prep(t: pa.Table) -> pa.Table:
-        ts = pc.cast(t.column('ts'), pa.int64())
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'),
-                         'event_type': t.column('event_type'), '_ts': ts,
-                         '_bucket': pc.divide(ts, bucket_us)})
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        tp = g['event_type'].to_numpy()
-        out = _pair_counts(tp[:-1], tp[1:])
-        out['_b'] = np.int64(-1)
-        head = pd.DataFrame({
-            'prev_type': tp[-1:],           # bucket's LAST type
-            'next_type': tp[:1],            # bucket's FIRST type
-            '_n': np.int64(0),
-            '_b': g['_bucket'].iloc[:1].astype('int64')})
-        out = pd.concat([head, out], ignore_index=True)
-        out.insert(0, 'user_id', g['user_id'].iloc[0])
-        return out
-
-    local = ds.map_batches(prep, batch_format='pyarrow') \
-        .groupby(['user_id', '_bucket']) \
-        .map_groups(per_bucket, batch_format='pandas')
-
-    interior = local.filter(expr='_b == -1') \
-        .select_columns(['prev_type', 'next_type', '_n'])
-
-    def merge_user(g: pd.DataFrame) -> pd.DataFrame:
-        # one row per bucket: prev_type = bucket LAST, next_type = FIRST
-        g = g.sort_values('_b', kind='mergesort')
-        last_tp = g['prev_type'].to_numpy()
-        first_tp = g['next_type'].to_numpy()
-        if len(g) < 2:
-            return pd.DataFrame({'prev_type': [], 'next_type': [],
-                                 '_n': []}).astype(
-                {'prev_type': 'object', 'next_type': 'object',
-                 '_n': 'int64'})
-        return _pair_counts(last_tp[:-1], first_tp[1:])
-
-    border = local.filter(expr='_b >= 0') \
-        .groupby('user_id').map_groups(merge_user, batch_format='pandas') \
-        .select_columns(['prev_type', 'next_type', '_n'])
-    return interior.union(border)
-
-
 def debounce_counts_salted(ds: ray.data.Dataset, *, threshold_us: int,
                            bucket_us: int = DEFAULT_BUCKET_US
                            ) -> ray.data.Dataset:
@@ -525,7 +337,7 @@ def debounce_counts(ds: ray.data.Dataset, *, threshold_us: int,
     order) is >= ``threshold_us``.  Input columns: user_id, event_id, ts,
     event_type.  Output: (event_type, _n) kept-count PARTIALS — the caller
     closes the type-bounded aggregate.  Mega-users route through
-    :func:`debounce_counts_salted` (the event_deltas hot-key contract)."""
+    :func:`debounce_counts_salted`."""
     hot_parts, (ds,) = split_hot([ds], 'user_id', hot_key_threshold)
     salted = None
     if hot_parts is not None:
@@ -656,237 +468,3 @@ def asof_join_salted(left: ray.data.Dataset, right: ray.data.Dataset, *,
 
     return tagged_l.union(tagged_r, carries) \
         .groupby([by, '_bucket']).map_groups(merge, batch_format='pandas')
-
-
-# ---------------------------------------------------------------------------
-# Running-total window (sum ... OVER (PARTITION BY key ORDER BY ts, id
-# ROWS UNBOUNDED PRECEDING)) with the same mega-key salting as event_deltas.
-# Integer value column so distributed re-association is exact (callers
-# convert currency to cents with functions/rounding before this stage).
-# ---------------------------------------------------------------------------
-
-def cumulative_sum(ds: ray.data.Dataset, *, val_col: str,
-                   hot_key_threshold: int | None = 1_000_000,
-                   bucket_us: int = DEFAULT_BUCKET_US) -> ray.data.Dataset:
-    """Per event, the running total of ``val_col`` (int64) over the user's
-    events up to and including it in (ts, event_id) order.  Input columns:
-    user_id, event_id, ts, ``val_col``.  Output: event_id, cum_<val_col>.
-
-    Plain path: one per-user ``map_groups`` (sort + cumsum).  Mega-keys
-    route through :func:`cumulative_sum_salted`: per-(user, day-bucket)
-    local cumsums, a BOUNDED per-user pass over one summary row per bucket
-    to compute exclusive bucket offsets, and a co-partitioned join adding
-    the offset back — no task ever holds more than one bucket of one user.
-    """
-    out_col = f'cum_{val_col}'
-    hot_parts, (ds,) = split_hot([ds], 'user_id', hot_key_threshold)
-    salted = None
-    if hot_parts is not None:
-        salted = cumulative_sum_salted(hot_parts[0], val_col=val_col,
-                                       bucket_us=bucket_us)
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'),
-                         '_ts': pc.cast(t.column('ts'), pa.int64()),
-                         val_col: pc.cast(t.column(val_col), pa.int64())})
-
-    def cum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        return pd.DataFrame({
-            'event_id': g['event_id'].astype('int64'),
-            out_col: g[val_col].to_numpy(np.int64).cumsum()})
-
-    plain = (ds.map_batches(prep, batch_format='pyarrow')
-             .groupby('user_id').map_groups(cum, batch_format='pandas'))
-    return plain.union(salted) if salted is not None else plain
-
-
-def cumulative_sum_salted(ds: ray.data.Dataset, *, val_col: str,
-                          bucket_us: int = DEFAULT_BUCKET_US
-                          ) -> ray.data.Dataset:
-    """Exact running totals with bounded per-task memory (see
-    :func:`cumulative_sum`)."""
-    from pii_detector_ray.stages.dedup import hash_join
-    out_col = f'cum_{val_col}'
-
-    def prep(t: pa.Table) -> pa.Table:
-        ts = pc.cast(t.column('ts'), pa.int64())
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'), '_ts': ts,
-                         val_col: pc.cast(t.column(val_col), pa.int64()),
-                         '_bucket': pc.divide(ts, bucket_us)})
-
-    # each group emits its local cumsum rows (_tag=0) plus ONE summary row
-    # (_tag=1, _local = bucket total) — the event_deltas tagged-row shape,
-    # so no second shuffle of output-sized rows is needed to get totals
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        v = g[val_col].to_numpy(np.int64).cumsum()
-        # user_id keeps its input dtype (string keys are valid partition
-        # keys — the plain path never coerces, so hot routing must not
-        # start crashing on them; review r5)
-        out = pd.DataFrame({
-            'user_id': g['user_id'].reset_index(drop=True),
-            '_bucket': g['_bucket'].astype('int64').reset_index(drop=True),
-            'event_id': g['event_id'].astype('int64').reset_index(drop=True),
-            '_local': v, '_tag': np.int64(0)})
-        summ = pd.DataFrame({'user_id': [g['user_id'].iloc[0]],
-                             '_bucket': [int(g['_bucket'].iloc[0])],
-                             'event_id': [np.int64(-1)],
-                             '_local': [v[-1]], '_tag': [np.int64(1)]})
-        return pd.concat([out, summ], ignore_index=True)
-
-    local = ds.map_batches(prep, batch_format='pyarrow') \
-        .groupby(['user_id', '_bucket']) \
-        .map_groups(per_bucket, batch_format='pandas')
-
-    def offsets(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values('_bucket', kind='mergesort')
-        tot = g['_local'].to_numpy(np.int64)
-        off = np.concatenate(([np.int64(0)], tot.cumsum()[:-1]))
-        return pd.DataFrame({'user_id': g['user_id'].reset_index(drop=True),
-                             '_bucket': g['_bucket'].astype('int64')
-                                         .reset_index(drop=True),
-                             '_off': off})
-
-    # summaries are one narrow row per (user, bucket) — bounded per task
-    offs = local.filter(expr='_tag == 1') \
-        .select_columns(['user_id', '_bucket', '_local']) \
-        .groupby('user_id').map_groups(offsets, batch_format='pandas')
-
-    joined = hash_join(
-        local.filter(expr='_tag == 0')
-             .select_columns(['user_id', '_bucket', 'event_id', '_local']),
-        offs, ('user_id', '_bucket'))
-
-    def add_off(t: pa.Table) -> pa.Table:
-        return pa.table({
-            'event_id': t.column('event_id'),
-            out_col: pc.add(t.column('_local'), t.column('_off'))})
-
-    return joined.map_batches(add_off, batch_format='pyarrow')
-
-
-# ---------------------------------------------------------------------------
-# Rolling-window sum (sum ... OVER (PARTITION BY key ORDER BY ts, id ROWS
-# BETWEEN W-1 PRECEDING AND CURRENT ROW)).  Salted path: a bucket's rows
-# beyond index W-2 are final locally; only the first W-1 rows per bucket
-# are "pending" and meet the previous buckets' ≤W-1 tail rows in a BOUNDED
-# per-user pass (≤ 2(W-1) summary rows per bucket, never raw streams).
-# ---------------------------------------------------------------------------
-
-def rolling_sum(ds: ray.data.Dataset, *, val_col: str, window: int = 3,
-                hot_key_threshold: int | None = 1_000_000,
-                bucket_us: int = DEFAULT_BUCKET_US) -> ray.data.Dataset:
-    """Per event, the sum of ``val_col`` (int64) over the user's last
-    ``window`` events (including this one) in (ts, event_id) order.  Input
-    columns: user_id, event_id, ts, ``val_col``.  Output: event_id,
-    win_<val_col>."""
-    out_col = f'win_{val_col}'
-    hot_parts, (ds,) = split_hot([ds], 'user_id', hot_key_threshold)
-    salted = None
-    if hot_parts is not None:
-        salted = rolling_sum_salted(hot_parts[0], val_col=val_col,
-                                    window=window, bucket_us=bucket_us)
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'),
-                         '_ts': pc.cast(t.column('ts'), pa.int64()),
-                         val_col: pc.cast(t.column(val_col), pa.int64())})
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        v = g[val_col].to_numpy(np.int64)
-        c = np.concatenate(([np.int64(0)], v.cumsum()))
-        w = c[1:] - c[np.maximum(np.arange(len(v)) + 1 - window, 0)]
-        return pd.DataFrame({'event_id': g['event_id'].astype('int64'),
-                             out_col: w})
-
-    plain = (ds.map_batches(prep, batch_format='pyarrow')
-             .groupby('user_id').map_groups(roll, batch_format='pandas'))
-    return plain.union(salted) if salted is not None else plain
-
-
-def rolling_sum_salted(ds: ray.data.Dataset, *, val_col: str,
-                       window: int = 3,
-                       bucket_us: int = DEFAULT_BUCKET_US) -> ray.data.Dataset:
-    """Exact rolling sums with bounded per-task memory (see
-    :func:`rolling_sum`).  Tags: _tag 0 = final row (win complete in its
-    bucket), 1 = pending row (needs prior-bucket tail), 2 = tail row."""
-    out_col = f'win_{val_col}'
-    carry = window - 1
-
-    def prep(t: pa.Table) -> pa.Table:
-        ts = pc.cast(t.column('ts'), pa.int64())
-        return pa.table({'user_id': t.column('user_id'),
-                         'event_id': t.column('event_id'), '_ts': ts,
-                         val_col: pc.cast(t.column(val_col), pa.int64()),
-                         '_bucket': pc.divide(ts, bucket_us)})
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_ts', 'event_id'], kind='mergesort')
-        v = g[val_col].to_numpy(np.int64)
-        n = len(v)
-        c = np.concatenate(([np.int64(0)], v.cumsum()))
-        w = c[1:] - c[np.maximum(np.arange(n) + 1 - window, 0)]
-        eid = g['event_id'].to_numpy(np.int64)
-        ts = g['_ts'].to_numpy(np.int64)
-        uid = g['user_id'].iloc[0]      # input dtype preserved (str keys ok)
-        bkt = np.int64(g['_bucket'].iloc[0])
-        n_pend = min(carry, n)
-        frames = [pd.DataFrame({          # final rows (index >= carry)
-            'user_id': uid, '_bucket': bkt, '_ts': ts[n_pend:],
-            'event_id': eid[n_pend:], val_col: v[n_pend:],
-            out_col: w[n_pend:], '_k': np.int64(-1), '_tag': np.int64(0)})]
-        # pending: win so far covers only the in-bucket prefix (rows 0.._k)
-        frames.append(pd.DataFrame({
-            'user_id': uid, '_bucket': bkt, '_ts': ts[:n_pend],
-            'event_id': eid[:n_pend], val_col: v[:n_pend],
-            out_col: w[:n_pend], '_k': np.arange(n_pend, dtype=np.int64),
-            '_tag': np.int64(1)}))
-        n_tail = min(carry, n)
-        frames.append(pd.DataFrame({      # tails (last rows, for carry)
-            'user_id': uid, '_bucket': bkt, '_ts': ts[n - n_tail:],
-            'event_id': eid[n - n_tail:], val_col: v[n - n_tail:],
-            out_col: np.int64(0), '_k': np.int64(-1), '_tag': np.int64(2)}))
-        return pd.concat([f for f in frames if len(f)], ignore_index=True)
-
-    local = ds.map_batches(prep, batch_format='pyarrow') \
-        .groupby(['user_id', '_bucket']) \
-        .map_groups(per_bucket, batch_format='pandas')
-
-    final = local.filter(expr='_tag == 0') \
-        .select_columns(['event_id', out_col])
-
-    if window == 1:
-        # carry == 0: every row is final within its own bucket — there are
-        # no pending/tail rows at all, and unioning the (empty) 8-column
-        # resolved stream would mix block schemas (review r5)
-        return final
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(['_bucket', '_ts', 'event_id'], kind='mergesort')
-        tails = g[g['_tag'] == 2]
-        pend = g[g['_tag'] == 1]
-        t_bkt = tails['_bucket'].to_numpy(np.int64)
-        t_val = tails[val_col].to_numpy(np.int64)
-        out_ids, out_win = [], []
-        for _, row in pend.iterrows():
-            # pending index _k has in-bucket win = sum of rows 0.._k; the
-            # remaining (window-1-_k) terms are the last that many rows
-            # before this bucket — exactly the tail concatenation's suffix
-            # (any prior row missing from a tail is followed by >= window-1
-            # rows in its own bucket, so it cannot be in the suffix)
-            need = window - 1 - int(row['_k'])
-            prior = t_val[t_bkt < row['_bucket']][-need:] if need > 0 \
-                else np.empty(0, np.int64)
-            out_ids.append(int(row['event_id']))
-            out_win.append(int(row[out_col]) + int(prior.sum()))
-        return pd.DataFrame({'event_id': np.array(out_ids, np.int64),
-                             out_col: np.array(out_win, np.int64)})
-
-    resolved = local.filter(expr='_tag != 0') \
-        .groupby('user_id').map_groups(resolve, batch_format='pandas')
-    return final.union(resolved)

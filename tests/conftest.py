@@ -73,6 +73,24 @@ def both_join_paths(monkeypatch):
     return run
 
 
+@pytest.fixture
+def count_executions(monkeypatch):
+    """A list that gets one entry per Ray Data execution while the test
+    runs: every ``materialize``, ``to_pandas``, ``take_all`` or iteration of
+    a Dataset plan goes through one ``StreamingExecutor.execute`` call."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted_execute(self, *args, **kwargs):
+        executions.append(self._dataset_id)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, 'execute', counted_execute)
+    return executions
+
+
 @pytest.fixture(scope='session')
 def smoke_pages_dir():
     from pii_detector_ray.sources.pages import ensure_corpus

@@ -1,8 +1,11 @@
-"""The sorted-prefix primitive (``stages/ranks.py``) and the nine queries
-built on it: ``value_time_spearman``, ``weighted_median_price``,
-``score_auc``, ``value_ks_test``, ``orders_cume_dist``,
-``orders_percent_rank``, ``sequence_packing``, ``token_budget_selection``
-and ``user_activity_gini``."""
+"""The sorted-prefix and sorted-sequence primitives (``stages/ranks.py``)
+and the queries built on them: ``value_time_spearman``,
+``weighted_median_price``, ``score_auc``, ``value_ks_test``,
+``orders_cume_dist``, ``orders_percent_rank``, ``sequence_packing``,
+``token_budget_selection`` and ``user_activity_gini`` on
+``sorted_prefix``; ``event_transitions``, ``event_deltas``,
+``user_cumulative``, ``user_rolling3`` and ``event_markov2`` on
+``sorted_sequences``."""
 
 import duckdb
 import numpy as np
@@ -19,6 +22,7 @@ from pii_detector_ray.stages.ranks import (
     block_prefixes,
     midranks,
     prefix_before,
+    sequence_carries,
     sorted_prefix,
 )
 
@@ -97,8 +101,25 @@ def test_block_prefixes_rejects_overlapping_ranges():
             block_prefixes(bad)
 
 
+def test_sequence_carries_follow_a_key_over_blocks():
+    """User 2 starts in block 0 and fills blocks 1 and 2: each of blocks 1-3
+    gets user 2's last 2 rows so far and its sum so far; user 3 starts a
+    block and gets no carry."""
+    def run(xs, s, whole):
+        return pa.table({'x': xs}), s, whole
+    summaries = [((0, 1, 0), (0, 2, 9), run([10, 11], 5, False)),
+                 ((0, 2, 10), (0, 2, 10), run([12], 3, True)),
+                 ((0, 2, 11), (0, 2, 13), run([13, 14], 1, True)),
+                 ((0, 2, 14), (0, 4, 1), run([20], 7, False)),
+                 ((0, 5, 0), (1, 0, 0), run([30], 2, False))]
+    got = [(None if rows is None else rows.column('x').to_pylist(), total)
+           for rows, total in sequence_carries(summaries, tail=2)]
+    assert got == [(None, 0), ([10, 11], 5), ([11, 12], 8), ([13, 14], 9),
+                   (None, 0)]
+
+
 # ---------------------------------------------------------------------------
-# the nine ports: plan guard and degenerate inputs against DuckDB
+# the ports: plan guard and degenerate inputs against DuckDB
 # ---------------------------------------------------------------------------
 
 EVENT_QUERIES = ['value_time_spearman', 'score_auc', 'value_ks_test']
@@ -118,7 +139,16 @@ DTYPES = {
     'token_budget_selection': {'doc_id': 'int64', 'quality_score': 'float64',
                                'n_tokens': 'int64'},
     'user_activity_gini': {'gini': 'float64', 'n_users': 'int64'},
+    'event_transitions': {'prev_type': 'object', 'next_type': 'object',
+                          'n_transitions': 'int64'},
+    'event_deltas': {'event_id': 'int64', 'delta_us': 'int64'},
+    'user_cumulative': {'event_id': 'int64', 'cum_cents': 'int64'},
+    'user_rolling3': {'event_id': 'int64', 'win_cents': 'int64'},
+    'event_markov2': {'prev_type': 'object', 'next2_type': 'object',
+                      'w2': 'int64', 'prob2': 'float64'},
 }
+SEQUENCE_QUERIES = ['event_transitions', 'event_deltas', 'user_cumulative',
+                    'user_rolling3', 'event_markov2']
 
 
 def _events(value, event_type=None, seed: int = 0,
@@ -133,6 +163,26 @@ def _events(value, event_type=None, seed: int = 0,
         'value': pa.array(value, pa.float64()),
         'user_id': pa.array(rng.integers(0, 30, n) if user_id is None
                             else user_id, pa.int64())})
+
+
+def _sequence_events(n: int, seed: int = 0, user_id=None, ts=None,
+                     null_type_every: int = 0) -> pa.Table:
+    """``n`` events of 12 users with distinct microsecond timestamps, stored
+    in random event_id order; values are whole quarters, so cents are
+    exact."""
+    rng = np.random.default_rng(seed)
+    event_type = rng.choice(['click', 'purchase', 'view'], n).tolist()
+    if null_type_every:
+        event_type[::null_type_every] = [None] * len(
+            event_type[::null_type_every])
+    return pa.table({
+        'event_id': pa.array(rng.permutation(n), pa.int64()),
+        'ts': pa.array(rng.permutation(n) * 1_000 if ts is None else ts,
+                       pa.int64()).cast(pa.timestamp('us')),
+        'user_id': pa.array(rng.integers(0, 12, n) if user_id is None
+                            else user_id, pa.int64()),
+        'event_type': pa.array(event_type, pa.string()),
+        'value': pa.array(rng.integers(0, 4_000, n) / 4, pa.float64())})
 
 
 def _lineitem(price, qty=None, flag=None, seed: int = 0) -> pa.Table:
@@ -247,6 +297,18 @@ ORDERS_CASES = {
     'one_value_90pct': (_orders(_skewed(N)), None),
     'tiny_row_groups': (_orders(np.arange(N) % 3 * 1.5), 1),
 }
+SEQUENCE_CASES = {
+    'empty': (_sequence_events(0), None),
+    'null_user_id': (_sequence_events(N, user_id=_holes(
+        np.arange(N) % 12, null_every=5)), None),
+    'null_ts': (_sequence_events(N, ts=_holes(np.arange(N) * 1_000,
+                                              null_every=7)), None),
+    'null_event_type': (_sequence_events(N, null_type_every=3), None),
+    # 8 timestamps for 12 users: (user_id, ts) repeats, event_id breaks ties
+    'duplicate_user_ts': (_sequence_events(N, ts=np.arange(N) % 8), None),
+    'one_user': (_sequence_events(N, user_id=[7] * N), None),
+    'tiny_row_groups': (_sequence_events(N), 1),
+}
 DOCUMENTS_CASES = {
     'empty': (_documents(0), None),
     'null_text': (_documents(N, null_every=4), None),
@@ -258,6 +320,7 @@ TABLES = {
     **{name: ('orders', ORDERS_CASES) for name in ORDERS_QUERIES},
     **{name: ('documents', DOCUMENTS_CASES) for name in DOCUMENTS_QUERIES},
     'user_activity_gini': ('events', USER_CASES),
+    **{name: ('events', SEQUENCE_CASES) for name in SEQUENCE_QUERIES},
 }
 PORTS = [(name, case) for name, (_, cases) in TABLES.items()
          for case in cases]
@@ -338,24 +401,32 @@ PLANS = {
 }
 
 
-@pytest.mark.parametrize('name', list(PLANS))
-def test_port_plan_is_sorts_only(ray_session, tmp_path, monkeypatch, name):
-    """Each port runs no Dataset.join and no drop_empty_blocks, and exactly
-    the sorts and grouped aggregates of ``PLANS``."""
-    calls = {'sort': 0, 'join': 0, 'aggregate': 0, 'drop_empty_blocks': 0}
+def _counted(monkeypatch, *targets) -> dict:
+    """Call counts, by method name, of each ``(owner, method)`` target while
+    the test runs."""
+    calls = {}
 
-    def counted(owner, attr):
+    def count(owner, attr):
         real = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
             calls[attr] += 1
             return real(*args, **kwargs)
+        calls[attr] = 0
         monkeypatch.setattr(owner, attr, wrapper)
 
-    counted(ray.data.Dataset, 'sort')
-    counted(ray.data.Dataset, 'join')
-    counted(GroupedData, 'aggregate')
-    counted(q, 'drop_empty_blocks')
+    for owner, attr in targets:
+        count(owner, attr)
+    return calls
+
+
+@pytest.mark.parametrize('name', list(PLANS))
+def test_port_plan_is_sorts_only(ray_session, tmp_path, monkeypatch, name):
+    """Each port runs no Dataset.join and no drop_empty_blocks, and exactly
+    the sorts and grouped aggregates of ``PLANS``."""
+    calls = _counted(monkeypatch, (ray.data.Dataset, 'sort'),
+                     (ray.data.Dataset, 'join'), (GroupedData, 'aggregate'),
+                     (q, 'drop_empty_blocks'))
     case, sorts, aggregates = PLANS[name]
     got, want = _run(tmp_path, name, *TABLES[name][1][case])
     assert len(got) == len(want) > 0
@@ -384,3 +455,29 @@ def test_event_query_on_zero_rows_equals_oracle_frame(ray_session, tmp_path,
     assert len(got) == len(want) == 0
     assert dict(got.dtypes) == dict(want.dtypes)
     assert list(got.columns) == list(want.columns)
+
+
+@pytest.mark.parametrize('name', SEQUENCE_QUERIES)
+def test_sequence_query_plan_is_one_sort(ray_session, tmp_path, monkeypatch,
+                                         count_executions, name):
+    """Each ``sorted_sequences`` query, result included, is one Ray Data
+    execution holding one sort, with no per-user ``map_groups``, no Ray
+    aggregate and no join."""
+    calls = _counted(monkeypatch, (ray.data.Dataset, 'sort'),
+                     (ray.data.Dataset, 'join'), (GroupedData, 'aggregate'),
+                     (GroupedData, 'map_groups'))
+    got, want = _run(tmp_path, name, *SEQUENCE_CASES['tiny_row_groups'])
+    assert len(got) == len(want) > 0
+    assert calls == {'sort': 1, 'join': 0, 'aggregate': 0, 'map_groups': 0}
+    assert len(count_executions) == 1, count_executions
+
+
+def test_event_markov2_null_next_type_is_none(ray_session, tmp_path):
+    """A NULL event type is its own Markov state: ``next2_type`` holds None
+    there, as DuckDB's frame does, and not a float NaN."""
+    got, want = _run(tmp_path, 'event_markov2',
+                     *SEQUENCE_CASES['null_event_type'])
+    nulls = [v for v in want['next2_type'] if not isinstance(v, str)]
+    assert nulls and all(v is None for v in nulls)
+    assert sorted(map(repr, got['next2_type'])) == \
+        sorted(map(repr, want['next2_type']))

@@ -440,7 +440,7 @@ def test_shuffle_workaround_lives_in_one_place():
     assert set(coalesced) == {('stages/dedup.py', 'bounded_agg')}
     assert wrapped == []
     assert set(ref_walks) == {('stages/dedup.py', 'drop_empty_blocks'),
-                              ('stages/ranks.py', 'sorted_prefix')}
+                              ('stages/ranks.py', '_sorted_blocks')}
     assert sorted(defs) == [('stages/dedup.py', 'bounded_agg'),
                             ('stages/dedup.py', 'drop_empty_blocks'),
                             ('stages/dedup.py', 'hash_join')]
@@ -484,3 +484,23 @@ def test_sorted_prefix_lives_in_one_place():
         copies += [(rel, fn) for (fn, _), k in passes.items()
                    if k >= 2 and fn in puts]
     assert copies == []
+
+
+def test_sequence_operators_run_no_map_groups():
+    """The per-user sequence operators of ``stages/ranks.py`` and their
+    ``q_`` callers run on one sort: none of their functions (nested ones
+    included) calls ``map_groups``."""
+    def defs(path: Path, names: list[str]) -> list:
+        fns = [n for n in ast.parse(path.read_text()).body
+               if isinstance(n, ast.FunctionDef) and n.name in names]
+        assert sorted(fn.name for fn in fns) == sorted(names)
+        return fns
+
+    fns = defs(PKG / 'stages' / 'ranks.py', [
+        'event_transitions', 'event_deltas', 'cumulative_sum', 'rolling_sum',
+        'sorted_sequences']) + defs(PKG / 'queries.py', [
+            'q_event_transitions', 'q_event_markov2', 'q_event_deltas',
+            'q_user_cumulative', 'q_user_rolling3', '_events_cents'])
+    assert [(fn.name, c.lineno) for fn in fns for c in ast.walk(fn)
+            if _method(c, 'map_groups')] == []
+    assert 'map_groups' not in (PKG / 'stages' / 'ranks.py').read_text()

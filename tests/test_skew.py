@@ -1,6 +1,9 @@
-"""Mega-key salting (stages/skew.py): the salted window operators are EXACT
-(equal to the plain single-groupby path) and the hybrid routing engages only
-above the hot-key threshold.
+"""Mega-key handling.  The salted operators of ``stages/skew.py`` are
+EXACT (equal to the plain single-groupby path) and the hybrid routing
+engages only above the hot-key threshold.  The per-user sequence operators
+of ``stages/ranks.py`` have no salted path: on mega-user streams they equal
+a serial reference, and their sort spreads a mega-user over several
+blocks.
 
 Values in the fixtures are multiples of 0.25 so float sums are
 order-independent — the equality checks below are exact, not approximate.
@@ -9,9 +12,11 @@ order-independent — the equality checks below are exact, not approximate.
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
-from pii_detector_ray.stages import skew
+from pii_detector_ray.stages import ranks, skew
 from pii_detector_ray.stages.joins import asof_join
 from pii_detector_ray.stages.sessionize import sessionize
 
@@ -54,6 +59,34 @@ def _sorted(df: pd.DataFrame, cols) -> pd.DataFrame:
     return df.sort_values(cols).reset_index(drop=True)
 
 
+def _in_user_order(ds) -> pd.DataFrame:
+    """The rows of ``ds`` in (user_id, ts, event_id) order, with ``_ts`` the
+    int64 microseconds of ``ts``."""
+    df = ds.to_pandas()
+    df['_ts'] = df['ts'].to_numpy('datetime64[us]').astype(np.int64)
+    return df.sort_values(['user_id', '_ts', 'event_id'], kind='mergesort')
+
+
+def _serial_deltas(ds) -> pd.DataFrame:
+    df = _in_user_order(ds)
+    d = df.groupby('user_id')['_ts'].diff()
+    keep = d.notna()
+    return _sorted(pd.DataFrame({
+        'event_id': df['event_id'][keep].astype('int64'),
+        'delta_us': d[keep].astype('int64')}), ['event_id'])
+
+
+def _serial_sums(ds, out_col: str, window: int | None = None) -> pd.DataFrame:
+    """Per event, the running (``window=None``) or rolling sum of ``cents``
+    over its user's events so far."""
+    df = _in_user_order(ds)
+    g = df.groupby('user_id')['cents']
+    df[out_col] = g.cumsum() if window is None else \
+        g.rolling(window, min_periods=1).sum() \
+        .reset_index(level=0, drop=True).astype('int64')
+    return _sorted(df[['event_id', out_col]], ['event_id'])
+
+
 def test_sessionize_salted_equals_plain():
     ds = _events_ds()
     plain = sessionize(ds, gap_minutes=30, hot_key_threshold=None).to_pandas()
@@ -75,15 +108,10 @@ def test_sessionize_routing_engages_on_hot_key():
     assert len(hot) == 1 and int(hot['n_events'].iloc[0]) == 3000
 
 
-def test_event_deltas_salted_equals_plain():
+def test_event_deltas_mega_user_equals_serial():
     ds = _events_ds(mega_user=99, mega_n=2500)
-    plain = skew.event_deltas(ds, hot_key_threshold=None).to_pandas()
-    routed = skew.event_deltas(ds, hot_key_threshold=800).to_pandas()
-    salted_only = skew.event_deltas_salted(
-        ds.select_columns(['user_id', 'event_id', 'ts'])).to_pandas()
-    key = ['event_id']
-    assert _sorted(plain, key).equals(_sorted(routed, key))
-    assert _sorted(plain, key).equals(_sorted(salted_only, key))
+    got = ranks.event_deltas(ds.select_columns(['user_id', 'event_id', 'ts']))
+    assert _sorted(got.to_pandas(), ['event_id']).equals(_serial_deltas(ds))
 
 
 def _asof_sides(seed=7, mega=False):
@@ -159,8 +187,9 @@ def test_asof_reserved_column_collision_asserts():
 def test_mega_user_half_of_sf01_events_bounded():
     """VERDICT r2 #4 'done' criterion: one user holding 50% of the sf0.1
     events volume (100k rows total -> 50k mega rows) runs through the
-    salted operators with day-bucketed groups — no single task holds the
-    whole key — and stays exact vs the plain path."""
+    salted sessionize with day-bucketed groups — no single task holds the
+    whole key — and stays exact vs the plain path; ``event_deltas`` on its
+    one sort equals the serial reference."""
     ds = _events_ds(n_users=4, mega_user=7, mega_n=50_000)
     routed = sessionize(ds, gap_minutes=30, hot_key_threshold=10_000) \
         .to_pandas()
@@ -171,9 +200,9 @@ def test_mega_user_half_of_sf01_events_bounded():
     # dense 1/min stream: one session spanning ~35 day-buckets, all merged
     assert len(hot) == 1 and int(hot['n_events'].iloc[0]) == 50_000
 
-    d_plain = skew.event_deltas(ds, hot_key_threshold=None).to_pandas()
-    d_routed = skew.event_deltas(ds, hot_key_threshold=10_000).to_pandas()
-    assert _sorted(d_plain, ['event_id']).equals(_sorted(d_routed, ['event_id']))
+    deltas = ranks.event_deltas(ds.select_columns(['user_id', 'event_id',
+                                                   'ts'])).to_pandas()
+    assert _sorted(deltas, ['event_id']).equals(_serial_deltas(ds))
 
 
 def test_asof_rejects_ints_beyond_float64_exact(ray_session):
@@ -229,22 +258,15 @@ def _with_cents(ds):
     return ds.map_batches(to_cents, batch_format='pyarrow')
 
 
-def test_cumulative_sum_salted_equals_plain():
+def test_cumulative_sum_mega_user_equals_serial():
     ds = _with_cents(_events_ds(mega_user=99, mega_n=2500))
-    plain = skew.cumulative_sum(ds, val_col='cents',
-                                hot_key_threshold=None).to_pandas()
-    routed = skew.cumulative_sum(ds, val_col='cents',
-                                 hot_key_threshold=800).to_pandas()
-    salted_only = skew.cumulative_sum_salted(ds, val_col='cents').to_pandas()
-    key = ['event_id']
-    assert _sorted(plain, key).equals(_sorted(routed, key))
-    assert _sorted(plain, key).equals(_sorted(salted_only, key))
+    got = ranks.cumulative_sum(ds, val_col='cents').to_pandas()
+    assert _sorted(got, ['event_id']).equals(_serial_sums(ds, 'cum_cents'))
 
 
 def test_cumulative_sum_serial_reference():
     ds = _with_cents(_events_ds(n_users=4, seed=11))
-    got = _sorted(skew.cumulative_sum(ds, val_col='cents',
-                                      hot_key_threshold=None).to_pandas(),
+    got = _sorted(ranks.cumulative_sum(ds, val_col='cents').to_pandas(),
                   ['event_id'])
     df = ds.to_pandas().sort_values(['user_id', 'ts', 'event_id'])
     df['cum_cents'] = df.groupby('user_id')['cents'].cumsum()
@@ -252,25 +274,18 @@ def test_cumulative_sum_serial_reference():
     assert got.equals(exp.reset_index(drop=True))
 
 
-def test_rolling_sum_salted_equals_plain():
+def test_rolling_sum_mega_user_equals_serial():
     ds = _with_cents(_events_ds(mega_user=99, mega_n=2500))
-    plain = skew.rolling_sum(ds, val_col='cents', window=3,
-                             hot_key_threshold=None).to_pandas()
-    routed = skew.rolling_sum(ds, val_col='cents', window=3,
-                              hot_key_threshold=800).to_pandas()
-    salted_only = skew.rolling_sum_salted(ds, val_col='cents',
-                                          window=3).to_pandas()
-    key = ['event_id']
-    assert _sorted(plain, key).equals(_sorted(routed, key))
-    assert _sorted(plain, key).equals(_sorted(salted_only, key))
+    got = ranks.rolling_sum(ds, val_col='cents', window=3).to_pandas()
+    assert _sorted(got, ['event_id']).equals(
+        _serial_sums(ds, 'win_cents', window=3))
 
 
 def test_rolling_sum_serial_reference():
     ds = _with_cents(_events_ds(n_users=4, seed=13))
     for w in (1, 2, 3, 5):
-        got = _sorted(skew.rolling_sum(ds, val_col='cents', window=w,
-                                       hot_key_threshold=None).to_pandas(),
-                      ['event_id'])
+        got = _sorted(ranks.rolling_sum(ds, val_col='cents',
+                                        window=w).to_pandas(), ['event_id'])
         df = ds.to_pandas().sort_values(['user_id', 'ts', 'event_id'])
         df['win_cents'] = (df.groupby('user_id')['cents']
                            .rolling(w, min_periods=1).sum()
@@ -280,8 +295,9 @@ def test_rolling_sum_serial_reference():
 
 
 def test_rolling_sum_salted_sparse_buckets():
-    """One event per day-bucket: the tail suffix must recurse past the
-    immediately preceding bucket to assemble window-1 prior rows."""
+    """One event per day (the input that drove the deleted day-bucketed
+    salted path's tail recursion): each window sums its user's last 3
+    events, wherever the sort cuts the blocks."""
     users = [1] * 6
     ts = [i * DAY_US + 5 for i in range(6)]     # 6 buckets, 1 event each
     cents = [10, 20, 30, 40, 50, 60]
@@ -290,50 +306,44 @@ def test_rolling_sum_salted_sparse_buckets():
         'event_id': pa.array(range(6), pa.int64()),
         'ts': pa.array(np.array(ts, 'int64'), pa.timestamp('us')),
         'cents': pa.array(cents, pa.int64())})).repartition(3)
-    got = _sorted(skew.rolling_sum_salted(ds, val_col='cents',
-                                          window=3).to_pandas(),
-                  ['event_id'])
+    got = _sorted(ranks.rolling_sum(ds, val_col='cents',
+                                    window=3).to_pandas(), ['event_id'])
     assert got['win_cents'].tolist() == [10, 30, 60, 90, 120, 150]
 
 
-def _with_types(ds):
-    """Attach a deterministic event_type column (event_id mod 4)."""
-    def f(t: pa.Table) -> pa.Table:
-        eid = t.column('event_id').to_numpy(zero_copy_only=False)
-        types = np.array(['view', 'click', 'buy', 'scroll'])[eid % 4]
-        return t.append_column('event_type', pa.array(types, pa.string()))
-    return ds.map_batches(f, batch_format='pyarrow')
+def _counts(t: pa.Table) -> dict:
+    return {(a, b): n for a, b, n in zip(*(t.column(c).to_pylist() for c in
+                                           t.column_names))}
 
 
-def _close_transitions(partials) -> pd.DataFrame:
-    df = partials.to_pandas()
-    return df.groupby(['prev_type', 'next_type'])['_n'].sum() \
-        .rename('n').reset_index()
+def _serial_transitions(ds) -> dict:
+    """``_EVENT_TRANSITIONS_SQL`` serially: consecutive (type, next type)
+    pairs per user; a NULL previous type never counts, a NULL next type
+    does."""
+    from collections import Counter
+    ref = Counter()
+    for _, g in _in_user_order(ds).groupby('user_id'):
+        tp = [None if pd.isna(x) else x for x in g['event_type']]
+        ref.update((a, b) for a, b in zip(tp[:-1], tp[1:]) if a is not None)
+    return dict(ref)
 
 
-def test_event_transitions_salted_equals_plain():
+def test_event_transitions_mega_user_equals_serial():
     ds = _with_types(_events_ds(mega_user=99, mega_n=1200))
-    key = ['prev_type', 'next_type']
-    plain = _close_transitions(
-        skew.event_transitions(ds, hot_key_threshold=None))
-    routed = _close_transitions(
-        skew.event_transitions(ds, hot_key_threshold=800))
-    salted_only = _close_transitions(skew.event_transitions_salted(ds))
-    assert _sorted(plain, key).equals(_sorted(routed, key))
-    assert _sorted(plain, key).equals(_sorted(salted_only, key))
+    got = ranks.event_transitions(ds)
+    assert got.schema == ranks.TRANSITIONS
+    assert _counts(got) == _serial_transitions(ds)
     # pair totals == events - users (each user contributes n-1 transitions)
     tot = ds.count()
     users = ds.groupby('user_id').count().count()
-    assert int(plain['n'].sum()) == tot - users
+    assert pc.sum(got.column('n_transitions')).as_py() == tot - users
 
 
 def test_event_transitions_null_type_parity():
     """SQL-oracle NULL contract (`_EVENT_TRANSITIONS_SQL`): a pair whose
     PREV type is NULL never counts (WHERE prev_type IS NOT NULL), but a
-    NULL NEXT type forms its own group — pandas' default dropna=True
-    silently dropped those pairs (the debounce divergence class, ADVICE
-    r5).  Plain, routed and salted paths must all agree with a serial
-    reference on NULL-bearing streams."""
+    NULL NEXT type forms its own group.  On a NULL-bearing mega-user
+    stream the counts equal a serial reference."""
     def nullify(t: pa.Table) -> pa.Table:
         eid = t.column('event_id').to_numpy(zero_copy_only=False)
         types = np.array(['view', 'click', 'purchase'], object)[eid % 3]
@@ -342,35 +352,11 @@ def test_event_transitions_null_type_parity():
 
     ds = _events_ds(mega_user=99, mega_n=1200).map_batches(
         nullify, batch_format='pyarrow')
-
-    def close(partials) -> pd.DataFrame:
-        df = partials.to_pandas()
-        return df.groupby(['prev_type', 'next_type'], dropna=False)[
-            '_n'].sum().rename('n').reset_index() \
-            .sort_values(['prev_type', 'next_type'], na_position='last') \
-            .reset_index(drop=True)
-
-    plain = close(skew.event_transitions(ds, hot_key_threshold=None))
-    routed = close(skew.event_transitions(ds, hot_key_threshold=800))
-    salted_only = close(skew.event_transitions_salted(ds))
-    assert plain.equals(routed)
-    assert plain.equals(salted_only)
+    got = _counts(ranks.event_transitions(ds))
     # NULL-next group exists; no NULL-prev group survives
-    assert plain['next_type'].isna().any()
-    assert not plain['prev_type'].isna().any()
-    # serial reference under the SQL semantics
-    raw = ds.to_pandas().sort_values(['user_id', 'ts', 'event_id'])
-    from collections import Counter
-    norm = lambda x: None if pd.isna(x) else x
-    ref = Counter()
-    for _, g in raw.groupby('user_id'):
-        tp = g['event_type'].to_numpy()
-        for a, b in zip(tp[:-1], tp[1:]):
-            if not pd.isna(a):
-                ref[(a, norm(b))] += 1
-    got = {(r.prev_type, norm(r.next_type)): int(r.n)
-           for r in plain.itertuples()}
-    assert got == dict(ref)
+    assert any(b is None for _, b in got)
+    assert all(a is not None for a, _ in got)
+    assert got == _serial_transitions(ds)
 
 
 def _with_types(ds):
@@ -449,22 +435,19 @@ def test_debounce_null_event_type_counted():
 
 
 def test_rolling_sum_salted_window1_schema_and_values():
-    """window=1: the salted path has no pending/tail rows; it must not
-    union an empty 8-column stream into the 2-column result (review r5)."""
+    """window=1 carries no rows across blocks; the result keeps its two
+    columns and equals each event's own value (the mega-user input of the
+    deleted salted path's window=1 case)."""
     ds = _with_cents(_events_ds(n_users=3, seed=17, mega_user=99, mega_n=400))
-    plain = skew.rolling_sum(ds, val_col='cents', window=1,
-                             hot_key_threshold=None).to_pandas()
-    salted = skew.rolling_sum_salted(ds, val_col='cents',
-                                     window=1).to_pandas()
-    assert list(salted.columns) == ['event_id', 'win_cents']
-    key = ['event_id']
-    assert _sorted(plain, key).equals(_sorted(salted, key))
+    got = ranks.rolling_sum(ds, val_col='cents', window=1).to_pandas()
+    assert list(got.columns) == ['event_id', 'win_cents']
+    assert _sorted(got, ['event_id']).equals(
+        _serial_sums(ds, 'win_cents', window=1))
 
 
 def test_salted_windows_string_keys():
-    """String partition keys work on the salted paths too — hot routing
-    must not start crashing on key types the plain path accepts
-    (review r5: int64 coercions on user_id)."""
+    """String partition keys work on the running and rolling sums (the
+    inputs of the deleted salted paths' string-key case)."""
     ds = _with_cents(_events_ds(n_users=4, seed=19, mega_user=99, mega_n=300))
 
     def to_str(t: pa.Table) -> pa.Table:
@@ -474,14 +457,49 @@ def test_salted_windows_string_keys():
                 'u', pa.compute.cast(t.column('user_id'), pa.string()), ''))
     sds = ds.map_batches(to_str, batch_format='pyarrow')
 
-    for plain_fn, salted_fn, kw in (
-            (skew.cumulative_sum, skew.cumulative_sum_salted, {}),
-            (skew.rolling_sum, skew.rolling_sum_salted, {'window': 3})):
-        plain = plain_fn(sds, val_col='cents', hot_key_threshold=None,
-                         **kw).to_pandas()
-        salted = salted_fn(sds, val_col='cents', **kw).to_pandas()
-        key = ['event_id']
-        assert _sorted(plain, key).equals(_sorted(salted, key)), plain_fn
+    got = ranks.cumulative_sum(sds, val_col='cents').to_pandas()
+    assert _sorted(got, ['event_id']).equals(_serial_sums(sds, 'cum_cents'))
+    got = ranks.rolling_sum(sds, val_col='cents', window=3).to_pandas()
+    assert _sorted(got, ['event_id']).equals(
+        _serial_sums(sds, 'win_cents', window=3))
+
+
+def test_sort_spreads_a_mega_user_over_blocks(tmp_path):
+    """One user holding 60% of 20k events, read from a file of 10 row
+    groups: ``sorted_sequences`` puts that user's rows in at least two
+    non-empty blocks and never all of them in one, and the operators still
+    equal the serial reference."""
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(23)
+    n = 20_000
+    users = np.where(rng.random(n) < 0.6, 7, rng.integers(100, 400, n))
+    pq.write_table(pa.table({
+        'user_id': pa.array(users, pa.int64()),
+        'event_id': pa.array(rng.permutation(n), pa.int64()),
+        'ts': pa.array(rng.integers(0, 10 * DAY_US, n), pa.int64())
+        .cast(pa.timestamp('us')),
+        'cents': pa.array(rng.integers(0, 500, n), pa.int64())}),
+        tmp_path / 'events.parquet', row_group_size=n // 10)
+    assert pq.ParquetFile(tmp_path / 'events.parquet') \
+        .metadata.num_row_groups >= 8
+    ds = ray.data.read_parquet(str(tmp_path / 'events.parquet'))
+
+    mega = int((users == 7).sum())
+    held = []
+    for ref, _ in ranks.sorted_sequences(ds, 'user_id', ['ts', 'event_id'],
+                                         tail=2):
+        t = ray.get(ref)
+        held.append(int(pc.sum(pc.equal(t.column('user_id'), 7)).as_py()
+                        or 0))
+    assert sum(held) == mega
+    assert sum(h > 0 for h in held) >= 2
+    assert max(held) < mega
+    got = ranks.rolling_sum(ds, val_col='cents', window=3).to_pandas()
+    assert _sorted(got, ['event_id']).equals(
+        _serial_sums(ds, 'win_cents', window=3))
+    got = ranks.cumulative_sum(ds, val_col='cents').to_pandas()
+    assert _sorted(got, ['event_id']).equals(_serial_sums(ds, 'cum_cents'))
 
 
 def test_hot_keys_exclude_null_and_split_handles_none():
