@@ -787,14 +787,18 @@ _EVENT_DELTAS_SQL = (
 
 def _events_cents(sf_dir: str) -> ray.data.Dataset:
     """Shared events→integer-cents projection for the window operators
-    (DuckDB half-away rounding so both oracles share one contract)."""
+    (DuckDB half-away rounding so both oracles share one contract).  A
+    NULL ``value`` gives NULL ``cents``, which the window sums skip."""
     def to_cents(batch: pa.Table) -> pa.Table:
-        v = batch.column('value').to_numpy(zero_copy_only=False)
+        value = batch.column('value')
+        v = pc.fill_null(value, 0.0).to_numpy(zero_copy_only=False)
         cents = sql_round_np(v * 100.0, 0).astype(np.int64)
         return pa.table({'user_id': batch.column('user_id'),
                          'event_id': batch.column('event_id'),
                          'ts': batch.column('ts'),
-                         'cents': pa.array(cents, pa.int64())})
+                         'cents': pa.array(cents, pa.int64(),
+                                           mask=pc.is_null(value).to_numpy(
+                                               zero_copy_only=False))})
 
     return _events(sf_dir, ['user_id', 'event_id', 'ts', 'value']) \
         .map_batches(to_cents, batch_format='pyarrow')
@@ -1004,11 +1008,13 @@ _LABEL_CENTROIDS_SQL = (
 
 def q_events_segment_join(sf_dir: str) -> pd.DataFrame:
     """Skew-aware inner join (stages/joins.skew_join): events join a
-    derived user→segment dimension with a hot-key threshold LOW enough
-    that most users route through the hot path (a broadcast join) — the
-    query thereby exercises screen + split + broadcast + union + the cold
-    join (``hash_join``; a broadcast join too while the cold dimension
-    sides pass ``dedup.broadcasts``), then aggregates per segment."""
+    derived user→segment dimension, then count per segment.  The dimension
+    is one materialized aggregate; it passes ``dedup.broadcasts``, so the
+    join is a broadcast probe with no hot-key screen, and the events read,
+    the probe and the per-batch segment counts run as one fused operator
+    that ``_fold`` closes on the driver: two Ray Data executions in all.
+    The hot-key threshold is LOW (50) so that a dimension too large to
+    broadcast takes the screen + split + salted path instead."""
     from pii_detector_ray.stages.joins import skew_join
 
     def mk_dim(batch: pa.Table) -> pa.Table:
@@ -1020,26 +1026,14 @@ def q_events_segment_join(sf_dir: str) -> pd.DataFrame:
             'segment': pa.array([f'seg{u % 5}' for u in uid], pa.string())})
 
     # dedup via aggregate, NOT map_groups: thousands of singleton groups
-    # pay ~5-10 ms of per-group Python each (measured, see memory notes);
-    # Min over the (functionally-dependent) segment is one narrow shuffle
-    # both sides are NARROW and consumed twice by the hot/cold split
-    # (plus the hot-key screen on the left) — materialize so the splits
-    # filter object-store blocks instead of re-running read+shuffle chains
+    # pay ~5-10 ms of per-group Python each; Min over the (functionally
+    # dependent) segment is one narrow shuffle
     dim = (_events(sf_dir, ['user_id'])
            .map_batches(mk_dim, batch_format='pyarrow')
            .groupby('user_id')
-           .aggregate(Min('segment', alias_name='segment'))).materialize()
-    left = _events(sf_dir, ['event_id', 'user_id']).materialize()
-    # a join can emit 0-row blocks (a broadcast probe that matches nothing,
-    # an empty aggregator partition on the shuffle path); cleanse before
-    # the partial stage so its output stream is schema-uniform (RefBundle
-    # warnings, VERDICT r3).  num_partitions only sizes the shuffle path,
-    # taken when the cold sides fail dedup.broadcasts: sized from the
-    # (known, materialized) left row count, a small input doesn't spawn a
-    # 16-actor aggregator fleet.
-    joined = drop_empty_blocks(skew_join(
-        left, dim, on='user_id', hot_key_threshold=50,
-        num_partitions=join_partitions(rows=left.count())))
+           .aggregate(Min('segment', alias_name='segment')))
+    joined = skew_join(_events(sf_dir, ['event_id', 'user_id']), dim,
+                       on='user_id', hot_key_threshold=50)
 
     def partial(batch: pa.Table) -> pa.Table:
         agg = pa.table({'segment': batch.column('segment')}) \
@@ -1047,9 +1041,9 @@ def q_events_segment_join(sf_dir: str) -> pd.DataFrame:
         return agg.rename_columns(['segment', '_n'])
 
     # partials are bounded (≤5 segment rows per batch)
-    return _frame(bounded_agg(joined.map_batches(partial, batch_format='pyarrow'),
-                              'segment', Sum('_n', alias_name='n_events')),
-                  pa.schema([('segment', pa.string()), ('n_events', pa.int64())]))
+    return _fold(joined.map_batches(partial, batch_format='pyarrow'),
+                 ['segment'],
+                 pa.schema([('segment', pa.string()), ('n_events', pa.int64())]))
 
 
 _EVENTS_SEGMENT_JOIN_SQL = (

@@ -25,7 +25,15 @@ import pyarrow.compute as pc
 
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data._internal.logical.operators.all_to_all_operator import Repartition
+from ray.data._internal.logical.operators.input_data_operator import InputData
+from ray.data._internal.logical.operators.map_operator import AbstractMap
+from ray.data._internal.logical.operators.n_ary_operator import Union
+from ray.data._internal.logical.operators.one_to_one_operator import Limit
+from ray.data._internal.logical.operators.read_operator import Read
+from ray.data._internal.util import _autodetect_parallelism
 from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
+from ray.data.dataset import MaterializedDataset
 
 from pii_detector_ray.functions.rounding import sql_round_np, sql_round_scalar
 
@@ -658,9 +666,13 @@ def drop_empty_blocks(ds: ray.data.Dataset,
     no blocks are fetched to the driver — but it does force
     materialization.
 
-    Joins get this through ``hash_join``, which cleans both inputs; call it
-    directly only to hand a consumer (a union, a result) schema-carrying
-    blocks.  A ``bounded_agg`` output needs no cleaning.
+    Joins get this through ``hash_join``, which cleans the build (right)
+    side always and the probe (left) side only where it materializes it:
+    on the shuffle path, or when the left side is already materialized or
+    known to be empty.  A broadcast probe is a ``map_batches`` and passes
+    empty blocks through untouched.  Call it directly only to hand a
+    consumer (a union, a result) schema-carrying blocks.  A
+    ``bounded_agg`` output needs no cleaning.
 
     When EVERY block is empty the materialized dataset still has only
     schema-less blocks; pass ``schema`` so an all-empty input comes back as
@@ -690,20 +702,67 @@ def drop_empty_blocks(ds: ray.data.Dataset,
 # (717 MiB) 9.6 vs 12.8; lost at 64 x 50 MiB (3.1 GiB) 9.7 vs 6.4 and
 # 256 x 12 MiB (3.1 GiB) 13.6 vs 5.2.  The bound is the largest total
 # measured to win at 256 left blocks.
+#
+# A lazy left side's block count is not known before it runs
+# (``Dataset.num_blocks`` raises, and the plan's own estimate counts read
+# TASKS: 1 for a one-file read that Ray splits into 8 blocks), so
+# ``broadcasts`` multiplies by ``block_bound``'s upper bound instead.  A
+# read of ``n`` read tasks at Ray's detected parallelism ``P`` (at least
+# twice the cluster CPUs; ``_autodetect_parallelism``) yields at most
+# ``P + max(P, n)`` blocks: Ray splits each task's output ``k`` ways to
+# reach ``P`` blocks when ``n`` falls short (``n * k < 2P``), else keeps
+# about one block per task, or ``mem / target_max_block_size <= P`` for
+# oversized tasks (``SetReadParallelismRule``).  A map or a limit yields at
+# most its input's blocks, a union their sum, ``repartition(n)`` n.  The
+# bound ignores blocks a map splits past ``target_max_block_size`` at run
+# time.
 BROADCAST_BUILD_BYTES = 768 << 20
 
 
+def block_bound(ds: ray.data.Dataset) -> int | None:
+    """An upper bound on the blocks ``ds`` yields, read from its plan
+    without running it (see ``BROADCAST_BUILD_BYTES``): exact for a
+    materialized dataset; None for a plan with an operator the bound does
+    not cover (a shuffle, a sort, a join)."""
+    if isinstance(ds, MaterializedDataset):
+        return ds.num_blocks()
+    ctx = DataContext.get_current()
+
+    def bound(op) -> int | None:
+        if isinstance(op, Read):
+            p, _, _ = _autodetect_parallelism(
+                op._parallelism, ctx.target_max_block_size, ctx,
+                op._datasource_or_legacy_reader, op._mem_size)
+            return p + max(p, op._num_outputs or 0)
+        if isinstance(op, InputData):
+            return sum(len(b.blocks) for b in op.input_data)
+        if isinstance(op, Repartition):
+            return op._num_outputs
+        if isinstance(op, (AbstractMap, Limit)):
+            return bound(op.input_dependencies[0])
+        if isinstance(op, Union):
+            sizes = [bound(o) for o in op.input_dependencies]
+            return None if None in sizes else sum(sizes)
+        return None
+
+    return bound(ds._logical_plan.dag)
+
+
 def broadcasts(left: ray.data.Dataset, right: ray.data.Dataset) -> bool:
-    """Whether joining the materialized ``left`` and ``right`` should
+    """Whether joining ``left`` with the materialized ``right`` should
     broadcast ``right`` (:func:`broadcast_join`) rather than shuffle both:
     ``right`` fits one block (``DataContext.target_max_block_size``) and
     one hash build of it per left block stays within
-    ``BROADCAST_BUILD_BYTES``.  The one size rule ``hash_join`` and
-    ``joins.skew_join`` decide by."""
+    ``BROADCAST_BUILD_BYTES``.  ``left`` may be lazy; it is not run, and
+    its block count is ``block_bound(left)``.  A left without a bound does
+    not broadcast until it is materialized.  The one size rule
+    ``hash_join`` and ``joins.skew_join`` decide by."""
     r = right.size_bytes()
-    return r <= (DataContext.get_current().target_max_block_size
-                 or DEFAULT_TARGET_MAX_BLOCK_SIZE) and \
-        r * left.num_blocks() <= BROADCAST_BUILD_BYTES
+    n = block_bound(left)
+    return n is not None and \
+        r <= (DataContext.get_current().target_max_block_size
+              or DEFAULT_TARGET_MAX_BLOCK_SIZE) and \
+        r * n <= BROADCAST_BUILD_BYTES
 
 
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -711,24 +770,44 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
               num_partitions: int | None = None) -> ray.data.Dataset:
     """Equi-join of ``left`` and ``right`` on the key column(s) ``on``;
     ``how`` is ``Dataset.join``'s ``join_type``.  Every join in the package
-    goes through here.  Both inputs pass ``drop_empty_blocks`` first; that
-    barrier materializes them, so their block metadata gives row counts
-    and sizes for free.
+    goes through here.  The build (right) side passes ``drop_empty_blocks``
+    first; that barrier materializes it, so its block metadata gives its
+    row count and size for free.  The probe (left) side stays lazy where
+    the plan allows:
 
-    - An ``inner`` or ``left_outer`` join whose sides pass
-      :func:`broadcasts` is a :func:`broadcast_join`: no shuffle and no
-      ``Join`` actors.  Starting the actor fleet was almost all of a
-      10k x 150-row join (1.44-1.47 s of it, 4-vCPU VM).
-    - A join with an empty side returns its typed result without a
-      shuffle: no rows for an inner join or an empty left outer side; the
-      kept side's rows with typed NULL columns for the other side for
-      outer joins.
+    - An ``inner`` or ``left_outer`` join with a non-empty right side that
+      passes :func:`broadcasts` is a :func:`broadcast_join`: no shuffle and
+      no ``Join`` actors.  Starting the actor fleet was almost all of a
+      10k x 150-row join (1.44-1.47 s of it, 4-vCPU VM).  A lazy left is
+      not run here: its probe fuses with its upstream maps (and a caller's
+      per-batch map fuses after the probe), so the left runs once, when
+      the result does.  If such a left turns out to hold no rows, the
+      result holds none either, and its blocks carry no schema, as any
+      Ray map over empty blocks; the query helpers that collect results
+      (``queries._frame``, ``queries._fold``) type it.
+    - Every other join materializes the left side and cleans it too, as
+      does a left whose plan states zero rows (a read of empty files) or
+      has no ``block_bound``.  Then a join with an empty side returns its
+      typed result without a shuffle: no rows for an inner join or an
+      empty left outer side; the kept side's rows with typed NULL columns
+      for the other side for outer joins.  A materialized left that
+      passes :func:`broadcasts` is still a :func:`broadcast_join`.
     - Everything else (``full_outer``, other join types, joins that fail
       :func:`broadcasts`) is Ray's hash-partitioned ``Dataset.join``;
       ``num_partitions`` defaults to ``join_partitions()``."""
     on = (on,) if isinstance(on, str) else tuple(on)
-    l, r = drop_empty_blocks(left), drop_empty_blocks(right)
-    n_l, n_r = l.count(), r.count()
+    r = drop_empty_blocks(right)
+    n_r = r.count()
+    if how in ('inner', 'left_outer') and n_r > 0 and \
+            not isinstance(left, MaterializedDataset) and \
+            left._plan.meta_count() != 0 and broadcasts(left, r):
+        return broadcast_join(left, r, on, how)
+    # a read of empty files keeps the schema its plan states
+    stated = left.schema(fetch_if_missing=False)
+    stated = stated and stated.base_schema
+    l = drop_empty_blocks(left,
+                          stated if isinstance(stated, pa.Schema) else None)
+    n_l = l.count()
     if how == 'full_outer' and n_l == 0 and n_r > 0:
         # every right row survives: a left outer join seen from the right,
         # in the left-then-right column order of the full join

@@ -341,8 +341,13 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     aggregator — a key holding 10% of a 10^12-row table is one actor's
     memory.  This operator:
 
-    1. finds left-side hot keys with the narrow two-phase screen
-       (``skew.hot_keys``; zero extra shuffle when no key is hot);
+    1. materializes and cleans the right side; when it passes
+       ``dedup.broadcasts`` the join is ``dedup.hash_join``'s broadcast
+       join with no hot-key screen: a broadcast probe sends no key to a
+       single aggregator, and a lazy left stays lazy.  Otherwise it
+       materializes the left side once and finds its hot keys with the
+       narrow two-phase screen (``skew.hot_keys``; zero extra shuffle
+       when no key is hot);
     2. cold keys take ``dedup.hash_join`` (itself a broadcast join when
        the cold sides pass ``dedup.broadcasts``);
     3. hot keys bypass the shuffle: when the hot sides pass the same
@@ -363,8 +368,11 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     from pii_detector_ray.stages.skew import hot_keys, split_by_keys
 
     nparts = num_partitions or join_partitions()
-    hot = hot_keys(left, on, hot_key_threshold) \
-        if hot_key_threshold is not None else set()
+    right = drop_empty_blocks(right)
+    hot = set()
+    if hot_key_threshold is not None and not broadcasts(left, right):
+        left = drop_empty_blocks(left)    # read by the screen and the splits
+        hot = hot_keys(left, on, hot_key_threshold)
     if not hot:
         return hash_join(left, right, on, num_partitions=nparts)
 

@@ -251,18 +251,22 @@ def _sequence_keys(t: pa.Table, cols: list[str]) -> pa.Table:
 
 def _last_run(t: pa.Table, tail: int, weight: str | None) -> tuple:
     """The last ``tail`` rows of the sorted block's last key run, that run's
-    ``weight`` sum (0 without ``weight``), and whether it fills the block."""
+    ``weight`` total (an int64 pair: the sum of its non-NULL values and
+    their count; 0 without ``weight``), and whether it fills the block."""
     n = t.num_rows
     head = int(np.flatnonzero(run_starts(t, KEY))[-1])
-    total = (pc.sum(t.column(weight).slice(head)).as_py() or 0) if weight \
-        else 0
+    total = 0
+    if weight:
+        w = t.column(weight).slice(head)
+        total = np.array([pc.sum(w).as_py() or 0, len(w) - w.null_count],
+                         np.int64)
     return t.take(np.arange(max(head, n - tail), n)), total, head == 0
 
 
 def sequence_carries(summaries: list, tail: int) -> list[tuple]:
     """Driver fold over ordered ``_last_run`` block summaries: per block,
     the carry ``(rows, total)`` of the key its first row continues, namely
-    that key's last ``tail`` rows and its ``weight`` sum in all earlier
+    that key's last ``tail`` rows and its ``weight`` total in all earlier
     blocks; ``(None, 0)`` when the block starts a new key.  A key can span
     several blocks, so a block that holds one key only extends the carry."""
     out, key, rows, total = [], None, None, 0
@@ -283,7 +287,7 @@ def sorted_sequences(ds: ray.data.Dataset, key: str, order: list[str],
     ``[(block_ref, carry)]`` in key order.  ``carry`` is
     ``sequence_carries``' ``(rows, total)``: the last ``tail`` rows of the
     key that straddles into the block from earlier blocks (``None`` when it
-    starts a new key), and that key's ``weight`` sum there.
+    starts a new key), and that key's ``weight`` total there (``_last_run``).
 
     Blocks carry ``_sequence_keys``' columns; ``KEY`` marks the partition
     key, and ``_n1``/``_v1`` the first ``order`` column.  A mega-key is
@@ -374,24 +378,32 @@ def _window_sums(t: pa.Table, carry: tuple, val_col: str,
     c = 0 if carry[0] is None else carry[0].num_rows
     t, start = _with_carry(t, carry)
     n = t.num_rows
-    v = t.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    col = t.column(val_col)
     idx = np.arange(n)
     head = np.maximum.accumulate(np.where(start, idx, 0))
     lo = head if window is None else np.maximum(head, idx + 1 - window)
-    cs = np.concatenate(([0], np.cumsum(v)))
     # rows of the first run continue the carried key's running total
-    out = cs[1:] - cs[lo] + np.where(head == 0, carry[1], 0)
+    first = head == 0
+    carried = np.zeros(2, np.int64) + carry[1]
+    sums, counts = (
+        np.cumsum(np.concatenate(([0], x.to_numpy(zero_copy_only=False)
+                                  .astype(np.int64))))
+        for x in (pc.fill_null(col, 0), pc.is_valid(col)))
+    out = sums[1:] - sums[lo] + np.where(first, carried[0], 0)
+    seen = counts[1:] - counts[lo] + np.where(first, carried[1], 0)
     return pa.table({
         'event_id': pc.cast(t.column('event_id').slice(c), pa.int64()),
-        out_col: pa.array(out[c:], pa.int64())})
+        out_col: pa.array(out[c:], pa.int64(), mask=seen[c:] == 0)})
 
 
 def cumulative_sum(ds: ray.data.Dataset, *, val_col: str) -> ray.data.Dataset:
     """Per event, the running total of ``val_col`` (int64) over the user's
     events up to and including it in (ts, event_id) order.  Input columns:
     user_id, event_id, ts, ``val_col``.  Output: event_id,
-    cum_<val_col>.  A block's first user continues from the carried sum of
-    its rows in earlier blocks."""
+    cum_<val_col>.  As SQL ``sum``, NULL values are skipped, and the total
+    is NULL until the user's first non-NULL value.  A block's first user
+    continues from the carried sum and count of its values in earlier
+    blocks."""
     out_col = f'cum_{val_col}'
     return map_blocks(
         _window_sums, _user_events(ds, weight=val_col),
@@ -404,8 +416,9 @@ def rolling_sum(ds: ray.data.Dataset, *, val_col: str,
     """Per event, the sum of ``val_col`` (int64) over the user's last
     ``window`` events (including this one) in (ts, event_id) order.  Input
     columns: user_id, event_id, ts, ``val_col``.  Output: event_id,
-    win_<val_col>.  A block's first user is completed by its carried last
-    ``window - 1`` rows from earlier blocks."""
+    win_<val_col>, skipping NULL values and NULL for a window of only
+    NULLs, as SQL ``sum``.  A block's first user is completed by its
+    carried last ``window - 1`` rows from earlier blocks."""
     out_col = f'win_{val_col}'
     return map_blocks(
         _window_sums, _user_events(ds, tail=window - 1),

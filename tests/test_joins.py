@@ -109,7 +109,21 @@ def test_sliding_window_negative_ts_matches_duckdb_floor():
     assert -1000 in set(got['window_start'])       # floor(-950/100)*100
 
 
-def test_skew_join_all_paths_equal_plain(ray_session, max_block_size):
+def _count_hot_keys(monkeypatch) -> list:
+    """A list that gets one entry per ``skew.hot_keys`` call."""
+    from pii_detector_ray.stages import skew
+    calls, hot_keys = [], skew.hot_keys
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hot_keys(*args, **kwargs)
+
+    monkeypatch.setattr(skew, 'hot_keys', counted)
+    return calls
+
+
+def test_skew_join_all_paths_equal_plain(ray_session, monkeypatch,
+                                         max_block_size):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -133,10 +147,14 @@ def test_skew_join_all_paths_equal_plain(ray_session, max_block_size):
 
     # max_block_size(1): nothing fits one block, so the plain join is
     # Ray's shuffle Join and the hot path salts
+    calls = _count_hot_keys(monkeypatch)
     with max_block_size(1):
         plain = norm(skew_join(left, right, on='k', hot_key_threshold=None))
         salted = norm(skew_join(left, right, on='k', hot_key_threshold=500))
+    assert len(calls) >= 1
+    del calls[:]
     broadcast = norm(skew_join(left, right, on='k', hot_key_threshold=500))
+    assert calls == []                   # a broadcast right side: no screen
     assert plain.equals(broadcast)
     assert plain.equals(salted)
     assert len(plain) == 2000            # right keys cover every left key
@@ -172,7 +190,7 @@ def test_skew_join_empty_sides(ray_session):
     assert out.count() == 0
 
 
-def test_skew_join_hot_rows_only_in_late_partitions(ray_session,
+def test_skew_join_hot_rows_only_in_late_partitions(ray_session, monkeypatch,
                                                     max_block_size):
     """Regression (r3 review, reproduced): hot-key rows confined to the
     LAST partitions leave many 0-row blocks in the hot split; those become
@@ -193,10 +211,12 @@ def test_skew_join_hot_rows_only_in_late_partitions(ray_session,
     right = rd.from_arrow(pa.table({
         'k': pa.array(np.arange(0, 10, dtype=np.int64)),
         'name': pa.array([f'n{i}' for i in range(10)])})).repartition(4)
+    calls = _count_hot_keys(monkeypatch)
     for trial in range(3):    # the failure was block-arrival-order flaky
         with max_block_size(1):          # the salted (key, salt) shuffle
             out = skew_join(left, right, on='k',
                             hot_key_threshold=100).to_pandas()
+        assert len(calls) == trial + 1
         assert len(out) == len(ks)
         assert (out.loc[out['k'] == 7, 'name'] == 'n7').all()
 

@@ -481,3 +481,37 @@ def test_event_markov2_null_next_type_is_none(ray_session, tmp_path):
     assert nulls and all(v is None for v in nulls)
     assert sorted(map(repr, got['next2_type'])) == \
         sorted(map(repr, want['next2_type']))
+
+
+@pytest.mark.parametrize('row_group_size', [None, 1])
+def test_window_sums_skip_null_values(ray_session, tmp_path, row_group_size):
+    """A NULL ``value`` is skipped by the running and rolling sums, as SQL
+    ``sum`` skips it, and a window holding only NULLs sums to NULL.  User 1
+    is the 3-event case 1.0, NULL, 2.0; user 2 opens and closes on NULL
+    runs longer than the rolling window.  1-row row groups put the users'
+    rows in several blocks, so the carried sums and counts are used."""
+    value = [1.0, None, 2.0, None, None, 5.0, None, None, None]
+    tbl = pa.table({
+        'event_id': pa.array(np.arange(9), pa.int64()),
+        'ts': pa.array(np.arange(9) * 1_000, pa.int64())
+        .cast(pa.timestamp('us')),
+        'user_id': pa.array([1, 1, 1, 2, 2, 2, 2, 2, 2], pa.int64()),
+        'event_type': pa.array(['view'] * 9, pa.string()),
+        'value': pa.array(value, pa.float64())})
+    cum, want_cum = _run(tmp_path, 'user_cumulative', tbl, row_group_size)
+    win, want_win = _run(tmp_path, 'user_rolling3', tbl, row_group_size)
+    cum = cum.sort_values('event_id').reset_index(drop=True)
+    win = win.sort_values('event_id').reset_index(drop=True)
+    assert cum['cum_cents'].tolist()[:3] == [100, 100, 300]
+
+    def values(s: pd.Series) -> list:
+        return [None if pd.isna(v) else int(v) for v in s]
+    assert values(cum['cum_cents']) == \
+        [100, 100, 300, None, None, 500, 500, 500, 500]
+    assert values(win['win_cents']) == \
+        [100, 100, 300, None, None, 500, 500, 500, None]
+    for got, want, col in ((cum, want_cum, 'cum_cents'),
+                           (win, want_win, 'win_cents')):
+        want = want.sort_values('event_id').reset_index(drop=True)
+        assert got['event_id'].tolist() == want['event_id'].tolist()
+        assert values(got[col]) == values(want[col])
