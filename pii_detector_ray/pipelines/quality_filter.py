@@ -27,8 +27,11 @@ cluster's CPUs or as the 1,024-row tasks the rows fill
 (``files >= min(CPUs, ceil(rows / 1024))``) — then the read fuses in too
 and each file is ONE task from read to write — else Ray's split of the
 files into ``min(2 x CPUs, ceil(rows / 1024))`` blocks.  With
-``dedup_urls`` the stages up to the dedup key fuse into the read and the
-rest into the dedup's ``map_groups``.
+``dedup_urls`` the stages up to the dedup key fuse into the read, and the
+rest, the write included, into the map after the dedup's range-partitioned
+sort, one task per reducer: ``max(CPUs, read tasks)`` of them, at most
+``bucket_count()``, however few blocks the read makes
+(``dedup_exact_by_url``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ from pii_detector_ray.stages.keepdrop import make_quality_stage
 from pii_detector_ray.stages.scrub import make_scrub_stage
 
 
+def cluster_cpus() -> int:
+    """The cluster's CPUs, starting Ray as Ray Data's first call would."""
+    if not ray.is_initialized():
+        ray.init()
+    return max(1, int(ray.cluster_resources().get('CPU', 1)))
+
+
 def dedup_exact_by_url(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Exact url dedup: keep the earliest (min ``warc_ts``, NULL last) row
     per url; ties broken by text md5 then arbitrary-but-single.
@@ -53,22 +63,47 @@ def dedup_exact_by_url(ds: ray.data.Dataset) -> ray.data.Dataset:
     Ray-native version of the reference's ``(path, etag)``/(path, offset,
     hash) catalog diffs (``base_scan_service.py:643-731``; SURVEY.md §2.2 F7).
 
-    One shuffle, the bucket idiom of ``stages/dedup.py``: a map appends the
-    winner key ``_wkey`` = ``warc_ts|md5(text)`` and ``_bk`` = crc32(url)
-    masked to ``bucket_count()``, then ``groupby('_bk').map_groups`` sorts
-    each bucket once by ``(url, _wkey)`` and keeps the first row of every
-    url run (a vectorized adjacent-key compare).  Byte-identical full ties
-    are adjacent after that sort, so they collapse to one row in the same
-    pass; the upstream read→filter→extract→md5 chain runs once.  A bucket
-    calls the UDF once, not once per url — per-url Python on mostly
-    singleton groups is what sank the round-1 ``groupby('url')`` version.
+    One shuffle, a range split of url buckets: a map appends the winner
+    key ``_wkey`` = ``warc_ts|md5(text)`` and the bucket ``_bk`` =
+    crc32(url) masked to ``bucket_count()``; ``sort('_bk', boundaries=...)``
+    cuts ``[0, bucket_count())`` at ``k - 1`` evenly spaced boundaries, so
+    every row of a url lands in the same one of ``k`` reducer blocks; then
+    ``pick``, once per block (``batch_size=None``), sorts the block by
+    ``(url, _wkey)`` and keeps the first row of every url run (a vectorized
+    adjacent-key compare).  Byte-identical full ties are adjacent after that
+    sort, so they collapse to one row in the same pass; the upstream
+    read→filter→extract→md5 chain runs once.  A block calls the UDF once,
+    not once per url — per-url Python on mostly singleton groups is what
+    sank the round-1 ``groupby('url')`` version.
 
-    Measured on a 4-vCPU VM with Ray ``num_cpus=4``, against the former
-    plan of two aggregates and three hash joins over narrow winner keys:
-    ``python3 perfbench/run.py --workload dedup_resume --seed N --seconds
-    10``, seeds 1-10, median 122 -> 708 docs/s; ``build_pipeline(...,
-    dedup_urls=True)`` over ``PagesSpec(n_rows=100_000, n_shards=16,
-    dup_url_frac=0.3)``, 98-132 s -> 41-53 s (3 runs each, same output).
+    Reducers: ``k = max(cluster CPUs, input blocks)``, at most
+    ``bucket_count()``, fixed when the plan is built.  The input blocks are
+    Ray's plan estimate, which counts read tasks: one per file when
+    ``read_pages`` reads a block per file, one for a file Ray splits.
+    Boundaries given by the caller set the reducers whatever the input's
+    blocks and skip the sampling pass; Ray's sampled sort (the plan of
+    ``groupby('_bk').map_groups``) gives one reducer per input block, which
+    leaves all the work after the dedup of a one-block partition (pick,
+    quality, scrub, finalize, write) to one task on one CPU.  More reducers
+    than CPUs only cost: in-process on 4 vCPUs (medians of 5 runs after a
+    warm run), one 8,000-row file took 0.85 s at ``k = 4`` and 1.00 s at
+    ``k = 8``; 8 files of 1,000 rows 1.42 s at ``k = 8`` and 1.62 s at
+    ``k = 16``.  A reducer that gets no rows (inputs of a few rows) yields
+    a schema-less empty block, as in any Ray sort.
+
+    Measured on a 4-vCPU VM with Ray ``num_cpus=4``, ``python3
+    perfbench/run.py --workload dedup_resume --seed N --seconds 10``, 20
+    pairs of runs (seeds 501-510 and 521-530) against the one-reducer-per-
+    block plan: median 1,988 -> 2,540 docs/s, faster in 18 of 20 pairs;
+    peak RSS 1,446 -> 1,485 MB.  Traced (``--trace 1``, seeds 511-513):
+    ``runner.partition_wall_s`` 0.87-1.00 -> 0.72-0.81 s,
+    ``ray.busy_frac`` 0.35-0.37 -> 0.49-0.51, while the rescan, reading
+    4 files per partition instead of 1, went 0.16-0.21 -> 0.20-0.27 s.
+    Against the plan before the bucket sort (two aggregates and three hash
+    joins over narrow winner keys): seeds 1-10, median 122 -> 708 docs/s;
+    ``build_pipeline(..., dedup_urls=True)`` over ``PagesSpec(n_rows=100_000,
+    n_shards=16, dup_url_frac=0.3)``, 98-132 s -> 41-53 s (3 runs each,
+    same output).
     """
     import hashlib
     import zlib
@@ -80,7 +115,8 @@ def dedup_exact_by_url(ds: ray.data.Dataset) -> ray.data.Dataset:
     # lexicographic winner key: offset keeps negative (pre-1970) timestamps
     # ordered, and NULL warc_ts sorts LAST ('~' > any digit)
     _TS_OFFSET = 1 << 62
-    mask = bucket_count() - 1
+    n = bucket_count()
+    mask = n - 1
 
     def utf8_slices(col: pa.ChunkedArray) -> tuple[memoryview, np.ndarray]:
         # NULL-filled string cast to binary is zero-copy; each row is read as
@@ -121,8 +157,10 @@ def dedup_exact_by_url(ds: ray.data.Dataset) -> ray.data.Dataset:
                 pc.xor(pc.is_null(a), pc.is_null(b))))
         return t.take(order.filter(pa.array(head))).drop_columns(['_wkey'])
 
+    k = min(n, max(cluster_cpus(), ds._plan.initial_num_blocks() or 0))
     return ds.map_batches(wkey, batch_format='pyarrow') \
-        .groupby('_bk').map_groups(pick, batch_format='pyarrow')
+        .sort('_bk', boundaries=[n * i // k for i in range(1, k)]) \
+        .map_batches(pick, batch_format='pyarrow', batch_size=None)
 
 
 def _finalize(batch: pa.Table) -> pa.Table:
@@ -189,9 +227,7 @@ def read_blocks(n_files: int, rows: int) -> int:
     with fewer files than CPUs it leaves CPUs idle: 2 files of 10,000 pages
     took 4.08 s as 2 tasks and 3.42 s as 8 blocks (medians of 5 runs,
     4-vCPU VM, Ray ``num_cpus=4``)."""
-    if not ray.is_initialized():
-        ray.init()       # as Ray Data's first call would
-    cpus = max(1, int(ray.cluster_resources().get('CPU', 1)))
+    cpus = cluster_cpus()
     tasks = -(-rows // ROWS_PER_TASK)
     if n_files >= min(cpus, tasks):
         return n_files

@@ -14,9 +14,12 @@ So a partition costs ONE Ray Data execution: its counts come from the write
 pass, not from reading the files back.  A partition is read by
 ``quality_filter.read_pages``: one task per file when its files number at
 least ``min(CPUs, ceil(rows / 1024))``, else its files split into
-``min(2 x CPUs, ceil(rows / 1024))`` blocks.  So a partition of fewer files
-than CPUs fills the cluster only when its rows make enough 1,024-row
-blocks; a one-file partition of at most 1,024 rows is one task.
+``min(2 x CPUs, ceil(rows / 1024))`` blocks.  So without the url dedup a
+partition of fewer files than CPUs fills the cluster only when its rows
+make enough 1,024-row blocks; a one-file partition of at most 1,024 rows is
+one task.  With ``dedup_urls`` the work after the dedup runs as
+``max(CPUs, read tasks)`` reducer tasks, at most ``bucket_count()``,
+however few blocks the read makes (``quality_filter.dedup_exact_by_url``).
 Serializing over partitions buys exact resume: a killed job re-runs only
 uncommitted partitions (``tests/test_resume.py`` kills the driver between
 partitions and inside a write task, and asserts identical final output

@@ -73,29 +73,35 @@ def make_url_filter(cfg: PipelineConfig):
     include_re = re.compile(cfg.url_include_regex) if cfg.url_include_regex else None
     exclude_re = re.compile(cfg.url_exclude_regex) if cfg.url_exclude_regex else None
 
+    def hits(matched) -> np.ndarray:
+        # a NULL url matches no pattern: no exclusion drops it, no
+        # inclusion keeps it
+        if matched.null_count:
+            matched = pc.fill_null(matched, False)
+        return matched.to_numpy(zero_copy_only=False)
+
     def url_filter(batch: pa.Table) -> pa.Table:
         urls = batch.column('url')
         keep = np.ones(len(batch), dtype=bool)
         if blocklist:
             blocked = np.zeros(len(batch), dtype=bool)
             for ext in blocklist:
-                blocked |= pc.ends_with(urls, pattern=ext).to_numpy(zero_copy_only=False)
+                blocked |= hits(pc.ends_with(urls, pattern=ext))
             keep &= ~blocked
         if cfg.url_log_filter:
             # F2: reference drops names containing 'log' (case-insensitive,
             # s3_service.py:251-261) and S3 keys matching vpcflowlogs|CloudTrail|-log
             lowered = pc.utf8_lower(urls)
-            keep &= ~pc.match_substring(lowered, 'log').to_numpy(zero_copy_only=False)
-            keep &= ~pc.match_substring(urls, 'CloudTrail').to_numpy(zero_copy_only=False)
+            keep &= ~hits(pc.match_substring(lowered, 'log'))
+            keep &= ~hits(pc.match_substring(urls, 'CloudTrail'))
         if exclude_re is not None:
-            keep &= ~pc.match_substring_regex(urls, exclude_re.pattern).to_numpy(zero_copy_only=False)
+            keep &= ~hits(pc.match_substring_regex(urls, exclude_re.pattern))
         if include_re is not None:
-            keep &= pc.match_substring_regex(urls, include_re.pattern).to_numpy(zero_copy_only=False)
+            keep &= hits(pc.match_substring_regex(urls, include_re.pattern))
         if cfg.url_include_set is not None:
             # F4 classification include-set (base_scan_service.py:621-641):
             # small set broadcast by closure capture
-            keep &= pc.is_in(urls, value_set=pa.array(cfg.url_include_set)) \
-                .to_numpy(zero_copy_only=False)
+            keep &= hits(pc.is_in(urls, value_set=pa.array(cfg.url_include_set)))
         if cfg.max_doc_bytes is not None and 'html' in batch.column_names:
             # F8 size guard (file_service.py:137-139 / base_scan_service.py:49)
             sizes = pc.binary_length(batch.column('html'))

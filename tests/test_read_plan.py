@@ -119,10 +119,15 @@ def test_global_block_size_unchanged(ray_session, tmp_path, many_files):
 
 def test_dedup_plan_fuses_around_the_sort(ray_session, tmp_path, many_files):
     """With the url dedup, the stages before its key fuse into the read and
-    the rest, the write included, into its ``map_groups``."""
+    the rest, the write included, into the ``pick`` map after the dedup's
+    range-partitioned sort.  That sort has ``max(CPUs, read tasks)``
+    reducers, at most ``bucket_count()``, so one task per reducer runs
+    ``pick`` through the write (on 4 vCPUs, the ``dedup_resume``
+    benchmark's one-file partitions went from 1 such task to 4)."""
     names = _write(build_pipeline(read_pages(many_files), PipelineConfig(),
                                   dedup_urls=True), str(tmp_path / 'out'))
     assert len(names) == 3, names
     assert 'ReadParquet' in names[0] and 'wkey' in names[0], names
     assert 'Sort' in names[1], names
     assert 'pick' in names[2] and 'Write' in names[2], names
+    assert len(os.listdir(tmp_path / 'out')) == _cpus()   # one file per reducer
